@@ -6,9 +6,16 @@ RESULTS_TMP ?= /tmp
 BENCH_BASELINE := $(RESULTS_TMP)/BENCH_engine.baseline.json
 GOLDEN_TMP := $(RESULTS_TMP)/repro-golden-check
 GOLDEN_SCENARIOS := verify-small gathering-line-k3 thm31-sweep atlas-programs \
-        rendezvous-relabel-line gathering-crash-k3
+        rendezvous-relabel-line gathering-crash-k3 delays-line \
+        gathering-line-k4 gathering-spider-k3 gathering-binary-k4
+# The results the committed v0 atlas fixture holds (atlas-smoke migration).
+ATLAS_FIXTURE_SCENARIOS := verify-small gathering-line-k3 thm31-sweep \
+        atlas-programs rendezvous-relabel-line gathering-crash-k3
 FAULT_TMP := $(RESULTS_TMP)/repro-fault-smoke
-FAULT_SCENARIOS := rendezvous-relabel-line gathering-crash-k3
+# Every delay_sweep / gathering_sweep scenario, faulted or not.
+SWEEP_SCENARIOS := delays-line rendezvous-relabel-line gathering-crash-k3 \
+        gathering-line-k3 gathering-line-k4 gathering-spider-k3 \
+        gathering-binary-k4
 TELEMETRY_TMP := $(RESULTS_TMP)/repro-telemetry-smoke
 ATLAS_TMP := $(RESULTS_TMP)/repro-atlas-smoke
 ATLAS_FIXTURE := tests/scenarios/fixtures/atlas-v0.sqlite
@@ -66,19 +73,23 @@ golden-diff:
 	        benchmarks/results/golden/$$name.json || exit 1; \
 	done
 
-# Fault-model smoke: run every fault-injected scenario on the reference
-# AND compiled backends, require identical verdict rows (the faulted
-# parity contract), then exercise the supervised-pool suite.
+# Sweep parity smoke: run every delay_sweep / gathering_sweep scenario
+# (the fault-injected ones included) on the reference, compiled AND
+# auto backends, require identical verdict rows against the reference
+# oracle (the sweep parity contract), then exercise the fault-model and
+# supervised-pool suites.
 fault-smoke:
-	mkdir -p $(FAULT_TMP)/reference $(FAULT_TMP)/compiled
-	@for name in $(FAULT_SCENARIOS); do \
+	mkdir -p $(FAULT_TMP)/reference $(FAULT_TMP)/compiled $(FAULT_TMP)/auto
+	@for name in $(SWEEP_SCENARIOS); do \
 	    echo "== $$name"; \
-	    $(PY) -m repro scenarios run $$name --backend reference \
-	        --save --out $(FAULT_TMP)/reference > /dev/null || exit 1; \
-	    $(PY) -m repro scenarios run $$name --backend compiled \
-	        --save --out $(FAULT_TMP)/compiled > /dev/null || exit 1; \
-	    $(PY) -m repro scenarios diff $(FAULT_TMP)/reference/$$name.json \
-	        $(FAULT_TMP)/compiled/$$name.json || exit 1; \
+	    for backend in reference compiled auto; do \
+	        $(PY) -m repro scenarios run $$name --backend $$backend \
+	            --save --out $(FAULT_TMP)/$$backend > /dev/null || exit 1; \
+	    done; \
+	    for backend in compiled auto; do \
+	        $(PY) -m repro scenarios diff $(FAULT_TMP)/reference/$$name.json \
+	            $(FAULT_TMP)/$$backend/$$name.json || exit 1; \
+	    done; \
 	done
 	$(PY) -m pytest tests/sim/test_faults.py tests/sim/test_supervised.py -q
 
@@ -107,18 +118,18 @@ telemetry-smoke:
 	$(PY) -m pytest tests/telemetry -q
 
 # Atlas memoization gate, exactly as CI runs it: init a fresh database,
-# bulk-import the checked-in results (incl. golden/), then run the same
-# scenario twice against it — the cold leg must record an atlas.miss and
-# really dispatch, the warm leg must be an atlas.hit with ZERO backend
-# dispatch (verified from the live event stream) and save a byte-identical
-# payload.  Finally migrate the committed v0 fixture database forward and
-# require its exported JSON to match the goldens byte for byte.
+# run the same scenario twice against it — the cold leg must record an
+# atlas.miss and really dispatch, the warm leg must be an atlas.hit with
+# ZERO backend dispatch (verified from the live event stream) and save a
+# byte-identical payload, and so must the export.  Then bulk-import the
+# checked-in results (incl. golden/, which pins delays-line too — hence
+# the runs come first), migrate the committed v0 fixture database
+# forward and require its exported JSON to match the goldens byte for
+# byte.
 atlas-smoke:
 	rm -rf $(ATLAS_TMP) && mkdir -p $(ATLAS_TMP)
-	@echo "== init + bulk import"
+	@echo "== init"
 	$(PY) -m repro atlas init --db $(ATLAS_TMP)/atlas.sqlite
-	$(PY) -m repro atlas import benchmarks/results --db $(ATLAS_TMP)/atlas.sqlite
-	$(PY) -m repro atlas stats --db $(ATLAS_TMP)/atlas.sqlite
 	@echo "== cold run (atlas miss, real dispatch)"
 	$(PY) -m repro scenarios run delays-line --atlas=$(ATLAS_TMP)/atlas.sqlite \
 	    --telemetry=$(ATLAS_TMP)/cold.jsonl --save --out $(ATLAS_TMP)/cold \
@@ -136,12 +147,15 @@ atlas-smoke:
 	$(PY) -m repro atlas export delays-line --db $(ATLAS_TMP)/atlas.sqlite \
 	    --out $(ATLAS_TMP)/exported
 	cmp $(ATLAS_TMP)/exported/delays-line.json $(ATLAS_TMP)/cold/delays-line.json
+	@echo "== bulk import"
+	$(PY) -m repro atlas import benchmarks/results --db $(ATLAS_TMP)/atlas.sqlite
+	$(PY) -m repro atlas stats --db $(ATLAS_TMP)/atlas.sqlite
 	@echo "== v0 schema migration"
 	cp $(ATLAS_FIXTURE) $(ATLAS_TMP)/v0.sqlite
 	$(PY) -m repro atlas init --db $(ATLAS_TMP)/v0.sqlite
 	$(PY) -m repro atlas export --all --db $(ATLAS_TMP)/v0.sqlite \
 	    --out $(ATLAS_TMP)/migrated
-	@for name in $(GOLDEN_SCENARIOS); do \
+	@for name in $(ATLAS_FIXTURE_SCENARIOS); do \
 	    echo "== migrated $$name"; \
 	    $(PY) -m repro scenarios diff $(ATLAS_TMP)/migrated/$$name.json \
 	        benchmarks/results/golden/$$name.json || exit 1; \

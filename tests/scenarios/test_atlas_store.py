@@ -4,6 +4,7 @@ round-trips, concurrent writers, and forward migrations."""
 import json
 import multiprocessing
 import pathlib
+import shutil
 import sqlite3
 
 import pytest
@@ -120,14 +121,19 @@ class TestRoundTrip:
         assert out.read_bytes() == loose.read_bytes()
 
     def test_import_tree_golden_round_trip(self, db, tmp_path):
+        # a results tree like benchmarks/results/: the goldens plus a
+        # loose top-level result (built here, as a clean checkout has none)
+        tree = tmp_path / "results"
+        shutil.copytree(GOLDEN, tree / "golden")
+        shutil.copy(GOLDEN / "verify-small.json", tree / "verify-small.json")
         with AtlasStore(db) as store:
-            names = store.import_tree(RESULTS)
+            names = store.import_tree(tree)
             assert "golden/verify-small" in names
             assert "verify-small" in names
             exported = store.export_all(tmp_path / "out")
         for path in exported:
             rel = path.relative_to(tmp_path / "out")
-            assert path.read_bytes() == (RESULTS / rel).read_bytes()
+            assert path.read_bytes() == (tree / rel).read_bytes()
 
     def test_import_paths_mixes_files_and_dirs(self, db):
         with AtlasStore(db) as store:
@@ -171,14 +177,15 @@ class TestUpsert:
                 store.import_file(bad)
 
     def test_stats_and_vacuum(self, db):
+        goldens = len(list(GOLDEN.glob("*.json")))
         with AtlasStore(db) as store:
             store.import_tree(GOLDEN)
             stats = store.stats()
-            assert stats["results"] == 6
+            assert stats["results"] == goldens
             assert stats["schema_version"] == ATLAS_SCHEMA_VERSION
-            assert sum(stats["by_kind"].values()) == 6
+            assert sum(stats["by_kind"].values()) == goldens
             store.vacuum()
-            assert store.stats()["results"] == 6
+            assert store.stats()["results"] == goldens
 
 
 def _worker_import(db, src, barrier):
