@@ -28,17 +28,25 @@ Every rendezvous or gathering run a scenario performs goes through a
   runs stay on the reference engine, where interpreting the program
   once is already optimal and the outcome carries executed registers.
 
+A delay sweep is the k=2 case of a gathering grid: delaying side 2 by
+θ is the delay vector ``(0, θ)`` (:mod:`repro.sim.delays` owns the
+(θ, side) choice format and validates ``sides``).  So both exact sweeps
+go down one degrade ladder, :func:`_sweep_exact`: traced lowering →
+fault lowering → exact solver → per-run.  Only the solvers on its rungs
+differ — delay sweeps keep the delay-shaped dict and kernel solvers,
+which beat the gathering solvers on k=2 grids.
+
 Lowering degrades, never crashes: a trace that finds no lasso within
 its budget (or machine state the freezer cannot capture) raises
 :class:`~repro.errors.BudgetExceededError` /
-:class:`~repro.errors.LoweringError`, and the sweep wrappers catch both
-and fall back to budgeted per-run execution whose unprovable choices
-come back *undecided* — the same honest note a budget-bound reference
-sweep produces, never fake proof, never an abort.
+:class:`~repro.errors.LoweringError`, and the ladder catches both and
+falls back to budgeted per-run execution whose unprovable choices come
+back *undecided* — the same honest note a budget-bound reference sweep
+produces, never fake proof, never an abort.
 
-The protocol is the seam the ISSUE's acceptance criterion tests:
-``scenarios run <name> --backend compiled`` and ``--backend reference``
-must produce identical outcome tables.
+The protocol is the parity seam: ``scenarios run <name> --backend
+compiled`` and ``--backend reference`` must produce identical outcome
+tables.
 
 Sweep budgets: ``sweep_delays`` / ``sweep_gathering`` accept
 ``max_rounds=None`` (the default), meaning "whatever the backend needs
@@ -64,11 +72,11 @@ from ..agents.observations import AgentBase
 from ..errors import BudgetExceededError, LoweringError
 from ..sim.batch import BatchJob, GatheringJob, run_batch, run_gathering_batch
 from ..sim.compiled import (
-    DelayVerdict,
     run_rendezvous_compiled,
     run_rendezvous_fast,
     supports_compilation,
 )
+from ..sim.delays import DelayVerdict, sweep_choices
 from ..sim.engine import RendezvousOutcome, run_rendezvous
 from ..sim.gathering_solver import GatheringVerdict
 from ..sim.multi import (
@@ -236,30 +244,26 @@ class Backend(abc.ABC):
         schedule to every adversary choice.
         """
         budget = _SWEEP_BUDGET if max_rounds is None else max_rounds
-        zero_side = 2 if 2 in sides else sides[0]
         extra = {} if faults is None else {"faults": faults}
         verdicts = []
-        for theta in range(max_delay + 1):
-            for side in sides:
-                if theta == 0 and side != zero_side:
-                    continue
-                out = self.run(
-                    tree,
-                    prototype,
-                    start1,
-                    start2,
-                    delay=theta,
-                    delayed=side,
-                    max_rounds=budget,
-                    certify=True,
-                    **extra,
+        for theta, side in sweep_choices(max_delay, sides):
+            out = self.run(
+                tree,
+                prototype,
+                start1,
+                start2,
+                delay=theta,
+                delayed=side,
+                max_rounds=budget,
+                certify=True,
+                **extra,
+            )
+            verdicts.append(
+                DelayVerdict(
+                    theta, side, out.met, out.meeting_round,
+                    out.certified_never, bool(out.crashed),
                 )
-                verdicts.append(
-                    DelayVerdict(
-                        theta, side, out.met, out.meeting_round,
-                        out.certified_never, bool(out.crashed),
-                    )
-                )
+            )
         return verdicts
 
     def sweep_gathering(
@@ -342,129 +346,48 @@ def _lowered_for_faults(prototype: AgentBase, tree: Tree):
     return lowered_for(prototype, degrees)
 
 
-def _sweep_delays_exact(
-    backend: Backend, tree, prototype, start1, start2, max_delay, sides,
-    max_rounds, faults=None,
-) -> list[DelayVerdict]:
-    """Exact delay sweep with graceful budgeting.
+def _sweep_exact(method, tree, prototype, *, traced, solve, per_run,
+                 max_rounds, faults):
+    """The degrade ladder behind both exact sweeps (``method`` names its
+    ``backend.dispatch.<method>.<tier>`` telemetry): traced → fault
+    lowering → exact → per-run.
 
-    The exact solver needs no round budget — it decides every choice by
-    walking the finite product configuration graph.  An explicit caller
-    budget is still honored as the configuration-exploration guard, and
-    tripping it degrades to the budgeted per-run path (undecided where
-    unprovable) so a budgeted sweep behaves alike on every backend
-    instead of aborting here.
-
-    Register programs take the traced-lowering route: both starts' solo
-    traces are lassoed and rolled into per-(tree, start) automata for
-    the same solver.  A trace that cannot lasso within budget — or
-    machine state the lowering cannot capture — degrades the same way,
-    with undecided notes where nothing is provable, never a crash.
-    Under ``faults`` traced lowering is unsound (see
-    :func:`_lowered_for_faults`), so lowerable agents go through full
-    behavioral lowering instead, with the same graceful degradation.
+    Register programs take ``traced(**budget)``: lassoed solo traces
+    rolled into per-(tree, start) automata.  Under ``faults`` traced
+    lowering is unsound (see :func:`_lowered_for_faults`), so they are
+    lowered behaviorally and join automata at ``solve(automaton,
+    **budget)``, the kernel-dispatched exact solver.  It needs no round
+    budget; an explicit caller budget is honored as its configuration
+    guard.  A trace without a lasso, machine state the lowering cannot
+    capture, or a tripped explicit budget lands on ``per_run()``, the
+    budgeted per-run sweep — undecided where unprovable, never a crash,
+    never fake proof.
     """
-    degrade = lambda: Backend.sweep_delays(  # noqa: E731 - one fallback, four exits
-        backend, tree, prototype, start1, start2,
-        max_delay=max_delay, sides=sides, max_rounds=max_rounds, faults=faults,
-    )
-    solver_proto = prototype
-    if supports_compilation(prototype) == "lowerable":
-        if not faults:
-            try:
-                kwargs = {} if max_rounds is None else dict(
-                    trace_budget=max_rounds, max_configs=max_rounds
-                )
-                verdicts = sweep_delays_traced(
-                    tree, prototype, start1, start2,
-                    max_delay=max_delay, sides=tuple(sides),
-                    solver=solve_all_delays_auto, **kwargs,
-                )
-                _note_dispatch("sweep_delays", "traced")
-                return verdicts
-            except (BudgetExceededError, LoweringError) as exc:
-                _note_fallback("sweep_delays", exc)
-                _note_dispatch("sweep_delays", "per_run")
-                return degrade()
-        try:
-            solver_proto = _lowered_for_faults(prototype, tree)
-        except (BudgetExceededError, LoweringError) as exc:
-            _note_fallback("sweep_delays", exc)
-            _note_dispatch("sweep_delays", "per_run")
-            return degrade()
-    extra = {} if faults is None else {"faults": faults}
-    if max_rounds is None:
-        verdicts = solve_all_delays_auto(
-            tree, solver_proto, start1, start2,
-            max_delay=max_delay, delayed_sides=tuple(sides), **extra,
-        )
-        _note_dispatch("sweep_delays", "exact")
-        return verdicts
-    try:
-        verdicts = solve_all_delays_auto(
-            tree, solver_proto, start1, start2,
-            max_delay=max_delay, delayed_sides=tuple(sides),
-            max_configs=max_rounds, **extra,
-        )
-        _note_dispatch("sweep_delays", "exact")
-        return verdicts
-    except BudgetExceededError as exc:
-        _note_fallback("sweep_delays", exc)
-        _note_dispatch("sweep_delays", "per_run")
-        return degrade()
+    def degrade(exc):
+        _note_fallback(method, exc)
+        _note_dispatch(method, "per_run")
+        return per_run()
 
-
-def _sweep_gathering_exact(
-    backend: Backend, tree, prototype, starts, delay_vectors, max_rounds,
-    faults=None,
-) -> list[GatheringVerdict]:
-    """Exact gathering sweep with graceful budgeting (see
-    :func:`_sweep_delays_exact`)."""
-    degrade = lambda: Backend.sweep_gathering(  # noqa: E731
-        backend, tree, prototype, starts, delay_vectors,
-        max_rounds=max_rounds, faults=faults,
-    )
-    solver_proto = prototype
+    budget = {} if max_rounds is None else {"max_configs": max_rounds}
     if supports_compilation(prototype) == "lowerable":
-        if not faults:
-            try:
-                kwargs = {} if max_rounds is None else dict(
-                    trace_budget=max_rounds, max_configs=max_rounds
-                )
-                verdicts = sweep_gathering_traced(
-                    tree, prototype, starts, delay_vectors,
-                    solver=solve_gathering_auto, **kwargs,
-                )
-                _note_dispatch("sweep_gathering", "traced")
-                return verdicts
-            except (BudgetExceededError, LoweringError) as exc:
-                _note_fallback("sweep_gathering", exc)
-                _note_dispatch("sweep_gathering", "per_run")
-                return degrade()
         try:
-            solver_proto = _lowered_for_faults(prototype, tree)
+            if not faults:
+                if max_rounds is not None:
+                    budget["trace_budget"] = max_rounds
+                verdicts = traced(**budget)
+                _note_dispatch(method, "traced")
+                return verdicts
+            prototype = _lowered_for_faults(prototype, tree)
         except (BudgetExceededError, LoweringError) as exc:
-            _note_fallback("sweep_gathering", exc)
-            _note_dispatch("sweep_gathering", "per_run")
-            return degrade()
-    extra = {} if faults is None else {"faults": faults}
-    if max_rounds is None:
-        verdicts = solve_gathering_auto(
-            tree, solver_proto, starts, delay_vectors, **extra
-        )
-        _note_dispatch("sweep_gathering", "exact")
-        return verdicts
+            return degrade(exc)
     try:
-        verdicts = solve_gathering_auto(
-            tree, solver_proto, starts, delay_vectors,
-            max_configs=max_rounds, **extra,
-        )
-        _note_dispatch("sweep_gathering", "exact")
-        return verdicts
+        verdicts = solve(prototype, **budget)
     except BudgetExceededError as exc:
-        _note_fallback("sweep_gathering", exc)
-        _note_dispatch("sweep_gathering", "per_run")
-        return degrade()
+        if max_rounds is None:
+            raise
+        return degrade(exc)
+    _note_dispatch(method, "exact")
+    return verdicts
 
 
 def _run_pairs_fast(
@@ -547,17 +470,41 @@ class CompiledBackend(Backend):
         self, tree, prototype, start1, start2, *, max_delay,
         sides=(1, 2), max_rounds=None, faults=None,
     ) -> list[DelayVerdict]:
-        return _sweep_delays_exact(
-            self, tree, prototype, start1, start2, max_delay, sides,
-            max_rounds, faults,
+        return _sweep_exact(
+            "sweep_delays", tree, prototype,
+            traced=lambda **budget: sweep_delays_traced(
+                tree, prototype, start1, start2, max_delay=max_delay,
+                sides=tuple(sides), solver=solve_all_delays_auto, **budget,
+            ),
+            solve=lambda automaton, **budget: solve_all_delays_auto(
+                tree, automaton, start1, start2, max_delay=max_delay,
+                delayed_sides=tuple(sides), faults=faults, **budget,
+            ),
+            per_run=lambda: Backend.sweep_delays(
+                self, tree, prototype, start1, start2, max_delay=max_delay,
+                sides=sides, max_rounds=max_rounds, faults=faults,
+            ),
+            max_rounds=max_rounds, faults=faults,
         )
 
     def sweep_gathering(
         self, tree, prototype, starts, delay_vectors, *, max_rounds=None,
         faults=None,
     ) -> list[GatheringVerdict]:
-        return _sweep_gathering_exact(
-            self, tree, prototype, starts, delay_vectors, max_rounds, faults
+        return _sweep_exact(
+            "sweep_gathering", tree, prototype,
+            traced=lambda **budget: sweep_gathering_traced(
+                tree, prototype, starts, delay_vectors,
+                solver=solve_gathering_auto, **budget,
+            ),
+            solve=lambda automaton, **budget: solve_gathering_auto(
+                tree, automaton, starts, delay_vectors, faults=faults, **budget,
+            ),
+            per_run=lambda: Backend.sweep_gathering(
+                self, tree, prototype, starts, delay_vectors,
+                max_rounds=max_rounds, faults=faults,
+            ),
+            max_rounds=max_rounds, faults=faults,
         )
 
     def run_pairs(self, tree, prototype, pairs, *, max_rounds):
@@ -584,13 +531,12 @@ class AutoBackend(Backend):
         self, tree, prototype, start1, start2, *, max_delay,
         sides=(1, 2), max_rounds=None, faults=None,
     ) -> list[DelayVerdict]:
-        if supports_compilation(prototype):
-            return _sweep_delays_exact(
-                self, tree, prototype, start1, start2, max_delay, sides,
-                max_rounds, faults,
-            )
-        return super().sweep_delays(
-            tree, prototype, start1, start2,
+        sweep = (
+            CompiledBackend.sweep_delays if supports_compilation(prototype)
+            else Backend.sweep_delays
+        )
+        return sweep(
+            self, tree, prototype, start1, start2,
             max_delay=max_delay, sides=sides, max_rounds=max_rounds,
             faults=faults,
         )
@@ -599,13 +545,13 @@ class AutoBackend(Backend):
         self, tree, prototype, starts, delay_vectors, *, max_rounds=None,
         faults=None,
     ) -> list[GatheringVerdict]:
-        if supports_compilation(prototype):
-            return _sweep_gathering_exact(
-                self, tree, prototype, starts, delay_vectors, max_rounds, faults
-            )
-        return super().sweep_gathering(
-            tree, prototype, starts, delay_vectors, max_rounds=max_rounds,
-            faults=faults,
+        sweep = (
+            CompiledBackend.sweep_gathering if supports_compilation(prototype)
+            else Backend.sweep_gathering
+        )
+        return sweep(
+            self, tree, prototype, starts, delay_vectors,
+            max_rounds=max_rounds, faults=faults,
         )
 
     def run_pairs(self, tree, prototype, pairs, *, max_rounds):

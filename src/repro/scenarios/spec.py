@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..errors import ReproError
+from ..sim.delays import check_sides, delay_choices
 from ..trees.tree import Tree
 
 __all__ = [
@@ -125,9 +126,13 @@ class DelayPolicy:
 
     - ``none`` — simultaneous start only (θ = 0);
     - ``fixed`` — the explicit ``delays`` list, both delayed sides for
-      θ > 0 (matching the sweep convention everywhere else);
+      θ > 0 (the :mod:`repro.sim.delays` choice order);
     - ``sweep`` — every θ ∈ [0, max_delay], decided in one batched pass
       where the backend supports it.
+
+    ``sides`` must be a non-empty subset of {1, 2} without repeats and
+    ``max_delay`` must be >= 0; anything else raises
+    :class:`ScenarioError` here, before any backend sees it.
     """
 
     kind: str = "none"  # "none" | "fixed" | "sweep"
@@ -139,7 +144,9 @@ class DelayPolicy:
         if self.kind not in ("none", "fixed", "sweep"):
             raise ScenarioError(f"unknown delay policy kind {self.kind!r}")
         object.__setattr__(self, "delays", tuple(self.delays))
-        object.__setattr__(self, "sides", tuple(self.sides))
+        object.__setattr__(self, "sides", check_sides(self.sides, ScenarioError))
+        if self.max_delay < 0:
+            raise ScenarioError("max_delay must be >= 0")
 
     @classmethod
     def none(cls) -> "DelayPolicy":
@@ -154,16 +161,12 @@ class DelayPolicy:
         return cls("sweep", max_delay=max_delay, sides=tuple(sides))
 
     def choices(self) -> list[tuple[int, int]]:
-        """The concrete (delay, delayed) grid: side 2 only at θ = 0."""
+        """The concrete (delay, delayed) grid, in the
+        :mod:`repro.sim.delays` order (θ = 0 once)."""
         if self.kind == "none":
             return [(0, 2)]
         thetas = self.delays if self.kind == "fixed" else range(self.max_delay + 1)
-        return [
-            (theta, side)
-            for theta in thetas
-            for side in self.sides
-            if theta > 0 or side == (2 if 2 in self.sides else self.sides[0])
-        ]
+        return delay_choices(thetas, self.sides)
 
 
 def _canon(value: Any) -> Any:

@@ -44,7 +44,6 @@ boundedly larger) round than the first-repeat ``seen`` set.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
@@ -52,6 +51,7 @@ from ..agents.observations import STAY, AgentBase, resolve_action
 from ..agents.program import AgentProgram
 from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
+from .delays import DelayVerdict, met_at_start, sweep_choices
 from .engine import RendezvousOutcome, run_rendezvous
 from .trace import RoundRecord, Trace
 
@@ -403,26 +403,19 @@ def run_rendezvous_fast(
 # The batched all-delays solver
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DelayVerdict:
-    """Exact fate of one ``(delay, delayed)`` adversary choice.
-
-    The product-configuration graph is finite, so the batch solver always
-    decides: exactly one of ``met`` / ``certified_never`` is true.
-    """
-
-    delay: int
-    delayed: int
-    met: bool
-    meeting_round: Optional[int]
-    certified_never: bool
-    # Did a crash fault fire by this choice's final decided round?
-    # Always False for fault-free sweeps; lets executors certify
-    # "never meets because a fault killed an agent" distinctly.
-    crashed: bool = False
-
-
 _NEVER = (False, -1)
+
+
+def _check_delay_args(tree, prototype, prototype2, pairs) -> None:
+    """The agent and start checks every delay-sweep solver shares."""
+    for p in (prototype, prototype if prototype2 is None else prototype2):
+        if not isinstance(p, Automaton):
+            raise SimulationError(
+                "the all-delays solver requires a finite-state Automaton"
+            )
+    for start1, start2 in pairs:
+        if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
+            raise SimulationError("start nodes outside the tree")
 
 
 def solve_all_delays(
@@ -447,11 +440,8 @@ def solve_all_delays(
     work is proportional to the number of distinct joint configurations
     reached — not to Θ × (rounds per run) as with per-delay simulation.
 
-    Returns verdicts ordered by (delay, position of side in
-    ``delayed_sides``).  At θ = 0 the two sides are the same adversary
-    choice, so — matching the sweep convention elsewhere — only one
-    verdict is emitted for it (side 2 when requested, else the single
-    requested side).  Raises :class:`~repro.errors.BudgetExceededError`
+    Returns verdicts in the :func:`repro.sim.delays.sweep_choices` order
+    (θ-major, θ = 0 once).  Raises :class:`~repro.errors.BudgetExceededError`
     if more than ``max_configs`` distinct configurations are explored (a
     guard, not a round budget — the solver is otherwise exact).
 
@@ -459,7 +449,7 @@ def solve_all_delays(
     heterogeneous-agent seam used by traced lowering
     (:mod:`repro.sim.traced`).  ``faults`` (an optional
     :class:`~repro.sim.faults.FaultPlan`) routes to the faulted exact
-    solver, which keeps the same shared-memo structure.
+    solver: the faulted gathering solver over k=2 delay vectors.
     """
     if faults:
         from .faults import solve_all_delays_faulted
@@ -469,28 +459,10 @@ def solve_all_delays(
             faults=faults, delayed_sides=delayed_sides,
             max_configs=max_configs, prototype2=prototype2,
         )
-    if not isinstance(prototype, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    if prototype2 is not None and not isinstance(prototype2, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-        raise SimulationError("start nodes outside the tree")
-    if max_delay < 0:
-        raise SimulationError("max_delay must be >= 0")
-    for side in delayed_sides:
-        if side not in (1, 2):
-            raise SimulationError("'delayed_sides' entries must be 1 or 2")
-
-    sides = list(dict.fromkeys(delayed_sides))
-    zero_side = 2 if 2 in sides else sides[0]
-
+    choices = sweep_choices(max_delay, delayed_sides)
+    _check_delay_args(tree, prototype, prototype2, [(start1, start2)])
     if start1 == start2:
-        return [
-            DelayVerdict(theta, side, True, 0, False)
-            for theta in range(max_delay + 1)
-            for side in sides
-            if theta > 0 or side == zero_side
-        ]
+        return met_at_start(choices)
 
     compiled = compile_agent(prototype, tree)
     compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
@@ -547,12 +519,11 @@ def solve_all_delays(
         return verdict[config]
 
     out: dict[tuple[int, int], DelayVerdict] = {}
-    for side in sides:
+    for side in dict.fromkeys(s for _t, s in choices):
         runner_start = start1 if side == 2 else start2
         sleeper_start = start2 if side == 2 else start1
         start_act_r, s0_r, step_r = by_agent[1 if side == 2 else 2]
         start_act_s, s0_s, _step_s = by_agent[side]
-        first_theta = 0 if side == zero_side else 1
 
         # Solo prefix of the non-delayed agent: configs after rounds
         # 1..max_delay, and the first round it steps onto the sleeper.
@@ -578,7 +549,7 @@ def solve_all_delays(
                     first_hit = t
                     break
 
-        for theta in range(first_theta, max_delay + 1):
+        for theta in [t for t, s in choices if s == side]:
             if first_hit is not None and theta >= first_hit:
                 out[(theta, side)] = DelayVerdict(theta, side, True, first_hit, False)
                 continue
@@ -607,9 +578,4 @@ def solve_all_delays(
             else:
                 out[(theta, side)] = DelayVerdict(theta, side, False, None, True)
 
-    return [
-        out[(theta, side)]
-        for theta in range(max_delay + 1)
-        for side in sides
-        if theta > 0 or side == zero_side
-    ]
+    return [out[choice] for choice in choices]

@@ -33,13 +33,17 @@ contract (``met`` / ``meeting_round`` / ``meeting_node`` /
 ``certified_never`` identical; ``rounds_executed`` on certified-never
 may differ).
 
-The exact sweep solvers get faulted twins
-(:func:`solve_all_delays_faulted`, :func:`solve_gathering_faulted`):
-each adversary choice simulates its faulted prefix through the horizon,
-then resolves the reached configuration against a fate memo shared
-across the whole grid — the post-horizon dynamics (final labeling,
-crashed agents frozen) are choice-independent, so the memo is valid
-grid-wide and the solvers stay exact.
+The exact sweeps have no faulted twins: the gathering solver
+(:func:`repro.sim.gathering_solver.solve_gathering`) takes the plan
+itself, and :func:`solve_gathering_faulted` is that solver with a plan
+required.  Each delay vector simulates its faulted prefix through the
+horizon (:func:`_iter_compiled_faulted`), then resolves the reached
+configuration against a fate memo shared across the whole grid — the
+post-horizon dynamics (final labeling, crashed agents frozen by
+:func:`_frozen_steppers`) are choice-independent, so the memo is valid
+grid-wide and the solver stays exact.  A delay sweep is the k=2 case
+(:mod:`repro.sim.delays`), so :func:`solve_all_delays_faulted` is the
+same solver over the k=2 delay vectors.
 
 Outcomes gain a ``crashed`` field (the agents whose crash had fired by
 the final executed round) and the sweep verdicts a ``crashed`` flag, so
@@ -56,19 +60,14 @@ from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY, AgentBase
-from ..errors import BudgetExceededError, SimulationError
+from ..errors import SimulationError
 from ..trees.automorphism import is_symmetric_labeling
 from ..trees.labelings import random_relabel
 from ..trees.tree import Tree
-from .compiled import (
-    _INVALID,
-    DelayVerdict,
-    _final_agents,
-    _make_stepper,
-    compile_agent,
-)
+from .compiled import _INVALID, _final_agents, _make_stepper, compile_agent
+from .delays import DelayVerdict, delay_vector, sweep_choices, to_delay_verdicts
 from .engine import RendezvousOutcome, _agent_action, _AgentState, _execute
-from .gathering_solver import GatheringVerdict
+from .gathering_solver import GatheringVerdict, solve_gathering
 from .multi import GatheringOutcome, _validate
 from .trace import RoundRecord, Trace
 
@@ -537,7 +536,7 @@ def run_gathering_faulted_reference(
 # ----------------------------------------------------------------------
 
 def _iter_compiled_faulted(
-    tree: Tree,
+    schedule: list[tuple[int, Tree]],
     plan: FaultPlan,
     compileds: list,
     starts: list[int],
@@ -547,13 +546,14 @@ def _iter_compiled_faulted(
     """Flat-table faulted stepping, one yield per executed round:
     ``(rnd, pos, st, ip, started, acts)`` — the lists are live (mutated
     in place), ``acts`` records ``STAY`` for frozen agents.
+    ``schedule`` is ``plan.labeling_schedule(tree)``, taken once by the
+    caller (a sweep steps many prefixes under one plan).
 
     Relabel segments swap the move tables only: the transition tables
     are keyed on ``(stride, degree set)``, both labeling-invariant, so
     one compilation serves every segment.
     """
     k = len(starts)
-    schedule = plan.labeling_schedule(tree)
     tables = [t.flat_move_tables() for _, t in schedule]
     seg = 0
     stride, deg, move_to, move_in = tables[0]
@@ -568,13 +568,14 @@ def _iter_compiled_faulted(
     ip = [0] * k  # entry-port indices (in_port + 1; 0 == NULL_PORT)
     started = [False] * k
     acts = [STAY] * k
+    freezable = {f.agent for f in (*plan.crashes, *plan.pauses)}
 
     for rnd in range(1, max_rounds + 1):
         while seg + 1 < len(schedule) and schedule[seg + 1][0] <= rnd:
             seg += 1
             stride, deg, move_to, move_in = tables[seg]
         for i in range(k):
-            if plan.frozen_in_round(i, rnd):
+            if i in freezable and plan.frozen_in_round(i, rnd):
                 acts[i] = STAY
                 continue
             if started[i]:
@@ -652,7 +653,8 @@ def run_rendezvous_faulted_compiled(
     power = 1
 
     rounds = _iter_compiled_faulted(
-        tree, plan, [compiled, compiled2], [start1, start2], [sr1, sr2], max_rounds
+        plan.labeling_schedule(tree), plan, [compiled, compiled2],
+        [start1, start2], [sr1, sr2], max_rounds,
     )
     pos, st, ip, started = [start1, start2], [0, 0], [0, 0], [False, False]
     for rnd, pos, st, ip, started, acts in rounds:
@@ -727,7 +729,8 @@ def run_gathering_faulted_compiled(
     power = 1
 
     rounds = _iter_compiled_faulted(
-        tree, plan, [compiled] * k, list(starts), delay_list, max_rounds
+        plan.labeling_schedule(tree), plan, [compiled] * k, list(starts),
+        delay_list, max_rounds,
     )
     pos = list(starts)
     for rnd, pos, st, ip, started, _acts in rounds:
@@ -760,56 +763,6 @@ def run_gathering_faulted_compiled(
 # Exact faulted sweep solvers
 # ----------------------------------------------------------------------
 
-def _faulted_resolver(steppers, is_meeting, max_configs):
-    """Shared-memo fate resolver over the post-horizon (autonomous)
-    product graph — cf. ``solve_all_delays``'s resolver; ``steppers``
-    already freeze crashed agents (identity step)."""
-    k = len(steppers)
-    verdict: dict[tuple, tuple[bool, int]] = {}
-
-    def step_joint(config: tuple) -> tuple:
-        return tuple(
-            x
-            for i in range(k)
-            for x in steppers[i](config[3 * i], config[3 * i + 1], config[3 * i + 2])
-        )
-
-    def resolve(config: tuple) -> tuple[bool, int]:
-        path: list[tuple] = []
-        on_path: dict[tuple, int] = {}
-        cur = config
-        while True:
-            known = verdict.get(cur)
-            if known is not None:
-                res = known
-                break
-            if is_meeting(cur):
-                res = (True, 0)
-                verdict[cur] = res
-                break
-            if cur in on_path:  # fresh cycle, and no meeting on it
-                res = _NEVER
-                break
-            on_path[cur] = len(path)
-            path.append(cur)
-            if len(verdict) + len(path) > max_configs:
-                raise BudgetExceededError(
-                    f"faulted sweep solver exceeded max_configs={max_configs}"
-                )
-            cur = step_joint(cur)
-        met, dist = res
-        if met:
-            for c in reversed(path):
-                dist += 1
-                verdict[c] = (True, dist)
-        else:
-            for c in path:
-                verdict[c] = _NEVER
-        return verdict[config]
-
-    return resolve
-
-
 def _frozen_steppers(compileds, final_tree, crashed_agents):
     """Per-agent post-horizon steppers on the final labeling; crashed
     agents step by identity (they are constant forever)."""
@@ -834,90 +787,18 @@ def solve_all_delays_faulted(
     max_configs: int = 4_000_000,
     prototype2: Optional[Automaton] = None,
 ) -> list[DelayVerdict]:
-    """:func:`repro.sim.compiled.solve_all_delays` under a fault plan.
-
-    Each ``(θ, side)`` choice simulates its faulted prefix — rounds
-    ``1 .. max(θ, horizon) + 1``, after which every surviving agent has
-    started, every pause has expired and the labeling is final — then
-    resolves the reached configuration against a fate memo shared across
-    the whole grid (the post-horizon dynamics are choice-independent).
-    Still exact: every verdict is ``met`` or ``certified_never``.
-    """
-    plan = _as_plan(faults)
-    plan.validate_for(2)
-    if not isinstance(prototype, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    if prototype2 is not None and not isinstance(prototype2, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-        raise SimulationError("start nodes outside the tree")
-    if max_delay < 0:
-        raise SimulationError("max_delay must be >= 0")
-    for side in delayed_sides:
-        if side not in (1, 2):
-            raise SimulationError("'delayed_sides' entries must be 1 or 2")
-
-    sides = list(dict.fromkeys(delayed_sides))
-    zero_side = 2 if 2 in sides else sides[0]
-
-    if start1 == start2:
-        return [
-            DelayVerdict(theta, side, True, 0, False)
-            for theta in range(max_delay + 1)
-            for side in sides
-            if theta > 0 or side == zero_side
-        ]
-
-    compiled = compile_agent(prototype, tree)
-    compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
-    final_tree = plan.labeling_schedule(tree)[-1][1]
-    crashed_agents = {c.agent for c in plan.crashes}
-    has_crashes = bool(crashed_agents)
-    resolve = _faulted_resolver(
-        _frozen_steppers([compiled, compiled2], final_tree, crashed_agents),
-        lambda cfg: cfg[0] == cfg[3],
-        max_configs,
+    """:func:`repro.sim.compiled.solve_all_delays` under a fault plan:
+    :func:`solve_gathering_faulted` over the sweep's k=2 delay vectors
+    (:mod:`repro.sim.delays`).  Still exact: every verdict is ``met`` or
+    ``certified_never``."""
+    choices = sweep_choices(max_delay, delayed_sides)
+    verdicts = solve_gathering_faulted(
+        tree, prototype, (start1, start2),
+        [delay_vector(theta, side) for theta, side in choices],
+        faults=faults, max_configs=max_configs,
+        prototypes=None if prototype2 is None else (prototype, prototype2),
     )
-
-    out: dict[tuple[int, int], DelayVerdict] = {}
-    for side in sides:
-        first_theta = 0 if side == zero_side else 1
-        for theta in range(first_theta, max_delay + 1):
-            sr1 = theta if side == 1 else 0
-            sr2 = theta if side == 2 else 0
-            prefix = max(theta, plan.horizon) + 1
-            met_at: Optional[int] = None
-            pos = st = ip = None
-            for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
-                tree, plan, [compiled, compiled2], [start1, start2],
-                [sr1, sr2], prefix,
-            ):
-                if pos[0] == pos[1]:
-                    met_at = rnd
-                    break
-            if met_at is not None:
-                out[(theta, side)] = DelayVerdict(
-                    theta, side, True, met_at, False,
-                    bool(plan.crashed_by(met_at)),
-                )
-                continue
-            entry = (pos[0], st[0], ip[0], pos[1], st[1], ip[1])
-            met, dist = resolve(entry)
-            if met:
-                out[(theta, side)] = DelayVerdict(
-                    theta, side, True, prefix + dist, False, has_crashes
-                )
-            else:
-                out[(theta, side)] = DelayVerdict(
-                    theta, side, False, None, True, has_crashes
-                )
-
-    return [
-        out[(theta, side)]
-        for theta in range(max_delay + 1)
-        for side in sides
-        if theta > 0 or side == zero_side
-    ]
+    return to_delay_verdicts(choices, verdicts)
 
 
 def solve_gathering_faulted(
@@ -930,61 +811,11 @@ def solve_gathering_faulted(
     max_configs: int = 4_000_000,
     prototypes: Optional[Sequence[Automaton]] = None,
 ) -> list[GatheringVerdict]:
-    """:func:`repro.sim.gathering_solver.solve_gathering` under a fault
-    plan — faulted prefixes per delay vector, one grid-wide fate memo
-    (see :func:`solve_all_delays_faulted`)."""
-    plan = _as_plan(faults)
-    starts = list(starts)
-    protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
-    if len(protos) != len(starts):
-        raise SimulationError("'prototypes' must align with 'starts'")
-    for p in protos:
-        if not isinstance(p, Automaton):
-            raise SimulationError(
-                "the gathering solver requires finite-state Automaton agents"
-            )
-    vectors = [list(_validate(tree, starts, vec)) for vec in delay_vectors]
-    plan.validate_for(len(starts))
-    k = len(starts)
-
-    compileds = [compile_agent(p, tree) for p in protos]
-    final_tree = plan.labeling_schedule(tree)[-1][1]
-    crashed_agents = {c.agent for c in plan.crashes}
-    has_crashes = bool(crashed_agents)
-    resolve = _faulted_resolver(
-        _frozen_steppers(compileds, final_tree, crashed_agents),
-        lambda cfg: all(cfg[3 * i] == cfg[0] for i in range(1, k)),
-        max_configs,
+    """:func:`repro.sim.gathering_solver.solve_gathering` under a
+    (non-empty) fault plan: faulted prefixes per delay vector, then one
+    grid-wide fate memo over the post-horizon dynamics.  Still exact:
+    every verdict is ``gathered`` or ``certified_never``."""
+    return solve_gathering(
+        tree, prototype, starts, delay_vectors, faults=_as_plan(faults),
+        max_configs=max_configs, prototypes=prototypes,
     )
-
-    out: list[GatheringVerdict] = []
-    for delays in vectors:
-        key = tuple(delays)
-        if len(set(starts)) == 1:
-            out.append(GatheringVerdict(key, True, 0, False))
-            continue
-        prefix = max(max(delays), plan.horizon) + 1
-        met_at: Optional[int] = None
-        pos = st = ip = None
-        for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
-            tree, plan, compileds, starts, delays, prefix
-        ):
-            if all(p == pos[0] for p in pos):
-                met_at = rnd
-                break
-        if met_at is not None:
-            out.append(
-                GatheringVerdict(
-                    key, True, met_at, False, bool(plan.crashed_by(met_at))
-                )
-            )
-            continue
-        entry = tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
-        met, dist = resolve(entry)
-        if met:
-            out.append(
-                GatheringVerdict(key, True, prefix + dist, False, has_crashes)
-            )
-        else:
-            out.append(GatheringVerdict(key, False, None, True, has_crashes))
-    return out

@@ -1,25 +1,33 @@
-"""The batched k-agent gathering solver: joint-configuration recurrence.
+"""The exact k-agent gathering solver: joint-configuration recurrence.
 
-:func:`repro.sim.compiled.solve_all_delays` decides a whole two-agent
-delay sweep in one reachability pass over the product configuration
-graph.  This module extends the same technique to the gathering problem
-(§1.3's k > 2 extension): for finite-state agents, the joint
-configuration — every agent's ``(position, automaton state, entry
-port)`` — after a fully-started round determines the entire future, so
-each configuration's fate (*gathers after d more rounds* / *provably
-never gathers*) can be computed once and shared across every delay
-vector of a sweep.
+Gathering with per-agent start delays (§1.3) decided for a whole grid of
+delay vectors in one reachability pass over the product configuration
+graph: for finite-state agents, the joint configuration — every agent's
+``(position, automaton state, entry port)`` — after a fully-started
+round determines the entire future, so each configuration's fate
+(*gathers after d more rounds* / *provably never gathers*) is computed
+once and shared across every delay vector of the grid.
 
 For one delay vector ``(θ_0, ..., θ_{k-1})`` the solver:
 
-1. replays the staggered prefix, rounds ``1 .. max(θ) + 1``, with the
-   flat-table loop (agents are still waking up, so the configuration is
-   not yet a pure function of its predecessor), checking gathering after
-   every round;
-2. from the configuration reached after round ``max(θ) + 1`` walks the
-   deterministic product configuration graph, memoizing each visited
-   configuration's fate in a dictionary shared across *all* delay
-   vectors of the call.
+1. replays the staggered prefix, rounds ``1 .. max(max(θ), horizon) +
+   1``, with the flat-table faulted stepper (agents are still waking up
+   and faults may still fire, so the configuration is not yet a pure
+   function of its predecessor), checking gathering after every round —
+   ``horizon`` is the fault plan's last active round, 0 without faults;
+2. from the configuration reached after that round walks the
+   deterministic product configuration graph (final labeling, crashed
+   agents frozen), memoizing each visited configuration's fate in a
+   dictionary shared across *all* delay vectors of the call.
+
+One body serves fault-free and faulted grids:
+:func:`repro.sim.faults.solve_gathering_faulted` is this solver with a
+fault plan.  A two-agent delay sweep is the k=2 case — delay vectors
+``(0, θ)`` / ``(θ, 0)``, see :mod:`repro.sim.delays` — and the faulted
+delay sweep runs here as such.  The fault-free delay sweep keeps its own
+solver, :func:`repro.sim.compiled.solve_all_delays`, which shares each
+runner's solo prefix across every θ instead of replaying one staggered
+prefix per vector, and is several times faster on k=2 grids.
 
 Because the product graph is finite, every verdict is exact: exactly one
 of ``gathered`` / ``certified_never`` holds — the sweep executors never
@@ -34,10 +42,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
-from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
-from .compiled import _make_stepper, compile_agent
+from .compiled import compile_agent
 from .multi import _validate
 
 __all__ = ["GatheringVerdict", "solve_gathering"]
@@ -66,6 +73,80 @@ class GatheringVerdict:
     crashed: bool = False
 
 
+def _check_grid(tree, prototype, starts, delay_vectors, prototypes):
+    """A gathering grid's ``(starts, per-agent automata, delay vectors)``,
+    validated — the argument checks every gathering solver shares."""
+    starts = list(starts)
+    protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
+    if len(protos) != len(starts):
+        raise SimulationError("'prototypes' must align with 'starts'")
+    for p in protos:
+        if not isinstance(p, Automaton):
+            raise SimulationError(
+                "the gathering solver requires finite-state Automaton agents"
+            )
+    return starts, protos, [list(_validate(tree, starts, vec)) for vec in delay_vectors]
+
+
+def _fate_resolver(steppers, max_configs: int):
+    """The grid-wide fate memo over the product configuration graph.
+
+    ``steppers[i]`` advances agent i's ``(position, state, entry port)``
+    by one round; a joint configuration is the agent-major concatenation
+    of those triples.  The returned ``resolve(config)`` gives the fate of
+    a configuration reached after a fully-started round: ``(True, d)`` —
+    gathers ``d`` rounds later — or ``(False, -1)`` — provably never.
+    Every configuration on a walked path is memoized, so delay vectors
+    whose trajectories re-enter known configurations cost nothing more.
+    Raises :class:`~repro.errors.BudgetExceededError` past
+    ``max_configs`` distinct configurations.
+    """
+    k = len(steppers)
+    slots = [(step, 3 * i) for i, step in enumerate(steppers)]
+    # verdict[config] = (True, d): gathers d rounds after reaching config;
+    #                   (False, -1): provably never gathers from config.
+    verdict: dict[tuple, tuple[bool, int]] = {}
+
+    def resolve(config: tuple) -> tuple[bool, int]:
+        path: list[tuple] = []
+        on_path: dict[tuple, int] = {}
+        cur = config
+        while True:
+            known = verdict.get(cur)
+            if known is not None:
+                res = known
+                break
+            # every agent on one node (first vs last: the cheap reject)
+            if cur[0] == cur[-3] and cur[::3].count(cur[0]) == k:
+                res = (True, 0)
+                verdict[cur] = res
+                break
+            if cur in on_path:  # fresh cycle, and no gathering on it
+                res = _NEVER
+                break
+            on_path[cur] = len(path)
+            path.append(cur)
+            if len(verdict) + len(path) > max_configs:
+                raise BudgetExceededError(
+                    f"gathering solver exceeded max_configs={max_configs}"
+                )
+            nxt: tuple = ()
+            for step, j in slots:
+                nxt += step(cur[j], cur[j + 1], cur[j + 2])
+            cur = nxt
+        met, dist = res
+        if met:
+            for c in reversed(path):
+                dist += 1
+                verdict[c] = (True, dist)
+        else:
+            for c in path:
+                verdict[c] = _NEVER
+        return verdict[config]
+
+    return resolve
+
+
 def solve_gathering(
     tree: Tree,
     prototype: Automaton,
@@ -91,82 +172,25 @@ def solve_gathering(
     i its own automaton — the heterogeneous seam traced lowering
     (:mod:`repro.sim.traced`) feeds per-(tree, start) tables through.
     ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`)
-    routes to the faulted exact solver.
+    applies one fault schedule to every vector; verdicts then carry
+    ``crashed``.
     """
-    if faults:
-        from .faults import solve_gathering_faulted
+    from .faults import FaultPlan, _frozen_steppers, _iter_compiled_faulted
 
-        return solve_gathering_faulted(
-            tree, prototype, starts, delay_vectors, faults=faults,
-            max_configs=max_configs, prototypes=prototypes,
-        )
-    starts = list(starts)
-    protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
-    if len(protos) != len(starts):
-        raise SimulationError("'prototypes' must align with 'starts'")
-    for p in protos:
-        if not isinstance(p, Automaton):
-            raise SimulationError(
-                "the gathering solver requires finite-state Automaton agents"
-            )
-    vectors = [list(_validate(tree, starts, vec)) for vec in delay_vectors]
+    plan = FaultPlan.coerce(faults) or FaultPlan()
+    starts, protos, vectors = _check_grid(
+        tree, prototype, starts, delay_vectors, prototypes
+    )
+    plan.validate_for(len(starts))
     k = len(starts)
 
     compileds = [compile_agent(p, tree) for p in protos]
-    stride, deg, move_to, move_in = tree.flat_move_tables()
-    start_acts = [c.start_action for c in compileds]
-    s0s = [c.initial_state for c in compileds]
-    steppers = [_make_stepper(c, tree) for c in compileds]
-
-    def step_joint(config: tuple) -> tuple:
-        return tuple(
-            x
-            for i in range(k)
-            for x in steppers[i](config[3 * i], config[3 * i + 1], config[3 * i + 2])
-        )
-
-    def is_meeting(config: tuple) -> bool:
-        first = config[0]
-        return all(config[3 * i] == first for i in range(1, k))
-
-    # verdict[config] = (True, d): gathers d rounds after reaching config;
-    #                   (False, -1): provably never gathers from config.
-    verdict: dict[tuple, tuple[bool, int]] = {}
-
-    def resolve(config: tuple) -> tuple[bool, int]:
-        """Fate of ``config`` (the joint configuration after some
-        fully-started round) — cf. ``solve_all_delays``'s resolver."""
-        path: list[tuple] = []
-        on_path: dict[tuple, int] = {}
-        cur = config
-        while True:
-            known = verdict.get(cur)
-            if known is not None:
-                res = known
-                break
-            if is_meeting(cur):
-                res = (True, 0)
-                verdict[cur] = res
-                break
-            if cur in on_path:  # fresh cycle, and no gathering on it
-                res = _NEVER
-                break
-            on_path[cur] = len(path)
-            path.append(cur)
-            if len(verdict) + len(path) > max_configs:
-                raise BudgetExceededError(
-                    f"gathering solver exceeded max_configs={max_configs}"
-                )
-            cur = step_joint(cur)
-        met, dist = res
-        if met:
-            for c in reversed(path):
-                dist += 1
-                verdict[c] = (True, dist)
-        else:
-            for c in path:
-                verdict[c] = _NEVER
-        return verdict[config]
+    schedule = plan.labeling_schedule(tree)
+    crashed_agents = {c.agent for c in plan.crashes}
+    has_crashes = bool(crashed_agents)
+    resolve = _fate_resolver(
+        _frozen_steppers(compileds, schedule[-1][1], crashed_agents), max_configs
+    )
 
     out: list[GatheringVerdict] = []
     for delays in vectors:
@@ -174,41 +198,28 @@ def solve_gathering(
         if len(set(starts)) == 1:
             out.append(GatheringVerdict(key, True, 0, False))
             continue
-
-        # Staggered prefix: rounds 1 .. max(delays) + 1.  After the last
-        # of these every agent has executed its start action and the
-        # joint configuration becomes a pure function of its predecessor.
-        first_joint = max(delays) + 1
-        pos = list(starts)
-        st = [0] * k
-        ip = [0] * k
-        started = [False] * k
-        gathered_at: Optional[int] = None
-        for rnd in range(1, first_joint + 1):
-            for i in range(k):
-                if started[i]:
-                    pos[i], st[i], ip[i] = steppers[i](pos[i], st[i], ip[i])
-                elif rnd > delays[i]:
-                    started[i] = True
-                    st[i] = s0s[i]
-                    a = start_acts[i][deg[pos[i]]]
-                    if a == STAY:
-                        ip[i] = 0
-                    else:
-                        base = pos[i] * stride + a
-                        pos[i] = move_to[base]
-                        ip[i] = move_in[base] + 1
-            if all(p == pos[0] for p in pos):
-                gathered_at = rnd
+        # Staggered (and faulted) prefix: rounds 1 .. max(max(delays),
+        # horizon) + 1.  After the last of these every surviving agent
+        # has started, every pause has expired and the labeling is
+        # final, so the joint configuration is a pure function of its
+        # predecessor.
+        prefix = max(max(delays), plan.horizon) + 1
+        met_at: Optional[int] = None
+        pos = st = ip = None
+        for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
+            schedule, plan, compileds, starts, delays, prefix
+        ):
+            if pos[0] == pos[-1] and pos.count(pos[0]) == k:
+                met_at = rnd
                 break
-        if gathered_at is not None:
-            out.append(GatheringVerdict(key, True, gathered_at, False))
+        if met_at is not None:
+            out.append(GatheringVerdict(
+                key, True, met_at, False, bool(plan.crashed_by(met_at))
+            ))
             continue
-
-        entry = tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
-        met, dist = resolve(entry)
+        met, dist = resolve(tuple(x for i in range(k) for x in (pos[i], st[i], ip[i])))
         if met:
-            out.append(GatheringVerdict(key, True, first_joint + dist, False))
+            out.append(GatheringVerdict(key, True, prefix + dist, False, has_crashes))
         else:
-            out.append(GatheringVerdict(key, False, None, True))
+            out.append(GatheringVerdict(key, False, None, True, has_crashes))
     return out

@@ -30,12 +30,20 @@ cache file is quarantined to ``<name>.corrupt`` and rebuilt — the same
 contract as :class:`~repro.scenarios.store.ResultStore`.
 
 The dict solvers stay the oracle: :func:`solve_all_delays_auto` /
-:func:`solve_gathering_auto` run the kernel when it applies (numpy
-present, ``REPRO_KERNEL != 0``, fault-free, tables within the memory
-cap) and fall back to the dict solver on anything else — including the
-kernel's own budget guard tripping, so explicit caller budgets keep the
-dict solver's exact semantics on every path.  Verdict parity is
-asserted by ``tests/properties/test_kernel_parity.py``.
+:func:`solve_gathering_auto` share one dispatcher, :func:`_solve_auto`,
+which runs the kernel when it applies (numpy present,
+``REPRO_KERNEL != 0``, fault-free, tables within the memory cap) and
+falls back to the dict solver on anything else — including the kernel's
+own budget guard tripping, so explicit caller budgets keep the dict
+solver's exact semantics on every path.  A delay sweep is the k=2 case
+of a gathering grid (:mod:`repro.sim.delays` owns the (θ, side) format),
+yet it keeps its own kernel entry, :func:`solve_delay_grid_kernel`: it
+batches one solo prefix per side across every θ and pair, where the
+gathering kernel replays a staggered prefix per vector (the
+success-families benchmark in ``BENCH_engine.json`` gates that speed).
+Verdict parity — against the dict solvers and against the gathering
+grid over the k=2 vectors — is asserted by
+``tests/properties/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -58,9 +66,9 @@ from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
 from ..telemetry import current as _telemetry
 from ..trees.tree import Tree
-from .compiled import _INVALID, DelayVerdict, compile_agent, solve_all_delays
-from .gathering_solver import GatheringVerdict, solve_gathering
-from .multi import _validate
+from .compiled import _INVALID, _check_delay_args, compile_agent, solve_all_delays
+from .delays import DelayVerdict, met_at_start, sweep_choices
+from .gathering_solver import GatheringVerdict, _check_grid, solve_gathering
 
 __all__ = [
     "KernelUnsupported",
@@ -490,30 +498,6 @@ def _note_frontier(
 # ----------------------------------------------------------------------
 
 
-def _check_delay_args(tree, prototype, prototype2, pairs, max_delay, sides):
-    if not isinstance(prototype, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    if prototype2 is not None and not isinstance(prototype2, Automaton):
-        raise SimulationError("the all-delays solver requires a finite-state Automaton")
-    for start1, start2 in pairs:
-        if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-            raise SimulationError("start nodes outside the tree")
-    if max_delay < 0:
-        raise SimulationError("max_delay must be >= 0")
-    for side in sides:
-        if side not in (1, 2):
-            raise SimulationError("'delayed_sides' entries must be 1 or 2")
-
-
-def _trivial_sweep(max_delay, sides, zero_side):
-    return [
-        DelayVerdict(theta, side, True, 0, False)
-        for theta in range(max_delay + 1)
-        for side in sides
-        if theta > 0 or side == zero_side
-    ]
-
-
 def _solo_batch(table: AgentTable, runner_starts, sleeper_starts, max_delay: int):
     """Batched runner solo prefixes in id space — the dict solver's
     prefix (with its early break) for many walks per numpy gather.
@@ -605,9 +589,8 @@ def solve_delay_grid_kernel(
     loop's aggregate budget.
     """
     _require_kernel()
-    sides = list(dict.fromkeys(delayed_sides))
-    _check_delay_args(tree, prototype, prototype2, pairs, max_delay, sides)
-    zero_side = 2 if 2 in sides else sides[0]
+    choices = sweep_choices(max_delay, delayed_sides)
+    _check_delay_args(tree, prototype, prototype2, pairs)
 
     t1 = agent_table(prototype, tree)
     t2 = t1 if prototype2 is None else agent_table(prototype2, tree)
@@ -615,7 +598,7 @@ def solve_delay_grid_kernel(
     live = [i for i, (a, b) in enumerate(pairs) if a != b]
     num_live = len(live)
     if num_live == 0:
-        return [_trivial_sweep(max_delay, sides, zero_side) for _ in pairs]
+        return [met_at_start(choices) for _ in pairs]
     s1 = _np.asarray([pairs[i][0] for i in live], dtype=_np.int64)
     s2 = _np.asarray([pairs[i][1] for i in live], dtype=_np.int64)
 
@@ -625,8 +608,8 @@ def solve_delay_grid_kernel(
     # meets at round first_hit) prefilled.
     lane_ids1, lane_ids2 = [], []
     block_meta = []  # (side, lo, met_block, round_block, lane_scatter...)
-    for side in sides:
-        lo = 0 if side == zero_side else 1
+    for side in dict.fromkeys(s for _t, s in choices):
+        lo = 0 if (0, side) == choices[0] else 1
         width_cols = max_delay + 1 - lo
         if width_cols <= 0:
             continue
@@ -676,26 +659,23 @@ def solve_delay_grid_kernel(
         for th in range(lo, max_delay + 1):
             col_of[(th, side)] = off + (th - lo)
         off += met_blk.shape[1]
-    out_keys = [(0, zero_side)] + [
-        (th, side) for th in range(1, max_delay + 1) for side in sides
-    ]
-    perm = _np.asarray([col_of[k] for k in out_keys], dtype=_np.int64)
+    perm = _np.asarray([col_of[k] for k in choices], dtype=_np.int64)
     met_flat = met_cat[:, perm].ravel().tolist()
     round_flat = round_cat[:, perm].ravel().tolist()
 
-    keys_tiled = out_keys * num_live
+    keys_tiled = choices * num_live
     verdicts = [
         DelayVerdict(th, sd, m, mr if m else None, not m)
         for (th, sd), m, mr in zip(keys_tiled, met_flat, round_flat)
     ]
 
-    stride = len(out_keys)
+    stride = len(choices)
     by_live = {
         p_idx: verdicts[q * stride:(q + 1) * stride]
         for q, p_idx in enumerate(live)
     }
     return [
-        by_live.get(p_idx) or _trivial_sweep(max_delay, sides, zero_side)
+        by_live.get(p_idx) or met_at_start(choices)
         for p_idx in range(len(pairs))
     ]
 
@@ -742,16 +722,9 @@ def solve_gathering_kernel(
     resolved in one k-agent frontier.
     """
     _require_kernel()
-    starts = list(starts)
-    protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
-    if len(protos) != len(starts):
-        raise SimulationError("'prototypes' must align with 'starts'")
-    for p in protos:
-        if not isinstance(p, Automaton):
-            raise SimulationError(
-                "the gathering solver requires finite-state Automaton agents"
-            )
-    vectors = [list(_validate(tree, starts, vec)) for vec in delay_vectors]
+    starts, protos, vectors = _check_grid(
+        tree, prototype, starts, delay_vectors, prototypes
+    )
     k = len(starts)
     tables = [agent_table(p, tree) for p in protos]
     n = tree.n
@@ -881,6 +854,35 @@ def run_pairs_kernel(
 # ----------------------------------------------------------------------
 
 
+def _solve_auto(solver: str, kernel_solve, dict_solve, *, faults):
+    """``kernel_solve()`` when the kernel applies, else ``dict_solve()``:
+    the one dispatcher behind both ``*_auto`` entry points.
+
+    Fault-free sweeps with numpy available ride the vectorized kernel;
+    everything else — faults, disabled kernel, oversized tables,
+    invalid-transition lanes, or the kernel's own budget guard — runs
+    the dict solver, preserving its exact semantics (including raising
+    :class:`~repro.errors.BudgetExceededError` only when the *dict*
+    solver's guard genuinely trips).  ``solver`` names the
+    ``kernel.dispatch.<solver>.{kernel,dict}`` counters.
+    """
+    t = _telemetry()
+    if faults is None and kernel_available():
+        try:
+            verdicts = kernel_solve()
+            if t.enabled:
+                t.count(f"kernel.dispatch.{solver}.kernel")
+            return verdicts
+        except (KernelUnsupported, BudgetExceededError) as exc:
+            if t.enabled:
+                t.count(f"kernel.fallback.{type(exc).__name__}")
+                t.event("kernel.fallback", solver=solver,
+                        reason=type(exc).__name__, detail=str(exc))
+    if t.enabled:
+        t.count(f"kernel.dispatch.{solver}.dict")
+    return dict_solve()
+
+
 def solve_all_delays_auto(
     tree: Tree,
     prototype: Automaton,
@@ -893,37 +895,21 @@ def solve_all_delays_auto(
     prototype2: Optional[Automaton] = None,
     faults=None,
 ) -> list[DelayVerdict]:
-    """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`.
-
-    Fault-free sweeps with numpy available ride the vectorized kernel;
-    everything else — faults, disabled kernel, oversized tables,
-    invalid-transition lanes, or the kernel's own budget guard — runs
-    the dict solver, preserving its exact semantics (including raising
-    :class:`~repro.errors.BudgetExceededError` only when the *dict*
-    solver's guard genuinely trips).
-    """
-    t = _telemetry()
-    if faults is None and kernel_available():
-        try:
-            verdicts = solve_all_delays_kernel(
-                tree, prototype, start1, start2,
-                max_delay=max_delay, delayed_sides=delayed_sides,
-                max_configs=max_configs, prototype2=prototype2,
-            )
-            if t.enabled:
-                t.count("kernel.dispatch.delays.kernel")
-            return verdicts
-        except (KernelUnsupported, BudgetExceededError) as exc:
-            if t.enabled:
-                t.count(f"kernel.fallback.{type(exc).__name__}")
-                t.event("kernel.fallback", solver="delays",
-                        reason=type(exc).__name__, detail=str(exc))
-    if t.enabled:
-        t.count("kernel.dispatch.delays.dict")
-    return solve_all_delays(
-        tree, prototype, start1, start2,
-        max_delay=max_delay, delayed_sides=delayed_sides,
-        max_configs=max_configs, prototype2=prototype2, faults=faults,
+    """Kernel-dispatched :func:`~repro.sim.compiled.solve_all_delays`
+    (see :func:`_solve_auto`)."""
+    return _solve_auto(
+        "delays",
+        lambda: solve_all_delays_kernel(
+            tree, prototype, start1, start2, max_delay=max_delay,
+            delayed_sides=delayed_sides, max_configs=max_configs,
+            prototype2=prototype2,
+        ),
+        lambda: solve_all_delays(
+            tree, prototype, start1, start2, max_delay=max_delay,
+            delayed_sides=delayed_sides, max_configs=max_configs,
+            prototype2=prototype2, faults=faults,
+        ),
+        faults=faults,
     )
 
 
@@ -939,25 +925,16 @@ def solve_gathering_auto(
 ) -> list[GatheringVerdict]:
     """Kernel-dispatched
     :func:`~repro.sim.gathering_solver.solve_gathering` (see
-    :func:`solve_all_delays_auto` for the dispatch rules)."""
-    t = _telemetry()
-    if faults is None and kernel_available():
-        try:
-            verdicts = solve_gathering_kernel(
-                tree, prototype, starts, delay_vectors,
-                max_configs=max_configs, prototypes=prototypes,
-            )
-            if t.enabled:
-                t.count("kernel.dispatch.gathering.kernel")
-            return verdicts
-        except (KernelUnsupported, BudgetExceededError) as exc:
-            if t.enabled:
-                t.count(f"kernel.fallback.{type(exc).__name__}")
-                t.event("kernel.fallback", solver="gathering",
-                        reason=type(exc).__name__, detail=str(exc))
-    if t.enabled:
-        t.count("kernel.dispatch.gathering.dict")
-    return solve_gathering(
-        tree, prototype, starts, delay_vectors,
-        max_configs=max_configs, prototypes=prototypes, faults=faults,
+    :func:`_solve_auto`)."""
+    return _solve_auto(
+        "gathering",
+        lambda: solve_gathering_kernel(
+            tree, prototype, starts, delay_vectors,
+            max_configs=max_configs, prototypes=prototypes,
+        ),
+        lambda: solve_gathering(
+            tree, prototype, starts, delay_vectors,
+            max_configs=max_configs, prototypes=prototypes, faults=faults,
+        ),
+        faults=faults,
     )

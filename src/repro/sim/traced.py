@@ -63,7 +63,8 @@ from ..agents.observations import NULL_PORT, STAY, AgentBase
 from ..agents.program import AgentProgram
 from ..errors import BudgetExceededError, LoweringError, SimulationError
 from ..trees.tree import Tree
-from .compiled import DelayVerdict, solve_all_delays
+from .compiled import solve_all_delays
+from .delays import DelayVerdict, met_at_start, sweep_choices
 from .engine import RendezvousOutcome
 from .gathering_solver import GatheringVerdict, solve_gathering
 from .multi import GatheringOutcome, _validate
@@ -1035,15 +1036,9 @@ def sweep_delays_traced(
     :class:`~repro.errors.LoweringError` — callers degrade to budgeted
     per-run execution.
     """
+    choices = sweep_choices(max_delay, sides)  # validate before tracing
     if start1 == start2:  # met at round 0 under every adversary choice
-        sides_ = list(dict.fromkeys(sides))
-        zero_side = 2 if 2 in sides_ else sides_[0]
-        return [
-            DelayVerdict(theta, side, True, 0, False)
-            for theta in range(max_delay + 1)
-            for side in sides_
-            if theta > 0 or side == zero_side
-        ]
+        return met_at_start(choices)
     a1 = lasso_automaton(
         solo_trace(tree, prototype, start1, cache=cache), trace_budget
     )

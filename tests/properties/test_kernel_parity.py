@@ -13,6 +13,9 @@ starts) instances:
   equality;
 - gathering grids: :func:`solve_gathering_kernel` equals
   :func:`solve_gathering`;
+- a delay sweep is the k=2 gathering grid: for every side order the
+  delay solvers (dict, kernel, kernel grid) equal both gathering solvers
+  over the vectors ``(0, θ)`` / ``(θ, 0)``, field for field;
 - a ``max_configs`` budget trip never changes semantics: the auto
   wrapper's verdicts equal the dict solver's under the same guard, and
   both raise :class:`~repro.errors.BudgetExceededError` for the same
@@ -30,6 +33,7 @@ from repro.agents.library import counting_program, pausing_program
 from repro.agents.lowering import lowered_for
 from repro.errors import BudgetExceededError
 from repro.sim import (
+    DelayVerdict,
     run_rendezvous,
     solve_all_delays,
     solve_all_delays_auto,
@@ -67,14 +71,38 @@ def instances(draw, max_n=8, max_states=3):
     return tree, agent, u, v
 
 
+SIDE_ORDERS = st.sampled_from([(1, 2), (2, 1), (1,), (2,)])
+
+
 def decisive_budget(tree, agent, delay):
     period = (tree.n * agent.num_states * (tree.max_degree() + 1)) ** 2
     return 4 * period + delay + 8
 
 
+def as_gathering_grid(solve, tree, agent, u, v, max_delay, sides,
+                      prototype2=None):
+    """The delay sweep decided by a gathering solver over its k=2 delay
+    vectors — θ-major, θ = 0 once (side 2 when requested) — and read
+    back as delay verdicts."""
+    zero_side = 2 if 2 in sides else sides[0]
+    choices = [
+        (theta, side)
+        for theta in range(max_delay + 1)
+        for side in sides
+        if theta > 0 or side == zero_side
+    ]
+    vectors = [(0, t) if side == 2 else (t, 0) for t, side in choices]
+    protos = None if prototype2 is None else (agent, prototype2)
+    verdicts = solve(tree, agent, (u, v), vectors, prototypes=protos)
+    return [
+        DelayVerdict(t, side, gv.gathered, gv.gathering_round,
+                     gv.certified_never, gv.crashed)
+        for (t, side), gv in zip(choices, verdicts)
+    ]
+
+
 @settings(max_examples=50, deadline=None)
-@given(instances(), st.integers(0, 6),
-       st.sampled_from([(1, 2), (2, 1), (1,), (2,)]))
+@given(instances(), st.integers(0, 6), SIDE_ORDERS)
 def test_kernel_equals_dict_solver(instance, max_delay, sides):
     tree, agent, u, v = instance
     dict_v = solve_all_delays(
@@ -84,6 +112,10 @@ def test_kernel_equals_dict_solver(instance, max_delay, sides):
         tree, agent, u, v, max_delay=max_delay, delayed_sides=sides
     )
     assert dict_v == kern_v
+    for solve in (solve_gathering, solve_gathering_kernel):
+        assert dict_v == as_gathering_grid(
+            solve, tree, agent, u, v, max_delay, sides
+        )
 
 
 @settings(max_examples=15, deadline=None)
@@ -102,8 +134,8 @@ def test_kernel_matches_reference(instance, max_delay):
 
 
 @settings(max_examples=25, deadline=None)
-@given(instances(), st.integers(0, 4))
-def test_kernel_heterogeneous_prototype2(instance, max_delay):
+@given(instances(), st.integers(0, 4), SIDE_ORDERS)
+def test_kernel_heterogeneous_prototype2(instance, max_delay, sides):
     tree, agent, u, v = instance
     rng = random.Random(u * 1009 + v)
     k2 = rng.randrange(1, 4)
@@ -116,12 +148,18 @@ def test_kernel_heterogeneous_prototype2(instance, max_delay):
     }
     other = Automaton(k2, table2, [rng.randrange(-1, 3) for _ in range(k2)])
     dict_v = solve_all_delays(
-        tree, agent, u, v, max_delay=max_delay, prototype2=other
+        tree, agent, u, v, max_delay=max_delay, delayed_sides=sides,
+        prototype2=other,
     )
     kern_v = solve_all_delays_kernel(
-        tree, agent, u, v, max_delay=max_delay, prototype2=other
+        tree, agent, u, v, max_delay=max_delay, delayed_sides=sides,
+        prototype2=other,
     )
     assert dict_v == kern_v
+    for solve in (solve_gathering, solve_gathering_kernel):
+        assert dict_v == as_gathering_grid(
+            solve, tree, agent, u, v, max_delay, sides, prototype2=other
+        )
 
 
 @settings(max_examples=10, deadline=None)
@@ -196,16 +234,27 @@ def test_budget_trip_preserves_dict_semantics(instance, max_delay):
 
 
 @settings(max_examples=10, deadline=None)
-@given(instances(max_n=7), st.integers(0, 3), st.integers(0, 2**20))
-def test_grid_kernel_equals_per_pair(instance, max_delay, seed):
+@given(instances(max_n=7), st.integers(0, 3), st.integers(0, 2**20),
+       SIDE_ORDERS)
+def test_grid_kernel_equals_per_pair(instance, max_delay, seed, sides):
     tree, agent, _u, _v = instance
     rng = random.Random(seed)
     pairs = [
         (rng.randrange(tree.n), rng.randrange(tree.n)) for _ in range(5)
     ]
     per_pair = [
-        solve_all_delays(tree, agent, u, v, max_delay=max_delay)
+        solve_all_delays(
+            tree, agent, u, v, max_delay=max_delay, delayed_sides=sides
+        )
         for u, v in pairs
     ]
-    grid = solve_delay_grid_kernel(tree, agent, pairs, max_delay=max_delay)
+    grid = solve_delay_grid_kernel(
+        tree, agent, pairs, max_delay=max_delay, delayed_sides=sides
+    )
     assert grid == per_pair
+    assert grid == [
+        as_gathering_grid(
+            solve_gathering_kernel, tree, agent, u, v, max_delay, sides
+        )
+        for u, v in pairs
+    ]

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.agents import counting_walker, random_tree_automaton
+from repro.agents.library import counting_program
 from repro.core import rendezvous_agent
 from repro.errors import SimulationError
 from repro.scenarios import (
@@ -151,6 +152,23 @@ class TestBackendProtocol:
     def test_select_backend_names(self):
         for hint in ("auto", "reference", "compiled", "batched"):
             assert select_backend(hint).name == hint
+
+    @pytest.mark.parametrize("sides", [(), (2, 2), (3,)])
+    @pytest.mark.parametrize(
+        "agent", [counting_walker(2), counting_program(2)],
+        ids=["native", "lowerable"],
+    )
+    @pytest.mark.parametrize(
+        "backend", [ReferenceBackend(), CompiledBackend(), AutoBackend()],
+        ids=lambda b: b.name,
+    )
+    def test_malformed_sides_rejected_on_every_backend(self, backend, agent, sides):
+        # one validation for every path: no extra rows for repeated
+        # sides, no bare IndexError for empty ones
+        with pytest.raises(SimulationError, match="delayed_sides"):
+            backend.sweep_delays(
+                edge_colored_line(9), agent, 0, 5, max_delay=2, sides=sides
+            )
 
 
 class TestSweepBudget:

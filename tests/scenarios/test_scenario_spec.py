@@ -47,6 +47,24 @@ class TestDelayPolicy:
         with pytest.raises(ScenarioError):
             DelayPolicy("warp")
 
+    @pytest.mark.parametrize("sides", [(), (2, 2), (1, 2, 1), (3,), (0, 1)])
+    def test_malformed_sides_rejected(self, sides):
+        with pytest.raises(ScenarioError, match="delayed_sides"):
+            DelayPolicy.sweep(3, sides=sides)
+        with pytest.raises(ScenarioError, match="delayed_sides"):
+            DelayPolicy("fixed", delays=(0, 1), sides=sides)
+
+    def test_negative_max_delay_rejected(self):
+        with pytest.raises(ScenarioError, match="max_delay"):
+            DelayPolicy.sweep(-1)
+
+    def test_payload_sides_validated(self):
+        # a scenario payload is the boundary: bad sides never reach a backend
+        payload = spec().to_json()
+        payload["delays"]["sides"] = [2, 2]
+        with pytest.raises(ScenarioError, match="repeats"):
+            ScenarioSpec.from_json(payload)
+
 
 def spec(**kw):
     base = dict(name="t", kind="delay_sweep", tree="line:5",
