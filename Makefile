@@ -7,7 +7,8 @@ BENCH_BASELINE := $(RESULTS_TMP)/BENCH_engine.baseline.json
 GOLDEN_TMP := $(RESULTS_TMP)/repro-golden-check
 GOLDEN_SCENARIOS := verify-small gathering-line-k3 thm31-sweep atlas-programs \
         rendezvous-relabel-line gathering-crash-k3 delays-line \
-        gathering-line-k4 gathering-spider-k3 gathering-binary-k4
+        gathering-line-k4 gathering-spider-k3 gathering-binary-k4 \
+        memory-vs-leaves memory-vs-n gap-table prime-memory explo-cost
 # The results the committed v0 atlas fixture holds (atlas-smoke migration).
 ATLAS_FIXTURE_SCENARIOS := verify-small gathering-line-k3 thm31-sweep \
         atlas-programs rendezvous-relabel-line gathering-crash-k3

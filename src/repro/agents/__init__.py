@@ -34,7 +34,7 @@ from .lowering import (
     machine_state_key,
 )
 from .observations import NULL_PORT, STAY, AgentBase, resolve_action
-from .program import AgentProgram, Ctx, Registers, move, stay
+from .program import AgentProgram, Ctx, Drive, Registers, Walk, drive, move, stay, walk
 
 __all__ = [
     "AgentBase",
@@ -49,6 +49,10 @@ __all__ = [
     "Ctx",
     "move",
     "stay",
+    "walk",
+    "Walk",
+    "drive",
+    "Drive",
     "LoweredAutomaton",
     "lower_to_automaton",
     "lowered_for",

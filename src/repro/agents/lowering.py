@@ -13,7 +13,8 @@ automaton.
 
 Machine states are identified by :func:`machine_state_key`: the
 generator's ``yield from`` frame chain (code object + instruction
-offset) plus a structural freeze of every frame's locals — with the
+offset), the expansion state of a basic walk in progress, plus a
+structural freeze of every frame's locals — with the
 register bank contributing through
 :meth:`~repro.agents.program.Registers.state_key` (bounds + values;
 peaks are accounting the program cannot read) and ``Ctx.rounds``
@@ -146,8 +147,10 @@ def machine_state_key(agent: AgentProgram) -> tuple:
 
     The key walks the generator's ``yield from`` delegation chain,
     contributing ``(code identity, instruction offset, frozen locals)``
-    per frame.  A finished agent maps to the single absorbing
-    "wait forever" state.  Raises :class:`LoweringError` when some frame
+    per frame, plus the expansion state of a
+    :class:`~repro.agents.program.Walk` in progress
+    (:attr:`~repro.agents.program.AgentProgram.walk_state`).  A finished
+    agent maps to the single absorbing "wait forever" state.  Raises :class:`LoweringError` when some frame
     state cannot be frozen faithfully.
     """
     if not isinstance(agent, AgentProgram):
@@ -193,7 +196,10 @@ def machine_state_key(agent: AgentProgram) -> tuple:
             )
         )
         gen = getattr(gen, "gi_yieldfrom", None)
-    return ("suspended", tuple(frames))
+    # Inside a Walk the routine stays suspended at the walk's yield while
+    # AgentProgram expands it round by round; the expansion state is the
+    # rest of the machine state.
+    return ("suspended", tuple(frames), agent.walk_state)
 
 
 class LoweredAutomaton(Automaton):

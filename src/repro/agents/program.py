@@ -4,15 +4,26 @@ The upper-bound algorithm of Theorem 4.1 is far more readable as a program
 with a handful of bounded counters than as an explicit transition table, so
 this module provides the *register machine* view of an agent:
 
-- an :class:`AgentProgram` wraps a generator function; the generator yields
-  actions (``STAY`` or a port) and receives the next observation
-  ``(in_port, degree)`` at each yield;
+- an :class:`AgentProgram` wraps a generator function (a *routine*).  A
+  routine yields either an int action (``STAY`` or a port) and receives
+  the next observation ``(in_port, degree)``, or a :class:`Walk` — one
+  whole basic walk (§2.2) as a single instruction — and receives the
+  walk's final observation plus the rounds it took,
+  ``(in_port, degree, rounds)``;
 - a :class:`Registers` bank records every bounded counter the program
   declares, giving both the *analytic* memory cost (sum of declared bit
   widths — what the paper's O(log ℓ + log log n) statement counts) and the
   *empirical* one (bits for the largest values actually stored);
-- :class:`Ctx` + :func:`move`/:func:`stay` give subroutines imperative
-  syntax (``yield from move(ctx, port)``) while staying round-accurate.
+- :class:`Ctx` + :func:`move`/:func:`stay`/:func:`walk` give subroutines
+  imperative syntax (``yield from move(ctx, port)``) while staying
+  round-accurate.
+
+Two drivers run routines.  ``AgentProgram.start``/``step`` expand every
+:class:`Walk` round by round, so the simulation engines, the lowering
+passes and the traced tier see exactly the per-round actions and register
+writes of the equivalent ``stay``/``move`` loop.  :func:`drive` runs one
+routine *alone* on a tree and jumps each walk whole through per-tree
+tables — the solo replay the memory experiments measure.
 
 When the generator returns, the agent is considered to *wait forever* (the
 rendezvous algorithms end by waiting at a node).
@@ -21,17 +32,63 @@ rendezvous algorithms end by waiting at a node).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from ..errors import AgentProtocolError
-from .observations import STAY
+from .observations import NULL_PORT, STAY
 
-__all__ = ["Registers", "Ctx", "move", "stay", "AgentProgram", "ProgramFactory"]
+__all__ = [
+    "Registers",
+    "Ctx",
+    "Walk",
+    "move",
+    "stay",
+    "walk",
+    "AgentProgram",
+    "ProgramFactory",
+    "Drive",
+    "drive",
+]
 
-# A subroutine yields actions (int) and receives observations (in_port, degree).
-Routine = Generator[int, tuple[int, int], Any]
+
+@dataclass(frozen=True, slots=True)
+class Walk:
+    """One basic-walk instruction: ``bw``/``cbw`` until ``arrivals``
+    arrivals at nodes of degree != 2, at speed ``1/speed``.
+
+    Executed round by round it is: idle ``speed-1`` rounds before every
+    move; leave the current node by ``port`` (mod its degree); at each
+    node reached, continue by ``(in_port + delta) % degree``.  Every
+    arrival at a node of degree != 2 counts — and sets
+    ``registers[counter]`` to the count so far when ``counter`` is
+    given — and the walk stops at the ``arrivals``-th.  ``delta`` is
+    ``+1`` (basic walk) or ``-1`` (counter basic walk); either way a
+    degree-2 node is passed straight through, which is what lets
+    :func:`drive` share one hop table across both directions.
+    """
+
+    port: int
+    delta: int
+    arrivals: int
+    speed: int = 1
+    counter: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.delta not in (1, -1):
+            raise AgentProtocolError(f"walk delta must be +1 or -1, got {self.delta}")
+        if self.arrivals < 1 or self.speed < 1:
+            raise AgentProtocolError(
+                f"walk needs arrivals >= 1 and speed >= 1, got {self.arrivals} "
+                f"and {self.speed}"
+            )
+
+
+# A routine yields int actions and receives observations (in_port, degree),
+# or yields a Walk and receives (in_port, degree, rounds) once it is done.
+Routine = Generator[Union[int, Walk], tuple, Any]
 
 
 class Registers:
@@ -170,11 +227,35 @@ def stay(ctx: Ctx, rounds: int = 1) -> Routine:
         ctx.rounds += 1
 
 
+def walk(
+    ctx: Ctx,
+    port: int,
+    delta: int = 1,
+    arrivals: int = 1,
+    speed: int = 1,
+    counter: Optional[str] = None,
+) -> Routine:
+    """Run one :class:`Walk`; update ``ctx`` to its final observation.
+
+    ``arrivals == 0`` is the empty walk: no round passes.
+    """
+    if arrivals == 0:
+        return
+    ctx.in_port, ctx.degree, rounds = yield Walk(port, delta, arrivals, speed, counter)
+    ctx.rounds += rounds
+
+
 ProgramFactory = Callable[..., Routine]
 
 
 class AgentProgram:
     """Adapter: a generator program behind the :class:`AgentBase` protocol.
+
+    A :class:`Walk` the routine yields is expanded here, one round per
+    ``step``: the expansion state (the walk, the port of the pending
+    move, arrivals done, idle rounds left, whether the last round moved)
+    lives on the adapter, and the routine resumes only on the walk's
+    final observation.
 
     Parameters
     ----------
@@ -189,30 +270,87 @@ class AgentProgram:
         self._kwargs = kwargs
         self._gen: Optional[Routine] = None
         self._done = False
+        self._walk: Optional[Walk] = None
         self.registers = Registers()
 
     # -- AgentBase protocol -------------------------------------------------
     def start(self, degree: int) -> int:
-        self.registers = Registers()
+        self._gen = self.routine(degree)
         self._done = False
-        self._gen = self._factory(degree, self.registers, *self._args, **self._kwargs)
-        try:
-            return next(self._gen)
-        except StopIteration:
-            self._done = True
-            return STAY
+        self._walk = None
+        return self._resume(None)  # send(None) starts a fresh generator
 
     def step(self, in_port: int, degree: int) -> int:
+        if self._walk is not None:
+            return self._walk_step(in_port, degree)
         if self._done or self._gen is None:
             return STAY
-        try:
-            return self._gen.send((in_port, degree))
-        except StopIteration:
-            self._done = True
-            return STAY
+        return self._resume((in_port, degree))
 
     def clone(self) -> "AgentProgram":
         return AgentProgram(self._factory, *self._args, **self._kwargs)
+
+    def routine(self, degree: int) -> Routine:
+        """A fresh, unstarted routine over a fresh register bank.
+
+        ``start`` drives it round by round; :func:`drive` runs it solo.
+        """
+        self.registers = Registers()
+        return self._factory(degree, self.registers, *self._args, **self._kwargs)
+
+    # -- walk expansion -----------------------------------------------------
+    def _resume(self, obs: Optional[tuple]) -> int:
+        try:
+            action = self._gen.send(obs)  # type: ignore[union-attr]
+        except StopIteration:
+            self._done = True
+            return STAY
+        if action.__class__ is Walk:
+            return self._begin(action)
+        return action
+
+    def _begin(self, w: Walk) -> int:
+        self._walk = w
+        self._port = w.port
+        self._seen = 0
+        self._idle = w.speed - 1
+        self._walk_rounds = 0
+        return self._walk_action()
+
+    def _walk_step(self, in_port: int, degree: int) -> int:
+        w = self._walk
+        self._walk_rounds += 1
+        if self._moved:
+            if degree != 2:
+                self._seen += 1
+                if w.counter is not None:
+                    self.registers[w.counter] = self._seen
+                if self._seen == w.arrivals:
+                    self._walk = None
+                    return self._resume((in_port, degree, self._walk_rounds))
+            self._port = (in_port + w.delta) % degree
+            self._idle = w.speed - 1
+        return self._walk_action()
+
+    def _walk_action(self) -> int:
+        """Idle while idle rounds are left, else make the pending move."""
+        if self._idle:
+            self._idle -= 1
+            self._moved = False
+            return STAY
+        self._moved = True
+        return self._port
+
+    @property
+    def walk_state(self) -> Optional[tuple]:
+        """Hashable expansion state of the walk in progress (``None``
+        between instructions): the walk, the port of the pending move,
+        arrivals done, idle rounds left and whether the last round moved.
+        The rounds spent so far are excluded — accounting the program
+        never reads, like ``Ctx.rounds``."""
+        if self._walk is None:
+            return None
+        return (self._walk, self._port, self._seen, self._idle, self._moved)
 
     # -- introspection ------------------------------------------------------
     @property
@@ -240,3 +378,147 @@ class AgentProgram:
     def __repr__(self) -> str:
         name = getattr(self._factory, "__name__", "program")
         return f"AgentProgram({name})"
+
+
+@dataclass(frozen=True)
+class Drive:
+    """Outcome of :func:`drive`: the routine's return value (``None``
+    unless it finished), the rounds driven, the final node, and whether
+    the routine returned within the round budget."""
+
+    value: Any
+    rounds: int
+    node: int
+    finished: bool
+
+
+def _walk_edges(tree, u: int, port: int, delta: int, arrivals: int):
+    """Yield ``(node, in_port, arrivals so far)`` after each edge of the
+    walk leaving ``u`` by ``port``."""
+    seen = 0
+    while True:
+        u, in_port = tree.move(u, port)
+        d = tree.degree(u)
+        if d != 2:
+            seen += 1
+        yield u, in_port, seen
+        if seen == arrivals:
+            return
+        port = (in_port + delta) % d
+
+
+def _hop(tree, u: int, port: int) -> tuple[int, int, int]:
+    """``(v, in_port, edges)``: leave ``u`` by ``port`` and cross the
+    degree-2 chain to the next node ``v`` of degree != 2."""
+    edges = 0
+    for v, in_port, _seen in _walk_edges(tree, u, port, 1, 1):
+        edges += 1
+    return v, in_port, edges
+
+
+def _walk_end(tree, hops: dict, u: int, port: int, delta: int, arrivals: int):
+    """``(v, in_port, edges)`` at the end of a walk: one hop per arrival,
+    each looked up in (or added to) ``hops``."""
+    edges = 0
+    for _ in range(arrivals):
+        if (u, port) not in hops:
+            hops[(u, port)] = _hop(tree, u, port)
+        u, in_port, hop_edges = hops[(u, port)]
+        edges += hop_edges
+        port = (in_port + delta) % tree.degree(u)
+    return u, in_port, edges
+
+
+def drive(
+    tree,
+    start: int,
+    routine: Routine,
+    registers: Registers,
+    *,
+    max_rounds: Optional[int] = None,
+    trail: Optional[list] = None,
+) -> Drive:
+    """Run ``routine`` alone on ``tree`` from ``start``.
+
+    ``registers`` is the bank the routine writes (walk counters are set
+    on it).  ``max_rounds`` caps the rounds; a routine that has not
+    returned by then is cut (``finished`` False).  Every round's node is
+    appended to ``trail`` when one is given.
+
+    Int actions are interpreted one round each.  A :class:`Walk` is
+    resolved whole through two tables built on the fly for this tree: a
+    hop table ``(u, port) -> (v, in_port, edges)`` across degree-2
+    chains, and a walk memo ``(u, port, delta, arrivals) -> (v, in_port,
+    edges)`` — O(arrivals) the first time, O(1) on every repeat.  The
+    walk is charged ``edges * speed`` rounds and sets its counter once,
+    to ``arrivals``: within a walk the counter only increases, so its
+    peak and the range check match per-arrival writes.  A walk the
+    budget ends inside (or a walk whose nodes ``trail`` records) is
+    followed edge by edge instead, which is exact because no register
+    changes between arrivals.
+    """
+    # Bound per call, not at import: profilers count the interpreted
+    # rounds by rebinding ``observations.resolve_action``.
+    from .observations import resolve_action
+
+    degree = tree.degree
+    move = tree.move
+    budget = sys.maxsize if max_rounds is None else max_rounds
+    hops: dict = {}  # (u, port) -> (v, in_port, edges)
+    walks: dict = {}  # (u, port, delta, arrivals) -> (v, in_port, edges)
+    pos = start
+    rounds = 0
+    try:
+        action = next(routine)
+        while rounds < budget:
+            if action.__class__ is not Walk:
+                a = resolve_action(action, degree(pos))
+                if a == STAY:
+                    obs: tuple = (NULL_PORT, degree(pos))
+                else:
+                    pos, in_port = move(pos, a)
+                    obs = (in_port, degree(pos))
+                rounds += 1
+                if trail is not None:
+                    trail.append(pos)
+                action = routine.send(obs)
+                continue
+            w = action
+            port = w.port % degree(pos)
+            speed = w.speed
+            if trail is None:
+                key = (pos, port, w.delta, w.arrivals)
+                if key not in walks:
+                    walks[key] = _walk_end(tree, hops, *key)
+                v, ip, edges = walks[key]
+                cost = edges * speed
+                if rounds + cost <= budget:
+                    if w.counter is not None:
+                        registers[w.counter] = w.arrivals
+                    pos = v
+                    rounds += cost
+                    action = routine.send((ip, degree(v), cost))
+                    continue
+            # Edge by edge: record the trail, or stop where the budget ends.
+            begun = rounds
+            seen = 0
+            for v, ip, arrived in _walk_edges(tree, pos, port, w.delta, w.arrivals):
+                if rounds + speed > budget:
+                    break
+                if trail is not None:
+                    trail.extend([pos] * (speed - 1))
+                    trail.append(v)
+                pos = v
+                rounds += speed
+                seen = arrived
+            if seen and w.counter is not None:
+                registers[w.counter] = seen
+            if seen < w.arrivals:  # cut: idle out the budget's last rounds
+                if trail is not None:
+                    trail.extend([pos] * (budget - rounds))
+                rounds = budget
+                break
+            action = routine.send((ip, degree(pos), rounds - begun))
+    except StopIteration as stop:
+        return Drive(stop.value, rounds, pos, True)
+    return Drive(None, rounds, pos, False)

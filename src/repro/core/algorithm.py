@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..agents.observations import NULL_PORT
-from ..agents.program import AgentProgram, Ctx, Registers, Routine, move
+from ..agents.program import AgentProgram, Ctx, Registers, Routine, walk
 from .explo import (
     CENTRAL_EDGE_SYMMETRIC,
     explo_bis_routine,
@@ -60,22 +60,13 @@ def _bw_cbw_pair(ctx: Ctx, regs: Registers, j: int, bound: int) -> Routine:
     regs["bwj_arrivals"] = 0
     if j == 0:
         return
-    for delta in (+1, -1):
-        arrivals = 0
-        port = 0 if delta == +1 else ctx.in_port
-        while arrivals < j:
-            yield from move(ctx, port)
-            if ctx.degree != 2:
-                arrivals += 1
-                regs["bwj_arrivals"] = arrivals
-            port = (ctx.in_port + delta) % ctx.degree
+    yield from walk(ctx, 0, +1, j, 1, "bwj_arrivals")
+    yield from walk(ctx, ctx.in_port, -1, j, 1, "bwj_arrivals")
 
 
 def _cross_central(ctx: Ctx, central_port: int) -> Routine:
     """Traverse the central path C to its other extremity (speed 1)."""
-    yield from move(ctx, central_port)
-    while ctx.degree == 2:
-        yield from move(ctx, (ctx.in_port + 1) % 2)
+    yield from walk(ctx, central_port)
 
 
 def rendezvous_program(

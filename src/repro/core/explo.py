@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..agents.program import Ctx, Registers, Routine, move
+from ..agents.program import Ctx, Registers, Routine, move, walk
 from ..errors import SimulationError
 from ..trees.automorphism import port_labeled_nested_code, port_preserving_automorphism
 from ..trees.basic_walk import TranscriptReconstructor, basic_walk_first_hit
@@ -145,18 +145,7 @@ def walk_to_branching_count(ctx: Ctx, regs: Registers, count: int, bound: int) -
     """
     regs.declare("walk_arrivals", max(bound, 1))
     regs["walk_arrivals"] = 0
-    if count == 0:
-        return
-    port = 0
-    seen = 0
-    while True:
-        yield from move(ctx, port)
-        if ctx.degree != 2:
-            seen += 1
-            regs["walk_arrivals"] = seen
-            if seen >= count:
-                return
-        port = (ctx.in_port + 1) % ctx.degree
+    yield from walk(ctx, 0, +1, count, 1, "walk_arrivals")
 
 
 def _analyze(tree: Tree) -> ExploResult:

@@ -3,7 +3,8 @@
 The paper measures agent memory in bits (⌈log₂ K⌉ for a K-state automaton).
 Register programs (:class:`repro.agents.program.Registers`) declare every
 bounded counter; this module turns those declarations into the reports the
-experiments print, and provides the closed-form reference curves
+experiments print (from solo replays that jump whole basic walks, see
+:func:`measure_memory`), and provides the closed-form reference curves
 (the O(log ℓ + log log n) upper bound and the Θ(log n) arbitrary-delay
 bound) the measured values are compared against in EXPERIMENTS.md.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..agents.program import AgentProgram
+from ..agents.program import AgentProgram, drive
 
 __all__ = [
     "MemoryReport",
@@ -64,22 +65,13 @@ def measure_memory(tree, start: int, agent: AgentProgram, rounds: int) -> Memory
     declared its counters; the paper's memory measure is what the agent
     must be *equipped with* on the instance, so the experiments measure a
     solo execution over a representative horizon (Stage 1 + Synchro + a few
-    outer iterations) instead.
+    outer iterations) instead.  The replay is :func:`repro.agents.program.drive`,
+    which jumps each basic walk whole; the report equals that of a
+    round-by-round drive through ``AgentProgram.step``.
     """
-    from ..agents.observations import NULL_PORT, STAY, resolve_action
-
     clone = agent.clone()
-    pos = start
-    action = resolve_action(clone.start(tree.degree(pos)), tree.degree(pos))
-    for _ in range(rounds):
-        if clone.finished:
-            break
-        if action == STAY:
-            obs = (NULL_PORT, tree.degree(pos))
-        else:
-            pos, in_port = tree.move(pos, action)
-            obs = (in_port, tree.degree(pos))
-        action = resolve_action(clone.step(*obs), tree.degree(pos))
+    drive(tree, start, clone.routine(tree.degree(start)), clone.registers,
+          max_rounds=rounds)
     return memory_report(clone)
 
 

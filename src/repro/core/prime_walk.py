@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from ..agents.program import AgentProgram, Ctx, Registers, Routine, move, stay
+from ..agents.program import AgentProgram, Ctx, Registers, Routine, walk
 
 __all__ = [
     "is_prime",
@@ -106,15 +106,11 @@ class LineNavigator:
     """
 
     def traverse(self, ctx: Ctx, regs: Registers, speed: int) -> Routine:
-        yield from stay(ctx, speed - 1)
-        yield from move(ctx, 0)  # an extremity has the single port 0
-        while ctx.degree == 2:
-            # Capture the continuation port before idling: a null move
-            # resets the observation to (-1, d) (paper §2.1), so the entry
-            # port must be held across the idle rounds.
-            port = 1 - ctx.in_port
-            yield from stay(ctx, speed - 1)
-            yield from move(ctx, port)
+        # An extremity has the single port 0; at each degree-2 node the
+        # walk continues by the entry port + 1 (= the other edge), held
+        # across the idle rounds since a null move resets the observation
+        # to (-1, d) (paper §2.1).
+        yield from walk(ctx, 0, +1, 1, speed)
 
 
 def prime_rendezvous_routine(
@@ -154,9 +150,7 @@ def _prime_line_program(
     # deterministic rule, as identical agents must) — and move at speed 1
     # until an extremity is reached.
     if ctx.degree != 1:
-        yield from move(ctx, 0)
-        while ctx.degree == 2:
-            yield from move(ctx, 1 - ctx.in_port)
+        yield from walk(ctx, 0)
     yield from prime_rendezvous_routine(ctx, regs, LineNavigator(), max_primes)
 
 

@@ -17,6 +17,13 @@ thus realized by the *same* instruction sequence, which is what the
 :class:`RendezvousPathNavigator` below executes — at speed ``1/p`` (idle
 ``p-1`` rounds before every edge) for the prime protocol.
 
+Every segment is one basic-walk instruction
+(:class:`~repro.agents.program.Walk`): a tour is ``2(ν-1)`` branching
+arrivals by ``bw``/``cbw``, a crossing of C is one arrival.  Engines expand
+them round by round; the solo replay behind the memory experiments
+(:func:`repro.agents.program.drive`) jumps each whole through per-tree
+tables, which is what makes replays over many prime speeds cheap.
+
 The navigator's counters: a segment-repetition counter up to ``5ℓ`` and a
 branching-arrival counter up to ``2(ν-1)`` — O(log ℓ) bits, as Theorem 4.1
 requires.  The agent's *position on P* is never stored; it is implicit in
@@ -25,7 +32,7 @@ the physical position plus these counters.
 
 from __future__ import annotations
 
-from ..agents.program import Ctx, Registers, Routine, move, stay
+from ..agents.program import Ctx, Registers, Routine, walk
 
 __all__ = ["RendezvousPathNavigator", "rendezvous_path_num_edges"]
 
@@ -90,27 +97,14 @@ class RendezvousPathNavigator:
         total = 2 * (self.nu - 1)
         regs.declare("path_arrivals", max(total, 1))
         regs["path_arrivals"] = 0
-        arrivals = 0
-        port = first_port
-        while arrivals < total:
-            yield from stay(ctx, speed - 1)
-            yield from move(ctx, port)
-            if ctx.degree != 2:
-                arrivals += 1
-                regs["path_arrivals"] = arrivals
-            port = (ctx.in_port + delta) % ctx.degree
+        yield from walk(ctx, first_port, delta, total, speed, "path_arrivals")
 
     def _cross(self, ctx: Ctx, regs: Registers, speed: int) -> Routine:
         """Traverse the central path C to the other extremity.
 
-        The pass-through port is computed from the entry port of the
-        previous *move* — it must be captured before idling, because a null
-        move resets the observation to ``(-1, d)`` (paper §2.1), exactly as
-        a real automaton would have to hold the port in its state.
+        The walk's pass-through port comes from the entry port of the
+        previous *move*, held across the idle rounds — a null move resets
+        the observation to ``(-1, d)`` (paper §2.1), exactly as a real
+        automaton would have to hold the port in its state.
         """
-        yield from stay(ctx, speed - 1)
-        yield from move(ctx, self.central_port)
-        while ctx.degree == 2:
-            port = (ctx.in_port + 1) % 2
-            yield from stay(ctx, speed - 1)
-            yield from move(ctx, port)
+        yield from walk(ctx, self.central_port, +1, 1, speed)

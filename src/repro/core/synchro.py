@@ -15,7 +15,7 @@ insertion structure is kept anyway for fidelity to the paper's protocol.
 
 from __future__ import annotations
 
-from ..agents.program import Ctx, Registers, Routine, move
+from ..agents.program import Ctx, Registers, Routine, walk
 from .explo import ExploResult, explo_bis_routine
 
 __all__ = ["synchro_routine"]
@@ -35,9 +35,7 @@ def synchro_routine(ctx: Ctx, regs: Registers, explo: ExploResult) -> Routine:
     port = 0  # the basic walk leaves v̂ by port 0
     arrivals = 0
     while arrivals < total:
-        yield from move(ctx, port)
-        while ctx.degree == 2:  # pass through the contracted paths
-            yield from move(ctx, (ctx.in_port + 1) % 2)
+        yield from walk(ctx, port)  # pass through the contracted paths
         arrivals += 1
         regs["synchro_arrivals"] = arrivals
         resume = (ctx.in_port + 1) % ctx.degree

@@ -787,7 +787,7 @@ def _minimization(spec: ScenarioSpec, backend: Backend, rng: random.Random):
 @executor("explo_cost", backend_sensitive=False)
 def _explo_cost(spec: ScenarioSpec, backend: Backend, rng: random.Random):
     """E8 / Fact 2.1: Procedure Explo's outputs and 2(n-1) cost."""
-    from ..agents import NULL_PORT, Ctx, Registers
+    from ..agents import NULL_PORT, Ctx, Registers, drive
     from ..core import explo_bis_routine
     from ..trees import (
         contract,
@@ -798,23 +798,10 @@ def _explo_cost(spec: ScenarioSpec, backend: Backend, rng: random.Random):
     )
 
     def run_explo(tree, start):
-        ctx = Ctx(NULL_PORT, tree.degree(start))
         regs = Registers()
-        gen = explo_bis_routine(ctx, regs)
-        pos = start
-        rounds = 0
-        try:
-            action = next(gen)
-            while True:
-                if action == -1:
-                    obs = (NULL_PORT, tree.degree(pos))
-                else:
-                    pos, in_port = tree.move(pos, action % tree.degree(pos))
-                    obs = (in_port, tree.degree(pos))
-                rounds += 1
-                action = gen.send(obs)
-        except StopIteration as stop:
-            return stop.value, rounds
+        ctx = Ctx(NULL_PORT, tree.degree(start))
+        run = drive(tree, start, explo_bis_routine(ctx, regs), regs)
+        return run.value, run.rounds
 
     local = random.Random(spec.seed)
     rows = []

@@ -212,10 +212,6 @@ class SoloTrace:
         pos = self._pos
         in_port = self._in_port
         started = self._started
-        # Drive the routine generator directly: AgentProgram.step's
-        # guard-and-dispatch shell costs ~15% of a round at this loop's
-        # granularity.  StopIteration handling mirrors step()'s.
-        gen = agent.generator if is_program else None
         step = agent.step
         regs_values = agent.registers._values if is_program else None
         use_keys = self._use_keys
@@ -230,21 +226,13 @@ class SoloTrace:
             while rnd < upto:
                 d = deg[pos]
                 if started:
-                    if gen is not None:
-                        try:
-                            raw = gen.send((in_port, d))
-                        except StopIteration:
-                            raw = STAY
-                            agent._done = True
-                    else:
-                        raw = step(in_port, d)
+                    raw = step(in_port, d)
                 else:
                     raw = agent.start(d)
                     started = True
-                    # start() installs a fresh register bank and routine
+                    # start() installs a fresh register bank
                     if is_program:
                         regs_values = agent.registers._values
-                        gen = None if agent._done else agent.generator
                 if raw == STAY or d == 0:
                     a = STAY
                     in_port = NULL_PORT

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agents import STAY, AgentProgram, Ctx, Registers, move, stay
+from repro.agents import STAY, AgentProgram, Ctx, Registers, drive, move, stay
 from repro.errors import AgentProtocolError
 from repro.trees import line
 
@@ -132,20 +132,9 @@ class TestRegistersSnapshot:
 class TestCtxAndMoves:
     def _drive(self, gen, tree, start):
         """Minimal driver: run a routine to completion on a tree."""
-        pos = start
         log = []
-        try:
-            action = next(gen)
-            while True:
-                if action == STAY:
-                    obs = (-1, tree.degree(pos))
-                else:
-                    pos, in_port = tree.move(pos, action % tree.degree(pos))
-                    obs = (in_port, tree.degree(pos))
-                log.append(pos)
-                action = gen.send(obs)
-        except StopIteration:
-            return pos, log
+        run = drive(tree, start, gen, Registers(), trail=log)
+        return run.node, log
 
     def test_move_updates_ctx(self):
         t = line(4)

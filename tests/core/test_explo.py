@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.agents import NULL_PORT, Ctx, Registers
+from repro.agents import NULL_PORT, Ctx, Registers, drive
 from repro.core import (
     CENTRAL_EDGE_ASYMMETRIC,
     CENTRAL_EDGE_SYMMETRIC,
@@ -32,21 +32,8 @@ def run_routine(tree, start, routine_factory):
     """Drive a routine on a tree; return (result, rounds, final_position)."""
     ctx = Ctx(NULL_PORT, tree.degree(start))
     regs = Registers()
-    gen = routine_factory(ctx, regs)
-    pos = start
-    rounds = 0
-    try:
-        action = next(gen)
-        while True:
-            if action == -1:
-                obs = (NULL_PORT, tree.degree(pos))
-            else:
-                pos, in_port = tree.move(pos, action % tree.degree(pos))
-                obs = (in_port, tree.degree(pos))
-            rounds += 1
-            action = gen.send(obs)
-    except StopIteration as stop:
-        return stop.value, rounds, pos
+    run = drive(tree, start, routine_factory(ctx, regs), regs)
+    return run.value, run.rounds, run.node
 
 
 class TestExplo:

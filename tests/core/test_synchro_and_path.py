@@ -2,7 +2,8 @@
 
 import random
 
-from repro.agents import NULL_PORT, STAY, Ctx, Registers
+from repro.agents import NULL_PORT, Ctx, Registers
+from repro.agents import drive as drive_solo
 from repro.core import explo_bis_routine, synchro_routine
 from repro.core.rendezvous_path import (
     RendezvousPathNavigator,
@@ -21,23 +22,9 @@ def drive(tree, start, routine_factory):
     """Run a routine; return (value, rounds, final_pos, positions)."""
     ctx = Ctx(NULL_PORT, tree.degree(start))
     regs = Registers()
-    gen = routine_factory(ctx, regs)
-    pos = start
-    rounds = 0
     visited = [start]
-    try:
-        action = next(gen)
-        while True:
-            if action == STAY:
-                obs = (NULL_PORT, tree.degree(pos))
-            else:
-                pos, in_port = tree.move(pos, action % tree.degree(pos))
-                obs = (in_port, tree.degree(pos))
-            visited.append(pos)
-            rounds += 1
-            action = gen.send(obs)
-    except StopIteration as stop:
-        return stop.value, rounds, pos, visited
+    run = drive_solo(tree, start, routine_factory(ctx, regs), regs, trail=visited)
+    return run.value, run.rounds, run.node, visited
 
 
 def explo_then(extra):

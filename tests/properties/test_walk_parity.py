@@ -1,0 +1,204 @@
+"""Property tests: the basic-walk instruction ≡ the loop it replaces.
+
+A :class:`~repro.agents.program.Walk` has two executors: the round-by-round
+expansion inside ``AgentProgram.start``/``step`` (what every engine, the
+lowering passes and the traced tier see) and the solo driver
+:func:`~repro.agents.program.drive`, which jumps whole walks through
+per-tree tables.  Both are held to the inline ``stay``/``move`` loop the
+navigators used before walks existed — kept here as the oracle.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.agents import (
+    NULL_PORT,
+    AgentProgram,
+    Ctx,
+    drive,
+    machine_state_key,
+    move,
+    resolve_action,
+    stay,
+    walk,
+)
+from repro.core import rendezvous_agent
+from repro.core.memory import memory_report
+from repro.core.prime_walk import prime_line_agent
+from repro.sim import run_solo
+from repro.trees import complete_binary_tree, line, random_relabel, random_tree, subdivide
+
+
+def inline_walk(ctx, regs, port, delta, arrivals, speed, counter):
+    """The oracle: a basic walk as an explicit stay/move loop."""
+    seen = 0
+    while seen < arrivals:
+        yield from stay(ctx, speed - 1)
+        yield from move(ctx, port)
+        if ctx.degree != 2:
+            seen += 1
+            if counter is not None:
+                regs[counter] = seen
+        port = (ctx.in_port + delta) % ctx.degree
+
+
+@st.composite
+def trees(draw, max_n=9, max_sub=3):
+    """A random relabeled tree, subdivided so degree-2 chains occur."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    tree = random_tree(draw(st.integers(2, max_n)), rng)
+    return random_relabel(subdivide(tree, draw(st.integers(0, max_sub))), rng)
+
+
+walk_specs = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # first port (mod the degree)
+        st.sampled_from([1, -1]),  # bw / cbw
+        st.integers(0, 4),  # arrivals (0: the empty walk)
+        st.integers(1, 3),  # speed
+        st.sampled_from([None, "arr"]),  # counter
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def walk_program(specs, expand, ctxs):
+    """A program running ``specs`` as Walk instructions (``expand`` False)
+    or as the inline oracle loop; records ``Ctx`` after every walk."""
+
+    def program(start_degree, regs):
+        ctx = Ctx(NULL_PORT, start_degree)
+        regs.declare("arr", 4)
+        for port, delta, arrivals, speed, counter in specs:
+            if expand:
+                yield from inline_walk(ctx, regs, port, delta, arrivals, speed, counter)
+            else:
+                yield from walk(ctx, port, delta, arrivals, speed, counter)
+            ctxs.append((ctx.in_port, ctx.degree, ctx.rounds))
+        yield from stay(ctx, 1)
+
+    return AgentProgram(program)
+
+
+def step_rounds(tree, start, agent, budget):
+    """Round-by-round drive through start/step: (raw actions, positions,
+    final node, rounds used) — the loop measure_memory used to run."""
+    pos = start
+    raw = agent.start(tree.degree(pos))
+    actions, positions, used = [raw], [pos], 0
+    for _ in range(budget):
+        if agent.finished:
+            break
+        a = resolve_action(raw, tree.degree(pos))
+        if a == -1:
+            obs = (NULL_PORT, tree.degree(pos))
+        else:
+            pos, in_port = tree.move(pos, a)
+            obs = (in_port, tree.degree(pos))
+        raw = agent.step(*obs)
+        used += 1
+        actions.append(raw)
+        positions.append(pos)
+    return actions, positions, pos, used
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees(), st.data(), walk_specs)
+def test_expanded_walk_matches_inline_loop(tree, data, specs):
+    start = data.draw(st.integers(0, tree.n - 1))
+    ctx_walk, ctx_loop = [], []
+    budget = 400
+    by_walk = step_rounds(tree, start, walk_program(specs, False, ctx_walk), budget)
+    by_loop = step_rounds(tree, start, walk_program(specs, True, ctx_loop), budget)
+    assert by_walk == by_loop
+    assert ctx_walk == ctx_loop
+    solo_walk = run_solo(tree, start, walk_program(specs, False, []), budget)
+    solo_loop = run_solo(tree, start, walk_program(specs, True, []), budget)
+    assert solo_walk.positions == solo_loop.positions
+    assert solo_walk.register_events == solo_loop.register_events
+    assert solo_walk.finished == solo_loop.finished
+
+
+def assert_drive_matches_steps(tree, start, prototype, budget):
+    """drive()'s report, final node and rounds equal a round-by-round drive."""
+    stepped = prototype.clone()
+    _, _, node, used = step_rounds(tree, start, stepped, budget)
+    jumped = prototype.clone()
+    run = drive(tree, start, jumped.routine(tree.degree(start)),
+                jumped.registers, max_rounds=budget)
+    assert memory_report(jumped) == memory_report(stepped)
+    assert (run.node, run.rounds, run.finished) == (node, used, stepped.finished)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees(max_n=7, max_sub=2), st.data())
+def test_drive_matches_steps_thm41(tree, data):
+    start = data.draw(st.integers(0, tree.n - 1))
+    budget = data.draw(st.integers(0, 20_000))
+    assert_drive_matches_steps(tree, start, rendezvous_agent(max_outer=1), budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_drive_matches_steps_prime_line(m, data):
+    start = data.draw(st.integers(0, m - 1))
+    budget = data.draw(st.integers(0, 3_000))
+    assert_drive_matches_steps(line(m), start, prime_line_agent(3), budget)
+
+
+@pytest.mark.parametrize(
+    "tree, prototype",
+    [
+        (subdivide(complete_binary_tree(2), 3), rendezvous_agent(max_outer=1)),
+        (line(9), prime_line_agent(3)),
+    ],
+    ids=["thm41", "prime-line"],
+)
+def test_drive_cuts_mid_chain_and_mid_walk(tree, prototype):
+    """Budgets that end inside a degree-2 chain of a walk, and at a branching
+    node inside a walk, cut exactly."""
+    agent = prototype.clone()
+    pos = 0
+    raw = agent.start(tree.degree(pos))
+    mid_chain, mid_walk = [], []
+    for rnd in range(1, 30_000):
+        if agent.finished:
+            break
+        a = resolve_action(raw, tree.degree(pos))
+        if a == -1:
+            obs = (NULL_PORT, tree.degree(pos))
+        else:
+            pos, in_port = tree.move(pos, a)
+            obs = (in_port, tree.degree(pos))
+        raw = agent.step(*obs)
+        if agent.walk_state is not None:
+            (mid_chain if tree.degree(pos) == 2 else mid_walk).append(rnd)
+    assert mid_chain and mid_walk
+    rng = random.Random(5)
+    for budget in rng.sample(mid_chain, 8) + rng.sample(mid_walk, 8):
+        assert_drive_matches_steps(tree, 0, prototype, budget)
+
+
+def test_machine_state_key_sees_the_walk_expansion():
+    """Mid-walk rounds share one suspended frame chain; only the
+    expansion state tells them apart: two idle rounds, then the move
+    still waiting for its arrival observation."""
+
+    def program(start_degree, regs):
+        ctx = Ctx(NULL_PORT, start_degree)
+        yield from walk(ctx, 0, +1, 2, speed=3)
+
+    agent = AgentProgram(program)
+    actions = [agent.start(2)]
+    keys = [machine_state_key(agent)]
+    for _ in range(2):
+        actions.append(agent.step(NULL_PORT, 2))
+        keys.append(machine_state_key(agent))
+    assert actions == [-1, -1, 0]
+    assert agent.walk_state is not None
+    assert len({key[1] for key in keys}) == 1  # the generator never resumed
+    assert len(set(keys)) == 3

@@ -9,7 +9,8 @@ form.
 
 import random
 
-from repro.agents import NULL_PORT, STAY, Ctx, Registers
+from repro.agents import NULL_PORT, Ctx, Registers
+from repro.agents import drive as drive_solo
 from repro.core import (
     CENTRAL_EDGE_SYMMETRIC,
     explo_bis_routine,
@@ -32,21 +33,9 @@ def drive(tree, start, factory):
     """Run a routine; return (value, rounds, final position, node sequence)."""
     ctx = Ctx(NULL_PORT, tree.degree(start))
     regs = Registers()
-    gen = factory(ctx, regs)
-    pos, rounds, seq = start, 0, [start]
-    try:
-        action = next(gen)
-        while True:
-            if action == STAY:
-                obs = (NULL_PORT, tree.degree(pos))
-            else:
-                pos, in_port = tree.move(pos, action % tree.degree(pos))
-                obs = (in_port, tree.degree(pos))
-            seq.append(pos)
-            rounds += 1
-            action = gen.send(obs)
-    except StopIteration as stop:
-        return stop.value, rounds, pos, seq
+    seq = [start]
+    run = drive_solo(tree, start, factory(ctx, regs), regs, trail=seq)
+    return run.value, run.rounds, run.node, seq
 
 
 class TestClaim41:
