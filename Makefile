@@ -81,7 +81,9 @@ golden-diff:
 # (the fault-injected ones included) on the reference, compiled AND
 # auto backends, require identical verdict rows against the reference
 # oracle (the sweep parity contract), then exercise the fault-model and
-# supervised-pool suites.
+# supervised-pool suites and the fault-parity properties (reference vs
+# compiled under random plans; empty and late plans leave the
+# fault-free outcome).
 fault-smoke:
 	mkdir -p $(FAULT_TMP)/reference $(FAULT_TMP)/compiled $(FAULT_TMP)/auto
 	@for name in $(SWEEP_SCENARIOS); do \
@@ -95,7 +97,8 @@ fault-smoke:
 	            $(FAULT_TMP)/$$backend/$$name.json || exit 1; \
 	    done; \
 	done
-	$(PY) -m pytest tests/sim/test_faults.py tests/sim/test_supervised.py -q
+	$(PY) -m pytest tests/sim/test_faults.py tests/sim/test_supervised.py \
+	    tests/properties/test_fault_parity.py -q
 
 # Observability smoke: run a kernel-eligible scenario instrumented,
 # cold then warm against an on-disk table cache, and check the full

@@ -6,8 +6,9 @@ definition takes.  Full Python name resolution is out of scope; what the
 repo actually uses is covered:
 
 - plain-name calls resolved through module-level **and function-local**
-  imports (the engines do ``from .faults import run_rendezvous_faulted``
-  inside the dispatching function) and same-module definitions;
+  imports (``faults.solve_gathering_faulted`` does ``from
+  .gathering_solver import solve_gathering`` inside the function, to
+  break an import cycle) and same-module definitions;
 - attribute calls on a name bound to an imported module
   (``kernel.solve_all_delays_auto(...)`` after
   ``from ..sim import kernel`` / ``import repro.sim.kernel as kernel``);

@@ -19,8 +19,10 @@ Interchangeable backends execute rendezvous runs:
   sharing pays).
 
 Every runner accepts ``faults=`` — a :class:`FaultPlan` of crash-stop,
-pause, and adversarial-relabel faults (:mod:`repro.sim.faults`) —
-dispatched to faulted twins that keep reference/compiled parity.  Long
+pause, and adversarial-relabel faults (:mod:`repro.sim.faults`).  Each
+engine tier has one rendezvous loop and one gathering loop: a fault-free
+run is the same loop with the empty plan, which the loop reads only at
+the plan's event rounds, and reference/compiled parity covers both.  Long
 grids run under the supervised pool (:mod:`repro.sim.supervise`):
 per-job timeouts, retry with backoff, worker respawn, structured
 :class:`JobFailure` rows, and checkpointed resume.
@@ -57,8 +59,6 @@ from .faults import (
     FaultPlan,
     PauseFault,
     RelabelFault,
-    run_gathering_faulted,
-    run_rendezvous_faulted,
     solve_all_delays_faulted,
     solve_gathering_faulted,
 )
@@ -122,8 +122,6 @@ __all__ = [
     "CrashFault",
     "PauseFault",
     "RelabelFault",
-    "run_rendezvous_faulted",
-    "run_gathering_faulted",
     "solve_all_delays_faulted",
     "solve_gathering_faulted",
     "JobFailure",

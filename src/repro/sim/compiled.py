@@ -17,7 +17,9 @@ the joint configuration with array indexing only:
 - :func:`run_rendezvous_compiled` replays the exact reference semantics
   over those tables, replacing the ``seen``-set certificate with Brent
   cycle detection on the deterministic joint successor — O(1) memory
-  instead of O(rounds);
+  instead of O(rounds).  Like the reference engine it has one loop: a
+  fault plan (:mod:`repro.sim.faults`) swaps move tables and frozen
+  flags at its event rounds, and a fault-free run is the empty plan;
 - :func:`solve_all_delays` decides *every* delay θ ∈ [0, Θ] (and both
   delayed-agent choices) in one shared reachability pass over the product
   configuration graph: trajectories for different delays re-enter the same
@@ -53,6 +55,7 @@ from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
 from .delays import DelayVerdict, met_at_start, sweep_choices
 from .engine import RendezvousOutcome, run_rendezvous
+from .faults import _NO_FAULTS, FaultPlan, _segments, solve_all_delays_faulted
 from .trace import RoundRecord, Trace
 
 __all__ = [
@@ -235,17 +238,16 @@ def run_rendezvous_compiled(
     tables through the product machinery.  The classic rendezvous
     problem (two *identical* agents) simply leaves it unset.
 
-    ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`)
-    dispatches to the faulted twin of this loop.
+    ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`) runs
+    in this same loop: at each event round the move tables switch to the
+    labeling in force — the transition tables are keyed on ``(stride,
+    degree set)``, both labeling-invariant, so one compilation serves
+    every labeling — and the frozen flags are re-read.  Brent
+    certification anchors after ``max(first joint round, horizon)``,
+    the round the reference's ``seen``-set starts at.
     """
-    if faults:
-        from .faults import run_rendezvous_faulted_compiled
-
-        return run_rendezvous_faulted_compiled(
-            tree, prototype, start1, start2, faults=faults,
-            delay=delay, delayed=delayed, max_rounds=max_rounds,
-            certify=certify, record_trace=record_trace, prototype2=prototype2,
-        )
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
+    plan.validate_for(2)
     if not isinstance(prototype, Automaton):
         raise SimulationError("compiled backend requires a finite-state Automaton")
     if prototype2 is not None and not isinstance(prototype2, Automaton):
@@ -266,8 +268,7 @@ def run_rendezvous_compiled(
 
     compiled = compile_agent(prototype, tree)
     compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
-    stride, deg, move_to, move_in = tree.flat_move_tables()
-    width = stride + 1
+    width = compiled.stride + 1
     nxt, act = compiled.next_state, compiled.action
     nxt2, act2_t = compiled2.next_state, compiled2.action
     start_act = compiled.start_action
@@ -279,7 +280,7 @@ def run_rendezvous_compiled(
 
     sr1 = delay if delayed == 1 else 0
     sr2 = delay if delayed == 2 else 0
-    first_joint = max(sr1, sr2) + 1
+    first_joint = max(sr1, sr2, plan.horizon) + 1
 
     pos1, pos2 = start1, start2
     st1 = st2 = 0  # automaton states (meaningless until started)
@@ -292,83 +293,95 @@ def run_rendezvous_compiled(
     steps = 0
     power = 1
 
-    for rnd in range(1, max_rounds + 1):
-        prev1, prev2 = pos1, pos2
+    for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
+        stride, deg, move_to, move_in = cur.flat_move_tables()
+        f1, f2 = 0 in frozen, 1 in frozen
+        for rnd in rounds:
+            prev1, prev2 = pos1, pos2
 
-        # -- agent 1 -----------------------------------------------------
-        if started1:
-            d = deg[pos1]
-            idx = (st1 * width + ip1) * width + d
-            s2_ = nxt[idx]
-            if s2_ == _INVALID:
-                automaton.transition(st1, ip1 - 1, d)  # raises the real error
-                raise SimulationError("invalid transition entry")  # pragma: no cover
-            st1 = s2_
-            a = act[idx]
-        elif rnd > sr1:
-            started1 = True
-            st1 = s0
-            a = start_act[deg[pos1]]
-        else:
-            a = STAY
-        act1 = a
-        if a == STAY:
-            ip1 = 0
-        else:
-            base = pos1 * stride + a
-            pos1 = move_to[base]
-            ip1 = move_in[base] + 1
+            # -- agent 1 (frozen: no step, no move, entry port kept) ---------
+            if f1:
+                act1 = STAY
+            else:
+                if started1:
+                    d = deg[pos1]
+                    idx = (st1 * width + ip1) * width + d
+                    s2_ = nxt[idx]
+                    if s2_ == _INVALID:
+                        automaton.transition(st1, ip1 - 1, d)  # raises the real error
+                        raise SimulationError("invalid transition entry")  # pragma: no cover
+                    st1 = s2_
+                    a = act[idx]
+                elif rnd > sr1:
+                    started1 = True
+                    st1 = s0
+                    a = start_act[deg[pos1]]
+                else:
+                    a = STAY
+                act1 = a
+                if a == STAY:
+                    ip1 = 0
+                else:
+                    base = pos1 * stride + a
+                    pos1 = move_to[base]
+                    ip1 = move_in[base] + 1
 
-        # -- agent 2 -----------------------------------------------------
-        if started2:
-            d = deg[pos2]
-            idx = (st2 * width + ip2) * width + d
-            s2_ = nxt2[idx]
-            if s2_ == _INVALID:
-                automaton2.transition(st2, ip2 - 1, d)
-                raise SimulationError("invalid transition entry")  # pragma: no cover
-            st2 = s2_
-            a = act2_t[idx]
-        elif rnd > sr2:
-            started2 = True
-            st2 = s0_2
-            a = start_act2[deg[pos2]]
-        else:
-            a = STAY
-        act2 = a
-        if a == STAY:
-            ip2 = 0
-        else:
-            base = pos2 * stride + a
-            pos2 = move_to[base]
-            ip2 = move_in[base] + 1
+            # -- agent 2 -----------------------------------------------------
+            if f2:
+                act2 = STAY
+            else:
+                if started2:
+                    d = deg[pos2]
+                    idx = (st2 * width + ip2) * width + d
+                    s2_ = nxt2[idx]
+                    if s2_ == _INVALID:
+                        automaton2.transition(st2, ip2 - 1, d)
+                        raise SimulationError("invalid transition entry")  # pragma: no cover
+                    st2 = s2_
+                    a = act2_t[idx]
+                elif rnd > sr2:
+                    started2 = True
+                    st2 = s0_2
+                    a = start_act2[deg[pos2]]
+                else:
+                    a = STAY
+                act2 = a
+                if a == STAY:
+                    ip2 = 0
+                else:
+                    base = pos2 * stride + a
+                    pos2 = move_to[base]
+                    ip2 = move_in[base] + 1
 
-        # -- bookkeeping (reference order: trace, crossing, meet, certify)
-        if trace is not None:
-            trace.append(RoundRecord(rnd, pos1, pos2, act1, act2))
-        if pos1 == prev2 and pos2 == prev1 and pos1 != pos2:
-            crossings += 1
-        if pos1 == pos2:
-            return RendezvousOutcome(
-                True, rnd, pos1, rnd, False, crossings, trace,
-                _final_agents(prototype, st1, started1, st2, started2, prototype2),
-            )
-        if certify and rnd > first_joint:
-            config = (pos1, st1, ip1, pos2, st2, ip2)
-            if config == anchor:
+            # -- bookkeeping (reference order: trace, crossing, meet, certify)
+            if trace is not None:
+                trace.append(RoundRecord(rnd, pos1, pos2, act1, act2))
+            if pos1 == prev2 and pos2 == prev1 and pos1 != pos2:
+                crossings += 1
+            if pos1 == pos2:
                 return RendezvousOutcome(
-                    False, None, None, rnd, True, crossings, trace,
+                    True, rnd, pos1, rnd, False, crossings, trace,
                     _final_agents(prototype, st1, started1, st2, started2, prototype2),
+                    plan.crashed_by(rnd),
                 )
-            steps += 1
-            if steps == power:
-                anchor = config
-                steps = 0
-                power <<= 1
+            if certify and rnd > first_joint:
+                config = (pos1, st1, ip1, pos2, st2, ip2)
+                if config == anchor:
+                    return RendezvousOutcome(
+                        False, None, None, rnd, True, crossings, trace,
+                        _final_agents(prototype, st1, started1, st2, started2, prototype2),
+                        plan.crashed_by(rnd),
+                    )
+                steps += 1
+                if steps == power:
+                    anchor = config
+                    steps = 0
+                    power <<= 1
 
     return RendezvousOutcome(
         False, None, None, max_rounds, False, crossings, trace,
         _final_agents(prototype, st1, started1, st2, started2, prototype2),
+        plan.crashed_by(max_rounds),
     )
 
 
@@ -452,8 +465,6 @@ def solve_all_delays(
     solver: the faulted gathering solver over k=2 delay vectors.
     """
     if faults:
-        from .faults import solve_all_delays_faulted
-
         return solve_all_delays_faulted(
             tree, prototype, start1, start2, max_delay=max_delay,
             faults=faults, delayed_sides=delayed_sides,

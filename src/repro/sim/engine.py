@@ -19,6 +19,11 @@ round determines the entire future; if a configuration recurs with no
 meeting in between, the execution is periodic and the agents provably never
 meet.  The engine detects this when ``certify=True`` and both agents expose
 a hashable ``state`` attribute (explicit automata do).
+
+Faults (:mod:`repro.sim.faults`) run in the same loop: a fault-free run
+is the empty plan.  The loop re-reads the plan only at its event rounds
+(:meth:`~repro.sim.faults.FaultPlan.events`), where the labeling and
+the frozen agents change.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Optional
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..errors import SimulationError
 from ..trees.tree import Tree
+from .faults import _NO_FAULTS, FaultPlan, _segments
 from .trace import RoundRecord, Trace
 
 __all__ = ["RendezvousOutcome", "run_rendezvous"]
@@ -108,18 +114,13 @@ def run_rendezvous(
         Fill in a full :class:`~repro.sim.trace.Trace`.
     faults:
         An optional :class:`~repro.sim.faults.FaultPlan` (or its JSON
-        form): crash-stop / pause / relabel faults, executed by the
-        faulted twin of this loop.  ``None`` or an empty plan means the
-        fault-free engine below.
+        form): crash-stop / pause / relabel faults.  Rendezvous agent 1
+        is fault-plan agent 0, agent 2 is agent 1.  Frozen rounds are
+        recorded as ``STAY`` in the trace.  ``None`` or an empty plan is
+        a fault-free run.
     """
-    if faults:
-        from .faults import run_rendezvous_faulted
-
-        return run_rendezvous_faulted(
-            tree, prototype, start1, start2, faults=faults,
-            delay=delay, delayed=delayed, max_rounds=max_rounds,
-            certify=certify, record_trace=record_trace,
-        )
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
+    plan.validate_for(2)
     if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
         raise SimulationError("start nodes outside the tree")
     if delay < 0:
@@ -137,40 +138,53 @@ def run_rendezvous(
     certifiable = certify and all(
         getattr(a.agent, "state", None) is not None for a in (a1, a2)
     )
-    # Certification starts at the first fully post-start round: the round
-    # after the later agent executed its start action.  The joint
-    # configuration only becomes a pure function of the previous one from
-    # that point on (the start action is driven by the start rule, not the
-    # step rule), and the compiled backend's cycle detection anchors on the
-    # same round, keeping the two backends' verdicts aligned.
-    first_joint = max(a1.start_round, a2.start_round) + 1
+    # Certification starts at the first fully post-start round past the
+    # plan's horizon: the round after the later agent executed its start
+    # action and the last fault was active.  The joint configuration
+    # only becomes a pure function of the previous one from that point
+    # on (the start action is driven by the start rule, not the step
+    # rule, and faults are external inputs), and the compiled backend's
+    # cycle detection anchors on the same round, keeping the two
+    # backends' verdicts aligned.
+    first_joint = max(a1.start_round, a2.start_round, plan.horizon) + 1
     seen: set[tuple] = set()
     crossings = 0
 
-    for rnd in range(1, max_rounds + 1):
-        prev1, prev2 = a1.pos, a2.pos
-        act1 = _agent_action(tree, a1, rnd)
-        act2 = _agent_action(tree, a2, rnd)
-        _execute(tree, a1, act1)
-        _execute(tree, a2, act2)
-        if trace is not None:
-            trace.append(RoundRecord(rnd, a1.pos, a2.pos, act1, act2))
-        if a1.pos == prev2 and a2.pos == prev1 and a1.pos != a2.pos:
-            crossings += 1
-        if a1.pos == a2.pos:
-            return RendezvousOutcome(
-                True, rnd, a1.pos, rnd, False, crossings, trace, (a1.agent, a2.agent)
-            )
-        if certifiable and rnd > first_joint:
-            key = (a1.config_key(), a2.config_key())
-            if key in seen:
+    for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
+        f1, f2 = 0 in frozen, 1 in frozen
+        for rnd in rounds:
+            prev1, prev2 = a1.pos, a2.pos
+            if f1:
+                act1 = STAY
+            else:
+                act1 = _agent_action(cur, a1, rnd)
+                _execute(cur, a1, act1)
+            if f2:
+                act2 = STAY
+            else:
+                act2 = _agent_action(cur, a2, rnd)
+                _execute(cur, a2, act2)
+            if trace is not None:
+                trace.append(RoundRecord(rnd, a1.pos, a2.pos, act1, act2))
+            if a1.pos == prev2 and a2.pos == prev1 and a1.pos != a2.pos:
+                crossings += 1
+            if a1.pos == a2.pos:
                 return RendezvousOutcome(
-                    False, None, None, rnd, True, crossings, trace, (a1.agent, a2.agent)
+                    True, rnd, a1.pos, rnd, False, crossings, trace,
+                    (a1.agent, a2.agent), plan.crashed_by(rnd),
                 )
-            seen.add(key)
+            if certifiable and rnd > first_joint:
+                key = (a1.config_key(), a2.config_key())
+                if key in seen:
+                    return RendezvousOutcome(
+                        False, None, None, rnd, True, crossings, trace,
+                        (a1.agent, a2.agent), plan.crashed_by(rnd),
+                    )
+                seen.add(key)
 
     return RendezvousOutcome(
-        False, None, None, max_rounds, False, crossings, trace, (a1.agent, a2.agent)
+        False, None, None, max_rounds, False, crossings, trace,
+        (a1.agent, a2.agent), plan.crashed_by(max_rounds),
     )
 
 

@@ -11,10 +11,12 @@ once and shared across every delay vector of the grid.
 For one delay vector ``(θ_0, ..., θ_{k-1})`` the solver:
 
 1. replays the staggered prefix, rounds ``1 .. max(max(θ), horizon) +
-   1``, with the flat-table faulted stepper (agents are still waking up
-   and faults may still fire, so the configuration is not yet a pure
-   function of its predecessor), checking gathering after every round —
-   ``horizon`` is the fault plan's last active round, 0 without faults;
+   1``, with the k-agent table stepper of
+   :func:`repro.sim.multi.run_gathering_compiled` (agents are still
+   waking up and faults may still fire, so the configuration is not yet
+   a pure function of its predecessor), checking gathering after every
+   round — ``horizon`` is the fault plan's last active round, 0 without
+   faults;
 2. from the configuration reached after that round walks the
    deterministic product configuration graph (final labeling, crashed
    agents frozen), memoizing each visited configuration's fate in a
@@ -44,8 +46,9 @@ from typing import Optional, Sequence
 from ..agents.automaton import Automaton
 from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
-from .compiled import compile_agent
-from .multi import _validate
+from .compiled import _make_stepper, compile_agent
+from .faults import _NO_FAULTS, FaultPlan
+from .multi import _table_rounds, _validate
 
 __all__ = ["GatheringVerdict", "solve_gathering"]
 
@@ -86,6 +89,18 @@ def _check_grid(tree, prototype, starts, delay_vectors, prototypes):
                 "the gathering solver requires finite-state Automaton agents"
             )
     return starts, protos, [list(_validate(tree, starts, vec)) for vec in delay_vectors]
+
+
+def _frozen_steppers(compileds, final_tree, crashed_agents):
+    """Per-agent post-horizon steppers on the final labeling; crashed
+    agents step by identity (they are constant forever)."""
+    def identity(p: int, s: int, i: int) -> tuple[int, int, int]:
+        return p, s, i
+
+    return [
+        identity if i in crashed_agents else _make_stepper(c, final_tree)
+        for i, c in enumerate(compileds)
+    ]
 
 
 def _fate_resolver(steppers, max_configs: int):
@@ -175,9 +190,7 @@ def solve_gathering(
     applies one fault schedule to every vector; verdicts then carry
     ``crashed``.
     """
-    from .faults import FaultPlan, _frozen_steppers, _iter_compiled_faulted
-
-    plan = FaultPlan.coerce(faults) or FaultPlan()
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
     starts, protos, vectors = _check_grid(
         tree, prototype, starts, delay_vectors, prototypes
     )
@@ -185,11 +198,12 @@ def solve_gathering(
     k = len(starts)
 
     compileds = [compile_agent(p, tree) for p in protos]
-    schedule = plan.labeling_schedule(tree)
+    events = plan.events(tree)
     crashed_agents = {c.agent for c in plan.crashes}
     has_crashes = bool(crashed_agents)
+    # The last event's labeling is the final one.
     resolve = _fate_resolver(
-        _frozen_steppers(compileds, schedule[-1][1], crashed_agents), max_configs
+        _frozen_steppers(compileds, events[-1][1], crashed_agents), max_configs
     )
 
     out: list[GatheringVerdict] = []
@@ -206,8 +220,8 @@ def solve_gathering(
         prefix = max(max(delays), plan.horizon) + 1
         met_at: Optional[int] = None
         pos = st = ip = None
-        for rnd, pos, st, ip, _started, _acts in _iter_compiled_faulted(
-            schedule, plan, compileds, starts, delays, prefix
+        for rnd, pos, st, ip in _table_rounds(
+            events, compileds, starts, delays, prefix
         ):
             if pos[0] == pos[-1] and pos.count(pos[0]) == k:
                 met_at = rnd

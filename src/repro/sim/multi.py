@@ -17,18 +17,22 @@ there).
 
 Backend dispatch mirrors the two-agent engine: finite-state prototypes
 (:func:`repro.sim.compiled.supports_compilation`) run on flat transition
-tables (:func:`_run_gathering_compiled`), arbitrary ``AgentBase`` programs
-on the readable reference loop (:func:`run_gathering_reference`, the
-oracle).  The parity suite in ``tests/sim/test_gathering_compiled.py``
-asserts identical outcomes.
+tables (:func:`run_gathering_compiled`, driven by the k-agent table
+stepper :func:`_table_rounds` that the exact gathering solver also
+steps its prefixes with), arbitrary ``AgentBase`` programs on the
+readable reference loop (:func:`run_gathering_reference`, the oracle).
+Each tier has one loop: a fault plan (:mod:`repro.sim.faults`) is read
+at its event rounds only, and a fault-free run is the empty plan.  The
+parity suites in ``tests/sim/test_gathering_compiled.py`` and
+``tests/sim/test_faults.py`` assert identical outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
+from ..agents.observations import STAY, AgentBase
 from ..errors import SimulationError
 from ..trees.tree import Tree
 from .compiled import _INVALID, compile_agent, supports_compilation
@@ -36,7 +40,9 @@ from .compiled import _INVALID, compile_agent, supports_compilation
 # The per-agent bookkeeping (and the certification key) is exactly the
 # two-agent engine's; reusing it keeps the joint-configuration semantics
 # defined in one place.
+from .engine import _agent_action, _execute
 from .engine import _AgentState as _State
+from .faults import _NO_FAULTS, FaultPlan, _segments
 
 __all__ = [
     "GatheringOutcome",
@@ -107,27 +113,28 @@ def run_gathering(
     have not started yet still occupy their start node.  ``certify``
     detects a joint-configuration recurrence to certify non-gathering
     (finite-state agents; silently ignored when agents expose no state).
-    ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`)
-    dispatches to the faulted twins of both loops.
+    ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`; agent
+    i is fault-plan agent i) runs in the same loops.
 
     Finite-state prototypes are dispatched to the compiled table-driven
     loop; everything else runs on :func:`run_gathering_reference`.
     """
-    if faults:
-        from .faults import run_gathering_faulted
-
-        return run_gathering_faulted(
-            tree, prototype, starts, faults=faults,
-            delays=delays, max_rounds=max_rounds, certify=certify,
-        )
-    delay_list = _validate(tree, starts, delays)
     if supports_compilation(prototype) == "native":
-        return _run_gathering_compiled(
-            tree, prototype, list(starts), delay_list, max_rounds, certify
+        return run_gathering_compiled(
+            tree, prototype, starts, delays=delays, max_rounds=max_rounds,
+            certify=certify, faults=faults,
         )
-    return _run_gathering_loop(
-        tree, prototype, list(starts), delay_list, max_rounds, certify
+    return run_gathering_reference(
+        tree, prototype, starts, delays=delays, max_rounds=max_rounds,
+        certify=certify, faults=faults,
     )
+
+
+def _cluster_size(positions: Iterable[int]) -> int:
+    counts: dict[int, int] = {}
+    for p in positions:
+        counts[p] = counts.get(p, 0) + 1
+    return max(counts.values())
 
 
 def run_gathering_reference(
@@ -141,16 +148,57 @@ def run_gathering_reference(
     faults=None,
 ) -> GatheringOutcome:
     """The oracle loop, forced for every agent type (parity testing)."""
-    if faults:
-        from .faults import run_gathering_faulted_reference
-
-        return run_gathering_faulted_reference(
-            tree, prototype, starts, faults=faults,
-            delays=delays, max_rounds=max_rounds, certify=certify,
-        )
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
     delay_list = _validate(tree, starts, delays)
-    return _run_gathering_loop(
-        tree, prototype, list(starts), delay_list, max_rounds, certify
+    plan.validate_for(len(starts))
+    agents = [
+        _State(prototype.clone(), pos, delay)
+        for pos, delay in zip(starts, delay_list)
+    ]
+    k = len(agents)
+
+    largest = _cluster_size(a.pos for a in agents)
+    if largest == k:
+        return GatheringOutcome(
+            True, 0, agents[0].pos, 0, tuple(a.pos for a in agents), largest
+        )
+
+    # Certification mirrors the two-agent engine: once every agent has
+    # executed its start action (round max(delays) + 1) and the plan's
+    # horizon has passed, the joint configuration is a pure function of
+    # the previous one, so a recurrence with no gathering in between
+    # proves non-gathering.
+    certifiable = certify and all(
+        getattr(a.agent, "state", None) is not None for a in agents
+    )
+    first_joint = max(*delay_list, plan.horizon) + 1
+    seen: set[tuple] = set()
+
+    for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
+        active = [a for i, a in enumerate(agents) if i not in frozen]
+        for rnd in rounds:
+            # Each agent's action depends only on its own state, so moving
+            # agents one by one equals computing every action first.
+            for a in active:
+                _execute(cur, a, _agent_action(cur, a, rnd))
+            size = _cluster_size(a.pos for a in agents)
+            largest = max(largest, size)
+            if size == k:
+                return GatheringOutcome(
+                    True, rnd, agents[0].pos, rnd, tuple(a.pos for a in agents),
+                    largest, False, plan.crashed_by(rnd),
+                )
+            if certifiable and rnd > first_joint:
+                key = tuple(a.config_key() for a in agents)
+                if key in seen:
+                    return GatheringOutcome(
+                        False, None, None, rnd, tuple(a.pos for a in agents),
+                        largest, True, plan.crashed_by(rnd),
+                    )
+                seen.add(key)
+    return GatheringOutcome(
+        False, None, None, max_rounds, tuple(a.pos for a in agents),
+        largest, False, plan.crashed_by(max_rounds),
     )
 
 
@@ -164,180 +212,119 @@ def run_gathering_compiled(
     certify: bool = False,
     faults=None,
 ) -> GatheringOutcome:
-    """The table-driven loop, forced (requires a finite-state Automaton)."""
-    if faults:
-        from .faults import run_gathering_faulted_compiled
+    """The table-driven loop, forced (requires a finite-state Automaton).
 
-        return run_gathering_faulted_compiled(
-            tree, prototype, starts, faults=faults,
-            delays=delays, max_rounds=max_rounds, certify=certify,
-        )
+    ``certify`` uses Brent cycle detection on the k-agent joint
+    configuration — O(1) memory, same verdicts as the reference's
+    ``seen``-set (the round a certificate fires at may differ, as with
+    the two-agent backends).
+    """
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
     if supports_compilation(prototype) != "native":
         raise SimulationError(
             "compiled gathering requires a finite-state Automaton"
         )
     delay_list = _validate(tree, starts, delays)
-    return _run_gathering_compiled(
-        tree, prototype, list(starts), delay_list, max_rounds, certify
-    )
-
-
-def _run_gathering_loop(
-    tree: Tree,
-    prototype: AgentBase,
-    starts: list[int],
-    delay_list: list[int],
-    max_rounds: int,
-    certify: bool = False,
-) -> GatheringOutcome:
-    agents = [
-        _State(prototype.clone(), pos, delay)
-        for pos, delay in zip(starts, delay_list)
-    ]
-
-    def cluster_size(states: Sequence[_State]) -> int:
-        counts: dict[int, int] = {}
-        for st in states:
-            counts[st.pos] = counts.get(st.pos, 0) + 1
-        return max(counts.values())
-
-    largest = cluster_size(agents)
-    if largest == len(agents):
-        return GatheringOutcome(
-            True, 0, agents[0].pos, 0, tuple(a.pos for a in agents), largest
-        )
-
-    # Certification mirrors the two-agent engine: once every agent has
-    # executed its start action (round max(delays) + 1), the joint
-    # configuration is a pure function of the previous one, so a
-    # recurrence with no gathering in between proves non-gathering.
-    certifiable = certify and all(
-        getattr(a.agent, "state", None) is not None for a in agents
-    )
-    first_joint = max(delay_list) + 1
-    seen: set[tuple] = set()
-
-    for rnd in range(1, max_rounds + 1):
-        actions = [_action(tree, a, rnd) for a in agents]
-        for a, act in zip(agents, actions):
-            if act == STAY:
-                a.in_port = NULL_PORT
-            else:
-                a.pos, a.in_port = tree.move(a.pos, act)
-        size = cluster_size(agents)
-        largest = max(largest, size)
-        if size == len(agents):
-            return GatheringOutcome(
-                True, rnd, agents[0].pos, rnd, tuple(a.pos for a in agents), largest
-            )
-        if certifiable and rnd > first_joint:
-            key = tuple(a.config_key() for a in agents)
-            if key in seen:
-                return GatheringOutcome(
-                    False, None, None, rnd,
-                    tuple(a.pos for a in agents), largest, True,
-                )
-            seen.add(key)
-    return GatheringOutcome(
-        False, None, None, max_rounds, tuple(a.pos for a in agents), largest
-    )
-
-
-def _action(tree: Tree, a: _State, rnd: int) -> int:
-    degree = tree.degree(a.pos)
-    if not a.started:
-        if rnd <= a.start_round:
-            return STAY
-        a.started = True
-        raw = a.agent.start(degree)
-    else:
-        raw = a.agent.step(a.in_port, degree)
-    return resolve_action(raw, degree)
-
-
-def _run_gathering_compiled(
-    tree: Tree,
-    prototype,
-    starts: list[int],
-    delay_list: list[int],
-    max_rounds: int,
-    certify: bool = False,
-) -> GatheringOutcome:
-    """Table-driven replay of the reference gathering loop.
-
-    Each agent's action depends only on its own (position, state, entry
-    port), so per-agent sequential updates within a round are equivalent
-    to the reference's compute-all-then-move order.  ``certify`` uses
-    Brent cycle detection on the k-agent joint configuration — O(1)
-    memory, same verdicts as the reference's ``seen``-set (the round a
-    certificate fires at may differ, as with the two-agent backends).
-    """
-    compiled = compile_agent(prototype, tree)
-    stride, deg, move_to, move_in = tree.flat_move_tables()
-    width = stride + 1
-    nxt, act = compiled.next_state, compiled.action
-    start_act = compiled.start_action
-    s0 = compiled.initial_state
-    automaton = compiled.automaton
-
+    plan.validate_for(len(starts))
     k = len(starts)
-    pos = list(starts)
-    st = [0] * k
-    ip = [0] * k  # entry-port indices (in_port + 1; 0 == NULL_PORT)
-    started = [False] * k
 
-    def cluster_size() -> int:
-        counts: dict[int, int] = {}
-        for p in pos:
-            counts[p] = counts.get(p, 0) + 1
-        return max(counts.values())
-
-    largest = cluster_size()
+    largest = _cluster_size(starts)
     if largest == k:
-        return GatheringOutcome(True, 0, pos[0], 0, tuple(pos), largest)
+        return GatheringOutcome(True, 0, starts[0], 0, tuple(starts), largest)
 
-    first_joint = max(delay_list) + 1
+    first_joint = max(*delay_list, plan.horizon) + 1
     # Brent cycle detection state (see run_rendezvous_compiled).
     anchor: Optional[tuple] = None
     steps = 0
     power = 1
 
-    for rnd in range(1, max_rounds + 1):
-        for i in range(k):
-            if started[i]:
-                d = deg[pos[i]]
-                idx = (st[i] * width + ip[i]) * width + d
-                s2 = nxt[idx]
-                if s2 == _INVALID:
-                    automaton.transition(st[i], ip[i] - 1, d)  # raises the real error
-                    raise SimulationError("invalid transition entry")  # pragma: no cover
-                st[i] = s2
-                a = act[idx]
-            elif rnd > delay_list[i]:
-                started[i] = True
-                st[i] = s0
-                a = start_act[deg[pos[i]]]
-            else:
-                a = STAY
-            if a == STAY:
-                ip[i] = 0
-            else:
-                base = pos[i] * stride + a
-                pos[i] = move_to[base]
-                ip[i] = move_in[base] + 1
-        size = cluster_size()
+    pos = list(starts)
+    for rnd, pos, st, ip in _table_rounds(
+        plan.events(tree), [compile_agent(prototype, tree)] * k, starts,
+        delay_list, max_rounds,
+    ):
+        size = _cluster_size(pos)
         largest = max(largest, size)
         if size == k:
-            return GatheringOutcome(True, rnd, pos[0], rnd, tuple(pos), largest)
+            return GatheringOutcome(
+                True, rnd, pos[0], rnd, tuple(pos), largest, False,
+                plan.crashed_by(rnd),
+            )
         if certify and rnd > first_joint:
             config = tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
             if config == anchor:
                 return GatheringOutcome(
-                    False, None, None, rnd, tuple(pos), largest, True
+                    False, None, None, rnd, tuple(pos), largest, True,
+                    plan.crashed_by(rnd),
                 )
             steps += 1
             if steps == power:
                 anchor = config
                 steps = 0
                 power <<= 1
-    return GatheringOutcome(False, None, None, max_rounds, tuple(pos), largest)
+    return GatheringOutcome(
+        False, None, None, max_rounds, tuple(pos), largest, False,
+        plan.crashed_by(max_rounds),
+    )
+
+
+def _table_rounds(
+    events: list,
+    compileds: list,
+    starts: Sequence[int],
+    start_rounds: Sequence[int],
+    max_rounds: int,
+):
+    """The k-agent table stepper: one yield per executed round,
+    ``(rnd, pos, st, ip)`` — live lists, mutated in place.  Agent i
+    runs ``compileds[i]`` and starts after round ``start_rounds[i]``.
+
+    ``events`` is :meth:`FaultPlan.events <repro.sim.faults.FaultPlan.events>`
+    of the run's plan.  At each event round the move tables switch to
+    the labeling in force (the transition tables are keyed on ``(stride,
+    degree set)``, both labeling-invariant, so one compilation serves
+    every labeling) and the frozen flags are re-read; a frozen agent
+    executes nothing and keeps its pending entry port.  Each agent's
+    action depends only on its own (position, state, entry port), so
+    per-agent sequential updates within a round equal the reference's
+    order.
+    """
+    k = len(starts)
+    nxts = [c.next_state for c in compileds]
+    acts = [c.action for c in compileds]
+    start_acts = [c.start_action for c in compileds]
+    s0s = [c.initial_state for c in compileds]
+    width = compileds[0].stride + 1
+
+    pos = list(starts)
+    st = [0] * k
+    ip = [0] * k  # entry-port indices (in_port + 1; 0 == NULL_PORT)
+    started = [False] * k
+
+    for rounds, cur, frozen in _segments(events, max_rounds):
+        stride, deg, move_to, move_in = cur.flat_move_tables()
+        active = [i for i in range(k) if i not in frozen]
+        for rnd in rounds:
+            for i in active:
+                if started[i]:
+                    d = deg[pos[i]]
+                    idx = (st[i] * width + ip[i]) * width + d
+                    s2 = nxts[i][idx]
+                    if s2 == _INVALID:
+                        compileds[i].automaton.transition(st[i], ip[i] - 1, d)
+                        raise SimulationError("invalid transition entry")  # pragma: no cover
+                    st[i] = s2
+                    a = acts[i][idx]
+                elif rnd > start_rounds[i]:
+                    started[i] = True
+                    st[i] = s0s[i]
+                    a = start_acts[i][deg[pos[i]]]
+                else:
+                    a = STAY
+                if a == STAY:
+                    ip[i] = 0
+                else:
+                    base = pos[i] * stride + a
+                    pos[i] = move_to[base]
+                    ip[i] = move_in[base] + 1
+            yield rnd, pos, st, ip

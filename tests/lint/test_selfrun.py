@@ -24,8 +24,8 @@ def test_src_tree_is_clean():
 
 
 def test_unthreading_a_real_fault_plan_fails_the_gate(tmp_path):
-    # Copy the real gathering dispatcher plus its faulted twins, then
-    # delete ONE `faults=faults,` at a call site: RPR001 must fire.
+    # Copy the real gathering dispatcher plus the fault-plan module,
+    # then delete ONE `faults=faults,` at a call site: RPR001 must fire.
     sim = tmp_path / "sim"
     sim.mkdir()
     for name in ("multi.py", "faults.py"):
@@ -42,7 +42,7 @@ def test_unthreading_a_real_fault_plan_fails_the_gate(tmp_path):
     dropped = [f for f in findings if f.code == "RPR001"]
     assert len(dropped) == 1
     assert dropped[0].path.endswith("sim/multi.py")
-    assert "run_gathering_faulted" in dropped[0].message
+    assert "run_gathering_compiled" in dropped[0].message
 
 
 def test_unthreading_in_the_kernel_layer_fails_the_gate(tmp_path):

@@ -2,9 +2,17 @@
 
 Same contract as test_backend_parity, with an adversary in the loop: on
 randomized (tree, automaton, starts, delay, fault plan) instances the
-compiled faulted loop must reproduce the reference loop's ``met`` /
-``meeting_round`` / ``certified_never`` / ``crashed`` verdicts, and the
-faulted all-delays solver must agree with per-choice reference runs.
+compiled loop must reproduce the reference loop's ``met`` /
+``meeting_round`` / ``certified_never`` / ``crashed`` verdicts under a
+fault plan, and the faulted all-delays solver must agree with
+per-choice reference runs.
+
+Every engine runs a fault-free run as its one loop with the empty plan,
+so two more properties pin that reduction on both tiers, for rendezvous
+and gathering: ``faults=FaultPlan()`` and ``faults=None`` give identical
+outcomes, and a plan whose faults all fire after the fault-free run's
+decision round leaves a met / gathered outcome untouched (and any run's
+pre-fault prefix).
 
 Budgets extend the fault-free period bound by the plan horizon: past the
 horizon the joint dynamics are autonomous again (crashed agents are
@@ -23,10 +31,12 @@ from repro.sim import (
     FaultPlan,
     PauseFault,
     RelabelFault,
-    run_rendezvous_faulted,
+    run_gathering_compiled,
+    run_gathering_reference,
+    run_rendezvous,
+    run_rendezvous_compiled,
     solve_all_delays_faulted,
 )
-from repro.sim.faults import run_rendezvous_faulted_compiled
 from repro.trees import random_relabel, random_tree
 
 
@@ -86,8 +96,8 @@ def test_faulted_single_run_verdict_parity(instance, plan, delay, delayed):
         faults=plan, delay=delay, delayed=delayed,
         max_rounds=budget, certify=True,
     )
-    ref = run_rendezvous_faulted(tree, agent, u, v, **kw)
-    cmp_ = run_rendezvous_faulted_compiled(tree, agent, u, v, **kw)
+    ref = run_rendezvous(tree, agent, u, v, **kw)
+    cmp_ = run_rendezvous_compiled(tree, agent, u, v, **kw)
     assert ref.met or ref.certified_never, "budget sized to always decide"
     assert ref.met == cmp_.met
     assert ref.meeting_round == cmp_.meeting_round
@@ -106,10 +116,99 @@ def test_faulted_solver_matches_per_choice_reference(instance, plan, max_delay):
     for dv in solve_all_delays_faulted(
         tree, agent, u, v, max_delay=max_delay, faults=plan
     ):
-        ref = run_rendezvous_faulted(
+        ref = run_rendezvous(
             tree, agent, u, v, faults=plan, delay=dv.delay,
             delayed=dv.delayed, max_rounds=budget, certify=True,
         )
         assert (ref.met, ref.meeting_round, ref.certified_never) == (
             dv.met, dv.meeting_round, dv.certified_never,
         )
+
+
+RENDEZVOUS_ENGINES = {
+    "reference": run_rendezvous,
+    "compiled": run_rendezvous_compiled,
+}
+GATHERING_ENGINES = {
+    "reference": run_gathering_reference,
+    "compiled": run_gathering_compiled,
+}
+
+
+@st.composite
+def gathering_runs(draw):
+    """An ``instances()`` draw grown to three agents with start delays."""
+    tree, agent, u, v = draw(instances(max_n=7, max_states=2))
+    starts = [u, v, draw(st.integers(0, tree.n - 1))]
+    delays = [draw(st.integers(0, 3)) for _ in starts]
+    return tree, agent, starts, delays
+
+
+def fired_after(plan, decided):
+    """``plan`` moved later so that its first fault fires in round
+    ``decided + 1``, the first round after the fault-free decision."""
+    first = min(
+        f.round for f in (*plan.crashes, *plan.pauses, *plan.relabels)
+    )
+    by = decided + 1 - first
+    return FaultPlan(
+        tuple(CrashFault(c.agent, c.round + by) for c in plan.crashes),
+        tuple(PauseFault(p.agent, p.round + by, p.duration) for p in plan.pauses),
+        tuple(RelabelFault(r.round + by, r.seed) for r in plan.relabels),
+    )
+
+
+def rendezvous_fields(out):
+    return (
+        out.met, out.meeting_round, out.meeting_node, out.rounds_executed,
+        out.certified_never, out.crossings, out.crashed, out.trace.records,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    instances(), fault_plans(), st.integers(0, 5), st.sampled_from([1, 2]),
+    st.sampled_from(sorted(RENDEZVOUS_ENGINES)),
+)
+def test_late_plan_leaves_the_fault_free_rendezvous(
+    instance, plan, delay, delayed, engine
+):
+    tree, agent, u, v = instance
+    run = RENDEZVOUS_ENGINES[engine]
+    kw = dict(
+        delay=delay, delayed=delayed, certify=True, record_trace=True,
+        max_rounds=decisive_budget(tree, agent, delay, plan),
+    )
+    clean = run(tree, agent, u, v, **kw)
+    assert rendezvous_fields(run(tree, agent, u, v, faults=FaultPlan(), **kw)) == (
+        rendezvous_fields(clean)
+    )
+    decided = clean.rounds_executed
+    late = run(tree, agent, u, v, faults=fired_after(plan, decided), **kw)
+    if clean.met:
+        assert rendezvous_fields(late) == rendezvous_fields(clean)
+        assert late.crashed == ()
+    else:
+        # A later fault may still change the run's fate, never its past.
+        assert late.trace.records[:decided] == clean.trace.records
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gathering_runs(), fault_plans(num_agents=3),
+    st.sampled_from(sorted(GATHERING_ENGINES)),
+)
+def test_late_plan_leaves_the_fault_free_gathering(run_args, plan, engine):
+    tree, agent, starts, delays = run_args
+    run = GATHERING_ENGINES[engine]
+    period = (tree.n * agent.num_states * (tree.max_degree() + 1)) ** 3
+    kw = dict(delays=delays, certify=True, max_rounds=4 * period + 8)
+    clean = run(tree, agent, starts, **kw)
+    assert run(tree, agent, starts, faults=FaultPlan(), **kw) == clean
+    decided = clean.rounds_executed
+    late = run(tree, agent, starts, faults=fired_after(plan, decided), **kw)
+    if clean.gathered:
+        assert late == clean
+        assert late.crashed == ()
+    else:
+        assert not late.gathered or late.gathering_round > decided

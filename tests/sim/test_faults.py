@@ -3,8 +3,9 @@
 Covers the FaultPlan value object (validation, serialization, the CLI
 grammar), the semantics of each fault kind on the reference engine, the
 crash-attribution field on outcomes, reference/compiled parity for
-faulted runs and sweeps, and the registered fault scenarios end-to-end
-on both backends.
+faulted runs and sweeps (every engine runs a plan in its one loop via
+``faults=``), and the registered fault scenarios end-to-end on both
+backends.
 """
 
 import pytest
@@ -18,15 +19,12 @@ from repro.sim import (
     PauseFault,
     RelabelFault,
     run_gathering,
+    run_gathering_compiled,
+    run_gathering_reference,
     run_rendezvous,
-    run_rendezvous_faulted,
+    run_rendezvous_compiled,
     solve_all_delays_faulted,
     solve_gathering_faulted,
-)
-from repro.sim.faults import (
-    run_gathering_faulted_compiled,
-    run_gathering_faulted_reference,
-    run_rendezvous_faulted_compiled,
 )
 from repro.trees import edge_colored_line, line
 from repro.trees.automorphism import is_symmetric_labeling
@@ -169,15 +167,9 @@ class TestFaultPlanSerialization:
 
 
 class TestFaultSemantics:
-    def test_engines_reject_empty_plans(self):
-        with pytest.raises(SimulationError):
-            run_rendezvous_faulted(line(4), walker(), 0, 3, faults=None)
-        with pytest.raises(SimulationError):
-            run_rendezvous_faulted(line(4), walker(), 0, 3, faults={})
-
     def test_crashed_agent_never_moves_again(self):
         plan = FaultPlan(crashes=(CrashFault(1, 3),))
-        out = run_rendezvous_faulted(
+        out = run_rendezvous(
             line(8), walker(), 0, 7, faults=plan,
             max_rounds=40, record_trace=True,
         )
@@ -188,7 +180,7 @@ class TestFaultSemantics:
 
     def test_paused_agent_freezes_then_resumes(self):
         plan = FaultPlan(pauses=(PauseFault(0, 2, 3),))
-        out = run_rendezvous_faulted(
+        out = run_rendezvous(
             line(8), walker(), 7, 0, faults=plan,
             max_rounds=12, record_trace=True,
         )
@@ -200,7 +192,7 @@ class TestFaultSemantics:
 
     def test_crash_is_attributed_on_the_outcome(self):
         plan = FaultPlan(crashes=(CrashFault(1, 1),))
-        out = run_rendezvous_faulted(
+        out = run_rendezvous(
             line(5), stayer(), 0, 3, faults=plan,
             max_rounds=200, certify=True,
         )
@@ -216,7 +208,7 @@ class TestFaultSemantics:
         )
         assert clean.met
         plan = FaultPlan(crashes=(CrashFault(0, clean.meeting_round + 1),))
-        out = run_rendezvous_faulted(
+        out = run_rendezvous(
             tree, alternator(), 0, 5, faults=plan,
             delay=1, delayed=1, max_rounds=5000,
         )
@@ -244,22 +236,11 @@ class TestFaultSemantics:
         tree = edge_colored_line(9)
         plan = FaultPlan(relabels=(RelabelFault(3, 1),))
         kw = dict(faults=plan, max_rounds=5000, certify=True)
-        a = run_rendezvous_faulted(tree, alternator(), 0, 5, **kw)
-        b = run_rendezvous_faulted(tree, alternator(), 0, 5, **kw)
+        a = run_rendezvous(tree, alternator(), 0, 5, **kw)
+        b = run_rendezvous(tree, alternator(), 0, 5, **kw)
         assert (a.met, a.meeting_round, a.certified_never) == (
             b.met, b.meeting_round, b.certified_never
         )
-
-    def test_run_rendezvous_dispatches_on_faults_kwarg(self):
-        plan = FaultPlan(crashes=(CrashFault(1, 1),))
-        via_engine = run_rendezvous(
-            line(5), stayer(), 0, 3, faults=plan, max_rounds=200, certify=True,
-        )
-        direct = run_rendezvous_faulted(
-            line(5), stayer(), 0, 3, faults=plan, max_rounds=200, certify=True,
-        )
-        assert via_engine.certified_never == direct.certified_never
-        assert via_engine.crashed == direct.crashed == (1,)
 
 
 class TestFaultedParity:
@@ -284,8 +265,8 @@ class TestFaultedParity:
                 faults=plan, delay=delay, delayed=delayed,
                 max_rounds=20000, certify=True,
             )
-            ref = run_rendezvous_faulted(tree, alternator(), 0, 5, **kw)
-            cmp_ = run_rendezvous_faulted_compiled(tree, alternator(), 0, 5, **kw)
+            ref = run_rendezvous(tree, alternator(), 0, 5, **kw)
+            cmp_ = run_rendezvous_compiled(tree, alternator(), 0, 5, **kw)
             assert (ref.met, ref.meeting_round, ref.certified_never,
                     ref.crashed) == (
                 cmp_.met, cmp_.meeting_round, cmp_.certified_never,
@@ -300,7 +281,7 @@ class TestFaultedParity:
         )
         assert verdicts  # the sweep is never empty
         for v in verdicts:
-            ref = run_rendezvous_faulted(
+            ref = run_rendezvous(
                 tree, alternator(), 0, 5, faults=plan, delay=v.delay,
                 delayed=v.delayed, max_rounds=200000, certify=True,
             )
@@ -316,10 +297,10 @@ class TestFaultedParity:
         )
         for starts, delays in [((0, 1, 3), None), ((0, 2, 4), (0, 1, 2))]:
             kw = dict(faults=plan, delays=delays, max_rounds=20000, certify=True)
-            ref = run_gathering_faulted_reference(
+            ref = run_gathering_reference(
                 tree, counting_walker(2), starts, **kw
             )
-            cmp_ = run_gathering_faulted_compiled(
+            cmp_ = run_gathering_compiled(
                 tree, counting_walker(2), starts, **kw
             )
             assert (ref.gathered, ref.gathering_round, ref.certified_never,

@@ -17,8 +17,7 @@ from repro.agents import (
     pausing_walker,
     random_tree_automaton,
 )
-from repro.sim import run_gathering, run_gathering_reference
-from repro.sim.multi import _run_gathering_compiled  # noqa: F401 (dispatch target)
+from repro.sim import run_gathering, run_gathering_compiled, run_gathering_reference
 from repro.trees import line, random_tree, spider, star
 
 
@@ -30,6 +29,10 @@ def assert_parity(tree, agent, starts, delays=None, max_rounds=4000):
         tree, agent.clone(), starts, delays=delays, max_rounds=max_rounds
     )
     assert fast == ref
+    forced = run_gathering_compiled(
+        tree, agent.clone(), starts, delays=delays, max_rounds=max_rounds
+    )
+    assert forced == ref
 
 
 class TestGatheringParity:
