@@ -6,7 +6,7 @@ RESULTS_TMP ?= /tmp
 BENCH_BASELINE := $(RESULTS_TMP)/BENCH_engine.baseline.json
 GOLDEN_TMP := $(RESULTS_TMP)/repro-golden-check
 GOLDEN_SCENARIOS := verify-small gathering-line-k3 thm31-sweep atlas-programs \
-        rendezvous-relabel-line gathering-crash-k3 delays-line \
+        rendezvous-relabel-line gathering-crash-k3 delays-line delays-line-long \
         gathering-line-k4 gathering-spider-k3 gathering-binary-k4 \
         memory-vs-leaves memory-vs-n gap-table prime-memory explo-cost \
         ablation-reps atlas baseline-delays gathering-spider minimization \
@@ -17,9 +17,9 @@ ATLAS_FIXTURE_SCENARIOS := verify-small gathering-line-k3 thm31-sweep \
         atlas-programs rendezvous-relabel-line gathering-crash-k3
 FAULT_TMP := $(RESULTS_TMP)/repro-fault-smoke
 # Every delay_sweep / gathering_sweep scenario, faulted or not.
-SWEEP_SCENARIOS := delays-line rendezvous-relabel-line gathering-crash-k3 \
-        gathering-line-k3 gathering-line-k4 gathering-spider-k3 \
-        gathering-binary-k4
+SWEEP_SCENARIOS := delays-line delays-line-long rendezvous-relabel-line \
+        gathering-crash-k3 gathering-line-k3 gathering-line-k4 \
+        gathering-spider-k3 gathering-binary-k4
 TELEMETRY_TMP := $(RESULTS_TMP)/repro-telemetry-smoke
 ATLAS_TMP := $(RESULTS_TMP)/repro-atlas-smoke
 ATLAS_FIXTURE := tests/scenarios/fixtures/atlas-v0.sqlite
@@ -100,7 +100,9 @@ fault-smoke:
 	$(PY) -m pytest tests/sim/test_faults.py tests/sim/test_supervised.py \
 	    tests/properties/test_fault_parity.py -q
 
-# Observability smoke: run a kernel-eligible scenario instrumented,
+# Observability smoke: run a kernel-eligible scenario instrumented
+# (delays-line-long: the auto backend sends grids below its kernel lane
+# gate to the dict solver, and delays-line is one of those),
 # cold then warm against an on-disk table cache, and check the full
 # telemetry contract (dispatch tiers reported, phase durations account
 # for elapsed time, warm run sees cache hits, event stream parses, the
@@ -110,15 +112,15 @@ telemetry-smoke:
 	rm -rf $(TELEMETRY_TMP) && mkdir -p $(TELEMETRY_TMP)/cache
 	@echo "== cold (empty kernel cache)"
 	REPRO_KERNEL_CACHE=$(TELEMETRY_TMP)/cache $(PY) -m repro scenarios run \
-	    delays-line --backend auto --telemetry=$(TELEMETRY_TMP)/cold.jsonl \
+	    delays-line-long --backend auto --telemetry=$(TELEMETRY_TMP)/cold.jsonl \
 	    --save --out $(TELEMETRY_TMP)/cold > /dev/null
-	$(PY) benchmarks/check_telemetry.py $(TELEMETRY_TMP)/cold/delays-line.json \
+	$(PY) benchmarks/check_telemetry.py $(TELEMETRY_TMP)/cold/delays-line-long.json \
 	    --expect-events $(TELEMETRY_TMP)/cold.jsonl
 	@echo "== warm (cache populated, fresh process)"
 	REPRO_KERNEL_CACHE=$(TELEMETRY_TMP)/cache $(PY) -m repro scenarios run \
-	    delays-line --backend auto --telemetry=$(TELEMETRY_TMP)/warm.jsonl \
+	    delays-line-long --backend auto --telemetry=$(TELEMETRY_TMP)/warm.jsonl \
 	    --save --out $(TELEMETRY_TMP)/warm > /dev/null
-	$(PY) benchmarks/check_telemetry.py $(TELEMETRY_TMP)/warm/delays-line.json \
+	$(PY) benchmarks/check_telemetry.py $(TELEMETRY_TMP)/warm/delays-line-long.json \
 	    --expect-cache-hits --expect-events $(TELEMETRY_TMP)/warm.jsonl
 	@echo "== offline report"
 	$(PY) -m repro telemetry report $(TELEMETRY_TMP)/warm.jsonl
@@ -175,19 +177,20 @@ atlas-smoke:
 # CI kernel-cache gate: with REPRO_KERNEL_CACHE pointing at a persisted
 # cache directory (actions/cache keeps it across runs), populate it once,
 # then require a FRESH process to report kernel.table.disk_hit > 0 — the
-# only hit kind an empty in-process memo can produce.
+# only hit kind an empty in-process memo can produce.  It runs
+# delays-line-long, a sweep above the auto backend's kernel lane gate.
 kernel-cache-check:
 ifndef REPRO_KERNEL_CACHE
 	$(error REPRO_KERNEL_CACHE must point at the persisted kernel cache directory)
 endif
 	@echo "== populate $(REPRO_KERNEL_CACHE)"
-	$(PY) -m repro scenarios run delays-line --backend auto > /dev/null
+	$(PY) -m repro scenarios run delays-line-long --backend auto > /dev/null
 	@echo "== fresh process must hit the on-disk table cache"
 	rm -rf $(KERNEL_CHECK_TMP) && mkdir -p $(KERNEL_CHECK_TMP)
-	$(PY) -m repro scenarios run delays-line --backend auto \
+	$(PY) -m repro scenarios run delays-line-long --backend auto \
 	    --telemetry=$(KERNEL_CHECK_TMP)/warm.jsonl --save \
 	    --out $(KERNEL_CHECK_TMP) > /dev/null
-	$(PY) benchmarks/check_telemetry.py $(KERNEL_CHECK_TMP)/delays-line.json \
+	$(PY) benchmarks/check_telemetry.py $(KERNEL_CHECK_TMP)/delays-line-long.json \
 	    --expect-disk-hits --expect-events $(KERNEL_CHECK_TMP)/warm.jsonl
 
 # Quick pass over the scenario registry (the experiment tables, small grids).

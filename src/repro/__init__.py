@@ -36,10 +36,6 @@ __version__ = "1.0.0"
 __all__ = ["trees", "agents", "sim", "errors", "__version__"]
 
 
-def _load_optional() -> None:  # pragma: no cover - import side effect
-    """Late-bind the heavier subpackages so `import repro` stays cheap."""
-
-
 try:  # core depends on everything above; keep import errors readable
     from . import core, lowerbounds, analysis  # noqa: E402  (cycle-free order)
 

@@ -562,6 +562,10 @@ class KernelDtypeRule(FileRule):
     """RPR005: numpy allocations in the kernel layers pass an explicit
     ``dtype=``.
 
+    numpy is recognised by ``import numpy [as x]`` and by a name bound
+    from the lazy probe (``x = load_numpy()``, see
+    :mod:`repro.sim.numpy_probe`), which is how both kernel files get it.
+
     The successor tables are content-addressed (cache keys hash the raw
     bytes) and cross the memmap boundary; a platform-default dtype makes
     the same automaton hash differently on different machines and
@@ -579,6 +583,10 @@ class KernelDtypeRule(FileRule):
     KERNEL_PATHS = ("sim/kernel.py", "sim/traced.py")
     #: Allocation entry points that take a dtype.
     ALLOC_FUNCS = frozenset({"zeros", "empty", "full", "arange", "asarray"})
+    #: Calls that return the numpy module (the lazy probe and the
+    #: kernel's guard around it): ``_np = load_numpy()`` binds an alias
+    #: exactly like ``import numpy as _np``.
+    NUMPY_PROBES = frozenset({"load_numpy", "_require_kernel"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -594,6 +602,16 @@ class KernelDtypeRule(FileRule):
         for alias in node.names:
             if alias.name == "numpy":
                 self._numpy_aliases.add(alias.asname or "numpy")
+
+    def visit_Assign(self, node: ast.Assign):  # noqa: N802
+        value = node.value
+        if isinstance(value, ast.IfExp):  # `load_numpy() if big else None`
+            value = value.body
+        if isinstance(value, ast.Call) and _call_name(value) in self.NUMPY_PROBES:
+            self._numpy_aliases.update(
+                t.id for t in node.targets if isinstance(t, ast.Name)
+            )
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call):  # noqa: N802
         func = node.func

@@ -112,6 +112,20 @@ register(ScenarioSpec(
     delays=DelayPolicy.sweep(16),
 ))
 
+# The same sweep with 1025 choices: twice the auto backend's kernel lane
+# gate (sim.kernel._MIN_KERNEL_LANES), so it is the registry scenario
+# that really rides the kernel (and its table cache) on `--backend auto`.
+register(ScenarioSpec(
+    name="delays-line-long",
+    kind="delay_sweep",
+    description="delays-line over θ up to 512 (1025 choices): the sweep "
+                "large enough for the vectorized kernel",
+    tree="colored:9",
+    agent="alternator",
+    pairs=((0, 5),),
+    delays=DelayPolicy.sweep(512),
+))
+
 # --- fault-model scenarios: the robustness layer as registry workloads ---
 # Both inject a FaultPlan through the sweep executors; the verdict rows
 # (including crash attribution and the certified-never-crash class) are

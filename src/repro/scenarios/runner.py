@@ -5,6 +5,11 @@ directly), applies overrides, selects the backend, seeds the RNG from the
 spec, executes, and wraps the outcome table in a :class:`ScenarioResult`
 that knows how to render itself as a text table and serialize itself as
 a schema-versioned JSON payload (:mod:`repro.scenarios.store`).
+
+The payload's ``environment`` block is provenance read from the running
+process: it never imports numpy or spawns a process, so a run that takes
+no vector path never loads numpy at all (see
+:func:`_environment_provenance`).
 """
 
 from __future__ import annotations
@@ -58,24 +63,27 @@ def format_rows(rows: list[dict]) -> str:
 
 def _environment_provenance() -> dict:
     """Interpreter, platform, numpy and kernel-cache provenance — the
-    columns the service-shaped result store will key on.  ``numpy`` is
-    ``None`` when absent (the kernel degrades without it, so the result
-    is still valid — but a reader must be able to tell which tier could
-    even have run)."""
-    from ..sim.kernel import kernel_available, kernel_cache_dir
+    columns the service-shaped result store will key on.
 
-    try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
+    Cheap by design (every miss run pays it): it imports nothing and
+    spawns nothing.  ``numpy`` is the version of the numpy this process
+    loaded — ``None`` when no vector path ran (or numpy is absent), so a
+    reader can tell which tier even could have run.
+    ``kernel.enabled`` is "not disabled and numpy importable", from a
+    spec lookup; ``platform`` is ``system-release-machine`` (the parts
+    of :func:`platform.platform` that need no ``uname -p`` process).
+    """
+    from ..sim.kernel import kernel_cache_dir, kernel_enabled
+
     return {
         "python": platform.python_version(),
         "implementation": sys.implementation.name,
-        "platform": platform.platform(),
-        "numpy": numpy_version,
+        "platform": "-".join(
+            (platform.system(), platform.release(), platform.machine())
+        ),
+        "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "kernel": {
-            "enabled": kernel_available(),
+            "enabled": kernel_enabled(),
             "cache_dir_set": kernel_cache_dir() is not None,
         },
     }

@@ -15,8 +15,14 @@ versioned schema (``repro.scenario-result/v1``):
       "rows":        the outcome table (list of flat dicts),
       "summary":     scenario-level aggregates incl. boolean "ok",
       "timings":     {"elapsed_seconds": float},
-      "environment": {"python", "implementation", "platform",
-                      "numpy", "kernel"},
+      "environment": {"python":         interpreter version,
+                      "implementation": e.g. "cpython",
+                      "platform":       "system-release-machine",
+                      "numpy":          version this process loaded, or null
+                                        (no vector path ran / not installed),
+                      "kernel":         {"enabled": REPRO_KERNEL != "0" and
+                                                    numpy importable,
+                                         "cache_dir_set": bool}},
       "telemetry":   optional repro.telemetry/v1 snapshot
     }
 

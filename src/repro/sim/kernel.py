@@ -31,13 +31,21 @@ contract as :class:`~repro.scenarios.store.ResultStore`.
 
 The dict solvers stay the oracle: :func:`solve_all_delays_auto` /
 :func:`solve_gathering_auto` share one dispatcher, :func:`_solve_auto`,
-which runs the kernel when it applies (numpy present,
-``REPRO_KERNEL != 0``, fault-free, tables within the memory cap) and
-falls back to the dict solver on anything else — including the kernel's
-own budget guard tripping, so explicit caller budgets keep the dict
-solver's exact semantics on every path.  A delay sweep is the k=2 case
-of a gathering grid (:mod:`repro.sim.delays` owns the (θ, side) format),
-yet it keeps its own kernel entry, :func:`solve_delay_grid_kernel`: it
+which runs the kernel when it applies (fault-free, at least
+``_MIN_KERNEL_LANES`` lanes, ``REPRO_KERNEL != 0``, numpy present,
+tables within the memory cap) and falls back to the dict solver on
+anything else — including the kernel's own budget guard tripping, so
+explicit caller budgets keep the dict solver's exact semantics on every
+path.  Small grids never reach the kernel: below the lane gate the dict
+solver is faster, and skipping the kernel skips importing numpy.
+
+numpy is imported lazily, through :func:`repro.sim.numpy_probe.load_numpy`:
+each function here binds ``_np = load_numpy()`` (or ``_np =
+_require_kernel()`` at the entry points) when it runs, so importing this
+module costs nothing until a vector path is taken.
+
+A delay sweep is the k=2 case of a gathering grid (:mod:`repro.sim.delays`
+owns the (θ, side) format), yet it keeps its own kernel entry, :func:`solve_delay_grid_kernel`: it
 batches one solo prefix per side across every θ and pair, where the
 gathering kernel replays a staggered prefix per vector (the
 success-families benchmark in ``BENCH_engine.json`` gates that speed).
@@ -55,12 +63,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-try:  # numpy is the kernel's substrate; everything degrades without it
-    import numpy as _np
-# repro-lint: disable=RPR002 -- import probe: numpy breakage must mean "no kernel", never a crash; kernel_available() reports it
-except Exception:  # pragma: no cover - exercised via kernel_available()
-    _np = None
-
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
@@ -69,6 +71,7 @@ from ..trees.tree import Tree
 from .compiled import _INVALID, _check_delay_args, compile_agent, solve_all_delays
 from .delays import DelayVerdict, met_at_start, sweep_choices
 from .gathering_solver import GatheringVerdict, _check_grid, solve_gathering
+from .numpy_probe import load_numpy, numpy_importable
 
 __all__ = [
     "KernelUnsupported",
@@ -76,6 +79,7 @@ __all__ = [
     "AgentTable",
     "agent_table",
     "kernel_available",
+    "kernel_enabled",
     "kernel_cache_dir",
     "table_cache_key",
     "solve_all_delays_kernel",
@@ -93,6 +97,14 @@ _ENV_CACHE = "REPRO_KERNEL_CACHE"
 # dict solver: the kernel must never surprise-allocate its way into an
 # OOM on a machine the dict path served fine.
 _MAX_TABLE_ENTRIES = 64_000_000
+
+# Fault-free grids with fewer lanes than this (delay choices, gathering
+# delay vectors) go straight to the dict solver: below it numpy's
+# per-step dispatch outweighs the vector gather, and the process skips
+# importing numpy altogether.  Kernel/dict time on pausing_walker(2)
+# sweeps over colored lines n = 21/41/81 (warm tables): about 3.0 at 33
+# lanes, 0.94-1.03 at 513, 0.77-0.86 at 8193.
+_MIN_KERNEL_LANES = 512
 
 
 class KernelUnsupported(Exception):
@@ -119,14 +131,23 @@ class PairVerdict:
 
 
 def kernel_available() -> bool:
-    """Is the vectorized kernel usable here (numpy present, not
-    disabled via ``REPRO_KERNEL=0``)?"""
-    return _np is not None and os.environ.get(_ENV_DISABLE, "") != "0"
+    """Is the vectorized kernel usable here (not disabled via
+    ``REPRO_KERNEL=0``, numpy importable)?  Imports numpy on the first
+    call unless the kill switch is set."""
+    return os.environ.get(_ENV_DISABLE, "") != "0" and load_numpy() is not None
 
 
-def _require_kernel() -> None:
+def kernel_enabled() -> bool:
+    """:func:`kernel_available`, answered without importing numpy (the
+    provenance question: could the kernel have run in this process?)."""
+    return os.environ.get(_ENV_DISABLE, "") != "0" and numpy_importable()
+
+
+def _require_kernel():
+    """numpy, or :class:`KernelUnsupported` when the kernel cannot run."""
     if not kernel_available():
         raise KernelUnsupported("numpy missing or REPRO_KERNEL=0")
+    return load_numpy()
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +191,7 @@ def table_cache_key(automaton: Automaton, tree: Tree) -> str:
     keys imply equal successor arrays — the property that makes the hash
     safe as a cross-process cache address.
     """
+    _np = load_numpy()
     stride, deg, move_to, move_in = tree.flat_move_tables()
     compiled = compile_agent(automaton, tree)
     h = hashlib.sha256()
@@ -207,6 +229,7 @@ def _quarantine(path: Path) -> None:
 
 def _load_table_file(path: Path, expected_size: int):
     """Memmap a cached successor array; quarantine anything unusable."""
+    _np = load_numpy()
     try:
         arr = _np.load(path, mmap_mode="r", allow_pickle=False)
     except FileNotFoundError:
@@ -224,6 +247,7 @@ def _load_table_file(path: Path, expected_size: int):
 
 def _save_table_file(path: Path, succ) -> None:
     """Atomic best-effort persist: tmp file + ``os.replace``."""
+    _np = load_numpy()
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -240,6 +264,7 @@ def _save_table_file(path: Path, succ) -> None:
 def _build_succ(compiled, tree: Tree):
     """Vectorized build of the flat successor array from the compiled
     tables (no per-configuration Python loop)."""
+    _np = load_numpy()
     stride, deg, move_to, move_in = tree.flat_move_tables()
     width = stride + 1
     n = tree.n
@@ -279,6 +304,7 @@ def _build_succ(compiled, tree: Tree):
 
 def _build_start_ids(compiled, tree: Tree):
     """Ids after the start round from every node (tiny: one per node)."""
+    _np = load_numpy()
     stride, deg, move_to, move_in = tree.flat_move_tables()
     width = stride + 1
     s0 = compiled.initial_state
@@ -387,6 +413,7 @@ def _joint_fates(
     raises :class:`KernelUnsupported` — the dict solver re-runs the
     instance so the automaton's genuine error surfaces.
     """
+    _np = load_numpy()
     k = len(tables)
     m = len(id_cols[0])
     met = _np.zeros(m, dtype=bool)
@@ -509,6 +536,7 @@ def _solo_batch(table: AgentTable, runner_starts, sleeper_starts, max_delay: int
     an invalid successor only raises when some walk genuinely still
     needs that step.
     """
+    _np = load_numpy()
     succ = table.succ
     n, width = table.n, table.width
     starts = _np.asarray(runner_starts, dtype=_np.int64)
@@ -542,6 +570,7 @@ def _solo_batch_scalar(table: AgentTable, starts, sleep, max_delay: int):
     """Per-walk scalar prefixes (same semantics as the batched pass);
     long single-pair sweeps step one int at a time instead of paying
     numpy dispatch on one-element arrays every round."""
+    _np = load_numpy()
     succ = table.succ
     n, width = table.n, table.width
     mat = _np.empty((max_delay + 1, starts.size), dtype=_np.int64)
@@ -588,7 +617,7 @@ def solve_delay_grid_kernel(
     len(pairs)`` lane-steps total), matching a per-pair dict-solver
     loop's aggregate budget.
     """
-    _require_kernel()
+    _np = _require_kernel()
     choices = sweep_choices(max_delay, delayed_sides)
     _check_delay_args(tree, prototype, prototype2, pairs)
 
@@ -811,7 +840,7 @@ def run_pairs_kernel(
     round is ``<= max_rounds``; a lane exhausting its budget before
     meeting or certifying comes back undecided.
     """
-    _require_kernel()
+    _np = _require_kernel()
     if not isinstance(prototype, Automaton):
         raise SimulationError("compiled backend requires a finite-state Automaton")
     for u, v in pairs:
@@ -854,20 +883,22 @@ def run_pairs_kernel(
 # ----------------------------------------------------------------------
 
 
-def _solve_auto(solver: str, kernel_solve, dict_solve, *, faults):
+def _solve_auto(solver: str, lanes: int, kernel_solve, dict_solve, *, faults):
     """``kernel_solve()`` when the kernel applies, else ``dict_solve()``:
     the one dispatcher behind both ``*_auto`` entry points.
 
-    Fault-free sweeps with numpy available ride the vectorized kernel;
-    everything else — faults, disabled kernel, oversized tables,
-    invalid-transition lanes, or the kernel's own budget guard — runs
-    the dict solver, preserving its exact semantics (including raising
+    Fault-free grids of at least ``_MIN_KERNEL_LANES`` lanes with numpy
+    available ride the vectorized kernel; everything else — faults, small
+    grids, disabled kernel, oversized tables, invalid-transition lanes,
+    or the kernel's own budget guard — runs the dict solver, preserving
+    its exact semantics (including raising
     :class:`~repro.errors.BudgetExceededError` only when the *dict*
-    solver's guard genuinely trips).  ``solver`` names the
-    ``kernel.dispatch.<solver>.{kernel,dict}`` counters.
+    solver's guard genuinely trips).  The lane test comes before the
+    availability probe, so a small grid never imports numpy.  ``solver``
+    names the ``kernel.dispatch.<solver>.{kernel,dict}`` counters.
     """
     t = _telemetry()
-    if faults is None and kernel_available():
+    if faults is None and lanes >= _MIN_KERNEL_LANES and kernel_available():
         try:
             verdicts = kernel_solve()
             if t.enabled:
@@ -899,6 +930,7 @@ def solve_all_delays_auto(
     (see :func:`_solve_auto`)."""
     return _solve_auto(
         "delays",
+        len(sweep_choices(max_delay, delayed_sides)),
         lambda: solve_all_delays_kernel(
             tree, prototype, start1, start2, max_delay=max_delay,
             delayed_sides=delayed_sides, max_configs=max_configs,
@@ -928,6 +960,7 @@ def solve_gathering_auto(
     :func:`_solve_auto`)."""
     return _solve_auto(
         "gathering",
+        len(delay_vectors),
         lambda: solve_gathering_kernel(
             tree, prototype, starts, delay_vectors,
             max_configs=max_configs, prototypes=prototypes,

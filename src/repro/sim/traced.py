@@ -52,11 +52,6 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional, Sequence
 
-try:  # optional accelerator for the chunked scans (never required)
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
-
 from ..agents.automaton import Automaton
 from ..agents.lowering import machine_state_key
 from ..agents.observations import NULL_PORT, STAY, AgentBase
@@ -68,6 +63,7 @@ from .delays import DelayVerdict, met_at_start, sweep_choices
 from .engine import RendezvousOutcome
 from .gathering_solver import GatheringVerdict, solve_gathering
 from .multi import GatheringOutcome, _validate
+from .numpy_probe import load_numpy
 from .trace import RoundRecord, Trace
 
 __all__ = [
@@ -679,7 +675,8 @@ def _crossings_prefix(p1: list, p2: list, upto: int) -> int:
     """Edge crossings over rounds 1..upto of two raw position lists."""
     if upto <= 0:
         return 0
-    if _np is not None and upto >= 64:
+    _np = load_numpy() if upto >= 64 else None
+    if _np is not None:
         a = _np.array(p1[:upto + 1])
         b = _np.array(p2[:upto + 1])
         ap, ac = a[:-1], a[1:]
@@ -696,7 +693,8 @@ def _crossings_prefix(p1: list, p2: list, upto: int) -> int:
 
 def _first_meet(p1: list, p2: list, lo: int, hi: int) -> int:
     """First index in [lo, hi] where the position lists coincide, or -1."""
-    if _np is not None and hi - lo >= 64:
+    _np = load_numpy() if hi - lo >= 64 else None
+    if _np is not None:
         eq = _np.array(p1[lo:hi + 1]) == _np.array(p2[lo:hi + 1])
         k = int(eq.argmax())
         return lo + k if eq[k] else -1
@@ -1075,6 +1073,7 @@ def sweep_gathering_traced(
 def _trace_window(trace: SoloTrace, lo: int, hi: int):
     """Positions after rounds ``lo..hi`` as a numpy column (raw recorded
     slice while available, folded fancy-index once the trace lassos)."""
+    _np = load_numpy()
     if trace.status == ACTIVE and len(trace.actions) < hi:
         trace.extend(hi)
     m = len(trace.actions)
@@ -1145,6 +1144,7 @@ def run_pairs_traced(
                 traces[s] = solo_trace(tree, prototype, s, cache=cache)
         live.append((j, traces[u], traces[v]))
 
+    _np = load_numpy() if live else None
     if _np is None:  # scalar fallback: same verdicts, pair at a time
         for j, t1, t2 in live:
             out = _run_delay0_fast(prototype, t1, t2, max_rounds, True)

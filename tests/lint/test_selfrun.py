@@ -64,3 +64,29 @@ def test_unthreading_in_the_kernel_layer_fails_the_gate(tmp_path):
     assert [f for f in findings if f.code == "RPR001"], (
         "removing faults= threading from sim/kernel.py must trip RPR001"
     )
+
+
+def test_dropping_a_kernel_dtype_fails_the_gate(tmp_path):
+    # Both kernel files bind numpy through the lazy probe
+    # (`_np = load_numpy()`), not a module-level import; RPR005 must
+    # still see their allocations.  Drop ONE `dtype=` in traced.py.
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    for name in ("kernel.py", "traced.py"):
+        shutil.copy(SRC / "repro" / "sim" / name, sim / name)
+
+    findings, _ = run_on(tmp_path)
+    assert [f for f in findings if f.code == "RPR005"] == []
+
+    text = (sim / "traced.py").read_text()
+    needle = "_np.arange(lo, hi + 1, dtype=_np.int64)"
+    assert needle in text
+    (sim / "traced.py").write_text(
+        text.replace(needle, "_np.arange(lo, hi + 1)", 1)
+    )
+
+    findings, _ = run_on(tmp_path)
+    dropped = [f for f in findings if f.code == "RPR005"]
+    assert len(dropped) == 1
+    assert dropped[0].path.endswith("sim/traced.py")
+    assert "np.arange" in dropped[0].message

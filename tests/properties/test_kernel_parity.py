@@ -24,6 +24,7 @@ starts) instances:
 
 import random
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,10 @@ from repro.sim import (
     solve_gathering,
     solve_gathering_kernel,
 )
+from repro.sim import kernel as kernel_mod
 from repro.sim.traced import lasso_automaton, solo_trace
+from repro.telemetry import Telemetry
+from repro.telemetry import use as use_telemetry
 from repro.trees import random_relabel, random_tree
 
 
@@ -224,13 +228,22 @@ def test_budget_trip_preserves_dict_semantics(instance, max_delay):
         )
     except BudgetExceededError:
         expected = BudgetExceededError
-    try:
-        got = solve_all_delays_auto(
-            tree, agent, u, v, max_delay=max_delay, max_configs=7
-        )
-    except BudgetExceededError:
-        got = BudgetExceededError
+    # These grids sit far below the auto lane gate: lift it, so the
+    # wrapper really tries the kernel (and its budget guard) first.
+    telem = Telemetry()
+    with patch.object(kernel_mod, "_MIN_KERNEL_LANES", 0), use_telemetry(telem):
+        try:
+            got = solve_all_delays_auto(
+                tree, agent, u, v, max_delay=max_delay, max_configs=7
+            )
+        except BudgetExceededError:
+            got = BudgetExceededError
     assert got == expected or (got is expected is BudgetExceededError)
+    assert any(
+        name == "kernel.dispatch.delays.kernel"
+        or name.startswith("kernel.fallback.")
+        for name in telem.counters
+    ), telem.counters
 
 
 @settings(max_examples=10, deadline=None)

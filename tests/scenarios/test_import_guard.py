@@ -1,0 +1,144 @@
+"""Fresh-process guards on what a scenario run imports.
+
+numpy is loaded only where a vector path runs (kernel sweeps above the
+auto lane gate, traced vector scans), and the result provenance never
+spawns a process.  ``sys.modules`` is process-wide, so each case runs
+in its own interpreter.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def run_fresh(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout's sources;
+    it prints one JSON object, returned decoded."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_KERNEL", "REPRO_KERNEL_CACHE")}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+ATLAS_MISS_THEN_HIT = """
+import json, sys
+import repro
+from repro.scenarios import Runner
+from repro.scenarios.atlas import AtlasStore
+from repro.scenarios.registry import get_scenario
+
+get_scenario("thm43")
+atlas = AtlasStore(sys.argv[1])
+runner = Runner(atlas=atlas)
+miss = runner.run("thm43")
+payload = miss.to_payload()
+hit = runner.run("thm43")
+hit.to_payload()
+atlas.close()
+after_thm43 = "numpy" in sys.modules
+Runner(backend="auto").run("delays-line").to_payload()  # below the lane gate
+print(json.dumps({
+    "miss": miss.cached_payload is None,
+    "hit": hit.cached_payload is not None,
+    "numpy_after_thm43": after_thm43,
+    "numpy": "numpy" in sys.modules,
+    "subprocess": "subprocess" in sys.modules,
+    "environment": payload["environment"],
+}))
+"""
+
+
+def test_scalar_scenario_loads_neither_numpy_nor_subprocess(tmp_path):
+    out = run_fresh(ATLAS_MISS_THEN_HIT, str(tmp_path / "atlas.sqlite"))
+    assert out["miss"] and out["hit"]
+    assert not out["numpy_after_thm43"]
+    assert not out["numpy"]  # a sweep under the kernel lane gate neither
+    assert not out["subprocess"]
+    env = out["environment"]
+    assert env["numpy"] is None  # this process never loaded it
+    assert env["platform"].count("-") >= 2  # system-release-machine
+
+
+ABOVE_GATE_SWEEP = """
+import json, sys
+from repro.scenarios import Runner
+from repro.sim import kernel
+from repro.sim.delays import sweep_choices
+from repro.telemetry import Telemetry
+
+loaded_before = "numpy" in sys.modules
+telem = Telemetry()
+result = Runner(backend="auto").run("delays-line-long", telemetry=telem)
+import numpy
+print(json.dumps({
+    "loaded_before": loaded_before,
+    "lanes": len(sweep_choices(512, (1, 2))),
+    "gate": kernel._MIN_KERNEL_LANES,
+    "counters": telem.counters,
+    "environment": result.to_payload()["environment"],
+    "numpy_version": numpy.__version__,
+}))
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                    reason="numpy is not installed")
+def test_sweep_above_the_gate_loads_numpy_and_rides_the_kernel():
+    out = run_fresh(ABOVE_GATE_SWEEP)
+    assert not out["loaded_before"]
+    assert out["lanes"] >= 2 * out["gate"]
+    assert out["counters"]["kernel.dispatch.delays.kernel"] == 1
+    assert out["environment"]["numpy"] == out["numpy_version"]
+    assert out["environment"]["kernel"]["enabled"] is True
+
+
+NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+from repro.scenarios import Runner
+from repro.sim import kernel
+from repro.sim.compiled import solve_all_delays
+from repro.agents.library import pausing_walker
+from repro.telemetry import Telemetry, use
+from repro.trees import edge_colored_line
+
+tree, agent = edge_colored_line(9), pausing_walker(2)
+max_delay = kernel._MIN_KERNEL_LANES  # above the gate
+telem = Telemetry()
+with use(telem):
+    auto = kernel.solve_all_delays_auto(tree, agent, 0, 5, max_delay=max_delay)
+result = Runner(backend="auto").run("delays-line-long", telemetry=telem)
+print(json.dumps({
+    "available": kernel.kernel_available(),
+    "enabled": kernel.kernel_enabled(),
+    "auto_equals_dict": auto == solve_all_delays(
+        tree, agent, 0, 5, max_delay=max_delay),
+    "counters": telem.counters,
+    "rows": len(result.rows),
+    "environment": result.to_payload()["environment"],
+}))
+"""
+
+
+def test_missing_numpy_degrades_to_the_dict_solver():
+    out = run_fresh(NUMPY_BLOCKED)
+    assert out["available"] is False
+    assert out["enabled"] is False
+    assert out["auto_equals_dict"]
+    assert out["counters"]["kernel.dispatch.delays.dict"] == 2
+    assert "kernel.dispatch.delays.kernel" not in out["counters"]
+    assert out["rows"] == 1025
+    assert out["environment"]["numpy"] is None
+    assert out["environment"]["kernel"]["enabled"] is False

@@ -22,6 +22,9 @@ from repro.sim.delays import (
     sweep_choices,
     to_delay_verdicts,
 )
+from repro.sim import kernel as kernel_mod
+from repro.telemetry import Telemetry
+from repro.telemetry import use as use_telemetry
 from repro.trees import edge_colored_line
 
 
@@ -73,6 +76,21 @@ DIRECT_CALLERS = {
     "traced-same-start": lambda sides, md: sweep_delays_traced(
         TREE, counting_program(2), 4, 4, max_delay=md, sides=sides),
 }
+
+
+@pytest.fixture(autouse=True)
+def no_lane_gate(monkeypatch):
+    """The "auto" caller's grids sit below the kernel lane gate; lift it
+    so auto dispatches them to the kernel as it would a large grid."""
+    monkeypatch.setattr(kernel_mod, "_MIN_KERNEL_LANES", 0)
+
+
+def test_auto_caller_rides_the_kernel():
+    telem = Telemetry()
+    with use_telemetry(telem):
+        assert DIRECT_CALLERS["auto"]((1, 2), 2) == DIRECT_CALLERS["dict"]((1, 2), 2)
+    assert telem.counters["kernel.dispatch.delays.kernel"] == 1
+    assert "kernel.dispatch.delays.dict" not in telem.counters
 
 
 @pytest.mark.parametrize("caller", sorted(DIRECT_CALLERS))

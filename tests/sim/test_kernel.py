@@ -25,16 +25,22 @@ from repro.scenarios.backends import (
 )
 from repro.sim import kernel as kernel_mod
 from repro.sim.compiled import _make_stepper, compile_agent, solve_all_delays
+from repro.sim.delays import sweep_choices
 from repro.sim.kernel import (
     KernelUnsupported,
     agent_table,
     kernel_available,
+    kernel_enabled,
     run_pairs_kernel,
     solve_all_delays_auto,
     solve_all_delays_kernel,
+    solve_gathering_auto,
+    solve_gathering_kernel,
     table_cache_key,
 )
 from repro.sim.traced import run_pairs_traced, run_rendezvous_traced
+from repro.telemetry import Telemetry
+from repro.telemetry import use as use_telemetry
 from repro.trees import edge_colored_line, line
 from repro.trees.builders import complete_binary_tree, random_tree, star
 
@@ -103,25 +109,92 @@ def test_oversized_table_raises_unsupported(monkeypatch):
         agent_table(pausing_walker(2), edge_colored_line(9))
 
 
-def test_auto_falls_back_on_oversized_table(monkeypatch):
+@pytest.fixture
+def no_lane_gate(monkeypatch):
+    """Send every fault-free grid to the kernel, however small, so the
+    small test grids exercise the kernel path they are named for."""
+    monkeypatch.setattr(kernel_mod, "_MIN_KERNEL_LANES", 0)
+
+
+def _dispatch_counters(fn):
+    """Run ``fn`` under a fresh telemetry context; its kernel dispatch
+    and fallback counters."""
+    telem = Telemetry()
+    with use_telemetry(telem):
+        fn()
+    return {
+        k: v for k, v in telem.counters.items()
+        if k.startswith(("kernel.dispatch.", "kernel.fallback."))
+    }
+
+
+def test_auto_falls_back_on_oversized_table(monkeypatch, no_lane_gate):
     tree = edge_colored_line(9)
     agent = pausing_walker(2)
     expected = solve_all_delays(tree, agent, 0, 5, max_delay=4)
     monkeypatch.setattr(kernel_mod, "_MAX_TABLE_ENTRIES", 10)
-    assert solve_all_delays_auto(tree, agent, 0, 5, max_delay=4) == expected
+    got = []
+    counters = _dispatch_counters(lambda: got.extend(
+        solve_all_delays_auto(tree, agent, 0, 5, max_delay=4)
+    ))
+    assert got == expected
+    assert counters["kernel.fallback.KernelUnsupported"] == 1
+    assert counters["kernel.dispatch.delays.dict"] == 1
 
 
-def test_kill_switch(monkeypatch):
+def test_kill_switch(monkeypatch, no_lane_gate):
     tree = edge_colored_line(7)
     agent = pausing_walker(1)
+    expected = solve_all_delays(tree, agent, 0, 4, max_delay=3)
+    # without the switch this very call rides the kernel ...
+    counters = _dispatch_counters(
+        lambda: solve_all_delays_auto(tree, agent, 0, 4, max_delay=3)
+    )
+    assert counters == {"kernel.dispatch.delays.kernel": 1}
+    # ... and with it the kernel refuses and auto never tries it
     monkeypatch.setenv("REPRO_KERNEL", "0")
     assert not kernel_available()
+    assert not kernel_enabled()
     with pytest.raises(KernelUnsupported):
         solve_all_delays_kernel(tree, agent, 0, 4, max_delay=3)
-    # the auto wrapper still answers, via the dict solver
-    assert solve_all_delays_auto(
-        tree, agent, 0, 4, max_delay=3
-    ) == solve_all_delays(tree, agent, 0, 4, max_delay=3)
+    got = []
+    counters = _dispatch_counters(lambda: got.extend(
+        solve_all_delays_auto(tree, agent, 0, 4, max_delay=3)
+    ))
+    assert got == expected  # the auto wrapper still answers, via dict
+    assert counters == {"kernel.dispatch.delays.dict": 1}
+
+
+def test_grids_below_the_lane_gate_skip_the_kernel():
+    """A fault-free grid under _MIN_KERNEL_LANES goes straight to the
+    dict solver (no kernel attempt, no fallback) with the kernel's
+    verdicts; at the gate it rides the kernel."""
+    tree = edge_colored_line(9)
+    agent = counting_walker(2)
+    max_delay = 16  # 33 choices
+    assert len(sweep_choices(max_delay, (1, 2))) < kernel_mod._MIN_KERNEL_LANES
+    got = []
+    counters = _dispatch_counters(lambda: got.extend(
+        solve_all_delays_auto(tree, agent, 0, 5, max_delay=max_delay)
+    ))
+    assert counters == {"kernel.dispatch.delays.dict": 1}
+    assert got == solve_all_delays_kernel(tree, agent, 0, 5, max_delay=max_delay)
+
+    starts = (0, 3, 8)
+    vectors = [(0, 0, 0), (0, 1, 2), (2, 0, 1)]
+    got = []
+    counters = _dispatch_counters(lambda: got.extend(
+        solve_gathering_auto(tree, agent, starts, vectors)
+    ))
+    assert counters == {"kernel.dispatch.gathering.dict": 1}
+    assert got == solve_gathering_kernel(tree, agent, starts, vectors)
+
+    lanes = kernel_mod._MIN_KERNEL_LANES
+    max_delay = lanes // 2  # 2 * (lanes // 2) + 1 > lanes choices
+    counters = _dispatch_counters(
+        lambda: solve_all_delays_auto(tree, agent, 0, 5, max_delay=max_delay)
+    )
+    assert counters == {"kernel.dispatch.delays.kernel": 1}
 
 
 # ----------------------------------------------------------------------
@@ -304,15 +377,17 @@ def test_solo_prefix_error_past_first_hit_still_raises():
         )
 
 
-def test_kernel_falls_back_when_lane_hits_invalid_entry():
+def test_kernel_falls_back_when_lane_hits_invalid_entry(no_lane_gate):
     """The kernel aborts to the dict solver on _INVALID lanes so genuine
     agent errors surface identically."""
     stayer = Automaton(1, {}, [-1])
-    with pytest.raises(RuntimeError):
+    telem = Telemetry()
+    with use_telemetry(telem), pytest.raises(RuntimeError):
         solve_all_delays_auto(
             line(3), _raising_mover(), 0, 2,
             max_delay=10, delayed_sides=(2,), prototype2=stayer,
         )
+    assert telem.counters["kernel.fallback.KernelUnsupported"] == 1
 
 
 def test_grid_budget_scales_per_pair():
