@@ -65,8 +65,8 @@ def _environment_provenance() -> dict:
     """Interpreter, platform, numpy and kernel-cache provenance — the
     columns the service-shaped result store will key on.
 
-    Cheap by design (every miss run pays it): it imports nothing and
-    spawns nothing.  ``numpy`` is the version of the numpy this process
+    Cheap by design (every miss run pays it): it neither imports numpy
+    nor spawns a process.  ``numpy`` is the version of the numpy this process
     loaded — ``None`` when no vector path ran (or numpy is absent), so a
     reader can tell which tier even could have run.
     ``kernel.enabled`` is "not disabled and numpy importable", from a
