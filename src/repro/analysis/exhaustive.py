@@ -7,12 +7,13 @@ These sweep *every* non-isomorphic tree up to a size bound:
   Theorem 4.1 agent must meet;
 - :func:`verify_fact_11_impossibility`: on every perfectly symmetrizable
   pair there is a labeling making the positions symmetric; under that
-  labeling the two agents provably mirror each other forever, and we check
-  they do not meet within a generous budget (the reference engine has no
-  finite configuration certificate for program agents, so this direction
-  is observational here — the certified direction lives in
-  :mod:`repro.lowerbounds`, and the lowered backend can additionally
-  certify such runs when the traced machine state lassos).
+  labeling a port-preserving automorphism ``f`` carries one start to the
+  other, so two identical agents started together see the same
+  observations forever and agent 2 always sits at ``f`` of agent 1's
+  node.  ``f`` fixes no node, so they never meet.  Each run asks for
+  ``certify=True``, and every engine tier turns that argument into a
+  :class:`~repro.sim.certificates.SymmetryCertificate` before round 1;
+  an instance counts as a failure unless it comes back certified-never.
 
 Both functions return structured reports; the test-suite asserts their
 verdicts, and the CLI exposes them for users who want to re-run the
@@ -114,11 +115,12 @@ def verify_fact_11_impossibility(
     engine=None,
 ) -> ExhaustiveReport:
     """For every perfectly symmetrizable pair, find a witnessing symmetric
-    labeling and observe that the Theorem 4.1 agents do not meet on it.
+    labeling and certify that the Theorem 4.1 agents never meet on it.
 
     The witnessing labeling is found by exhausting labelings on small trees
     (perfect symmetrizability guarantees one exists); symmetry with respect
-    to the labeling is re-checked before the run.
+    to the labeling is re-checked before the run.  ``budget_rounds`` only
+    matters to an engine that cannot certify symmetry.
     """
     from ..core.algorithm import rendezvous_agent
     from ..trees.labelings import all_labelings
@@ -149,8 +151,9 @@ def verify_fact_11_impossibility(
                         u,
                         v,
                         max_rounds=budget_rounds,
+                        certify=True,
                     )
-                    if out.met:
+                    if not out.certified_never:
                         report.failures.append((n, u, v, labeled))
                 if not remaining:
                     break

@@ -43,7 +43,13 @@ from .batch import (
     run_batch,
     run_gathering_batch,
 )
-from .certificates import JointConfig, NonMeetingCertificate, build_certificate
+from .certificates import (
+    JointConfig,
+    NonMeetingCertificate,
+    SymmetryCertificate,
+    build_certificate,
+    symmetry_certificate,
+)
 from .compiled import (
     CompiledAgent,
     DelayVerdict,
@@ -133,6 +139,8 @@ __all__ = [
     "NonMeetingCertificate",
     "JointConfig",
     "build_certificate",
+    "SymmetryCertificate",
+    "symmetry_certificate",
     "GatheringOutcome",
     "GatheringVerdict",
     "run_gathering",

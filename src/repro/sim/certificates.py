@@ -15,18 +15,38 @@ Together these prove the agents never meet, ever.  The lower-bound
 builders attach certificates to their instances; tests and users can call
 ``certificate.verify()`` at any time, e.g. after deserializing an instance
 from JSON.
+
+A :class:`SymmetryCertificate` is the paper's Fact 1.1 as a proof object,
+and it needs no run at all.  It records a port-preserving automorphism
+``f`` of the tree with ``f(start1) = start2``.  Two identical
+deterministic agents started together at ``start1`` and ``start2`` see
+the same degree and entry port in every round, so they take the same
+action and stay ``f``-related: agent 2 is always at ``f`` of agent 1's
+node.  ``f`` has no fixed node, so the agents never meet.  The argument
+holds for any agent (automaton or register program), but only with
+delay 0, identical agents and no faults.  Every engine tier's
+``certify=True`` path returns this verdict before round 1 (see
+:func:`symmetry_certificate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from ..agents.automaton import Automaton
 from ..agents.observations import NULL_PORT, STAY, resolve_action
 from ..errors import SimulationError
+from ..trees.automorphism import port_preserving_automorphism
 from ..trees.tree import Tree
 
-__all__ = ["JointConfig", "NonMeetingCertificate", "build_certificate"]
+__all__ = [
+    "JointConfig",
+    "NonMeetingCertificate",
+    "SymmetryCertificate",
+    "build_certificate",
+    "symmetry_certificate",
+]
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,69 @@ class NonMeetingCertificate:
             (rec.pos1, rec.pos2) == (target.pos1, target.pos2)
             for rec in outcome.trace.records
         )
+
+
+class SymmetryCertificate(NamedTuple):
+    """Fact 1.1: a port-preserving involution carrying ``start1`` to
+    ``start2`` proves that two identical agents started together there
+    never meet.
+
+    ``mapping[x]`` is ``f(x)``.  The proof covers the simultaneous-start,
+    identical-agent, fault-free instance only: a delay or a fault breaks
+    the lockstep, and two different agents need not act alike.
+    """
+
+    # A NamedTuple rather than a frozen dataclass: this module is
+    # imported with repro.sim, and a dataclass costs every process about
+    # 2.5 ms to create.
+
+    tree: Tree
+    start1: int
+    start2: int
+    mapping: tuple[int, ...]
+
+    def verify(self) -> bool:
+        """Re-check ``f`` edge by edge, without the builder's search.
+
+        ``f`` must be a fixed-point-free involution of the nodes that
+        carries ``start1`` to ``start2`` and maps every edge leaving
+        ``x`` by port ``p`` to the edge leaving ``f(x)`` by port ``p``.
+        Checked at every node, that covers both ends of every edge.
+        """
+        tree, f = self.tree, self.mapping
+        n = tree.n
+        if len(f) != n or not (0 <= self.start1 < n and 0 <= self.start2 < n):
+            return False
+        if f[self.start1] != self.start2:
+            return False
+        for x, fx in enumerate(f):
+            if not 0 <= fx < n or fx == x or f[fx] != x:
+                return False
+            if tree.neighbors(fx) != tuple(f[y] for y in tree.neighbors(x)):
+                return False
+        return True
+
+
+def symmetry_certificate(
+    tree: Tree, start1: int, start2: int
+) -> Optional[SymmetryCertificate]:
+    """The :class:`SymmetryCertificate` for ``(start1, start2)``, or
+    ``None`` when the tree's labeling has no port-preserving automorphism
+    carrying one start to the other.  O(n).
+
+    The caller owns the other premises: delay 0, identical agents and
+    an empty fault plan.
+    """
+    # A fixed-point-free involution needs an even node count, and f
+    # preserves degrees.
+    if start1 == start2 or tree.n % 2 or tree.degree(start1) != tree.degree(start2):
+        return None
+    f = port_preserving_automorphism(tree)
+    if f is None or f[start1] != start2:
+        return None
+    return SymmetryCertificate(
+        tree, start1, start2, tuple(f[x] for x in range(tree.n))
+    )
 
 
 def build_certificate(

@@ -228,8 +228,9 @@ def run_rendezvous_compiled(
 ) -> RendezvousOutcome:
     """Table-driven replay of :func:`repro.sim.engine.run_rendezvous`.
 
-    Semantics are identical to the reference engine; non-meeting
-    certification uses Brent cycle detection on the joint configuration
+    Semantics are identical to the reference engine, including the
+    symmetry certificate before round 1; non-meeting certification by
+    recurrence uses Brent cycle detection on the joint configuration
     (O(1) memory) instead of a ``seen`` set.
 
     ``prototype2`` (default: ``prototype``) lets the two agents run
@@ -265,6 +266,14 @@ def run_rendezvous_compiled(
             True, 0, start1, 0, False, 0, trace,
             _final_agents(prototype, 0, False, 0, False, prototype2),
         )
+    if certify and delay == 0 and not plan and prototype2 is None:
+        from .certificates import symmetry_certificate
+
+        if symmetry_certificate(tree, start1, start2) is not None:
+            return RendezvousOutcome(
+                False, None, None, 0, True, 0, trace,
+                _final_agents(prototype, 0, False, 0, False),
+            )
 
     compiled = compile_agent(prototype, tree)
     compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)

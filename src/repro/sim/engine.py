@@ -18,7 +18,13 @@ joint configuration ``(pos1, state1, obs1, pos2, state2, obs2)`` after a
 round determines the entire future; if a configuration recurs with no
 meeting in between, the execution is periodic and the agents provably never
 meet.  The engine detects this when ``certify=True`` and both agents expose
-a hashable ``state`` attribute (explicit automata do).
+a hashable ``state`` attribute (explicit automata do).  For any agent, a
+``certify=True`` run with delay 0 and no faults first asks for a
+:class:`~repro.sim.certificates.SymmetryCertificate` (the paper's Fact
+1.1): if a port-preserving automorphism carries one start to the other,
+the run returns certified-never before round 1, with
+``rounds_executed == 0``, ``crossings == 0`` and unexecuted agent clones.
+Every engine tier applies the same rule, so their verdicts agree.
 
 Faults (:mod:`repro.sim.faults`) run in the same loop: a fault-free run
 is the empty plan.  The loop re-reads the plan only at its event rounds
@@ -108,8 +114,10 @@ def run_rendezvous(
     max_rounds:
         Hard budget; the outcome is ``undecided`` if it is exhausted.
     certify:
-        Detect configuration recurrence to certify non-meeting (finite-state
-        agents only; silently ignored when agents expose no ``state``).
+        Certify non-meeting: from symmetry before round 1 (delay 0, no
+        faults, any agent), else by configuration recurrence
+        (finite-state agents only; skipped when agents expose no
+        ``state``).
     record_trace:
         Fill in a full :class:`~repro.sim.trace.Trace`.
     faults:
@@ -134,6 +142,13 @@ def run_rendezvous(
 
     if start1 == start2:
         return RendezvousOutcome(True, 0, start1, 0, False, 0, trace, (a1.agent, a2.agent))
+    if certify and delay == 0 and not plan:
+        from .certificates import symmetry_certificate
+
+        if symmetry_certificate(tree, start1, start2) is not None:
+            return RendezvousOutcome(
+                False, None, None, 0, True, 0, trace, (a1.agent, a2.agent)
+            )
 
     certifiable = certify and all(
         getattr(a.agent, "state", None) is not None for a in (a1, a2)

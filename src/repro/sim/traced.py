@@ -828,10 +828,12 @@ def run_rendezvous_traced(
     Verdict parity follows the compiled backend's contract (``met`` /
     ``meeting_round`` / ``meeting_node`` / ``certified_never`` identical
     to the reference engine; ``rounds_executed`` of a certified run may
-    differ).  Certification compares folded trace indices and therefore
-    needs both traces lassoed; an unlassoed trace leaves the run honestly
-    undecided at the budget.  ``outcome.agents`` are fresh clones (see
-    the module docstring).
+    differ).  A delay-0 symmetric instance is certified before round 1
+    from its :class:`~repro.sim.certificates.SymmetryCertificate`, as on
+    every tier.  Otherwise certification compares folded trace indices
+    and therefore needs both traces lassoed; an unlassoed trace leaves
+    the run honestly undecided at the budget.  ``outcome.agents`` are
+    fresh clones (see the module docstring).
     """
     if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
         raise SimulationError("start nodes outside the tree")
@@ -845,6 +847,14 @@ def run_rendezvous_traced(
         return RendezvousOutcome(
             True, 0, start1, 0, False, 0, trace_log, _fresh_agents(prototype, 2)
         )
+    if certify and delay == 0:
+        from .certificates import symmetry_certificate
+
+        if symmetry_certificate(tree, start1, start2) is not None:
+            return RendezvousOutcome(
+                False, None, None, 0, True, 0, trace_log,
+                _fresh_agents(prototype, 2),
+            )
 
     t1 = solo_trace(tree, prototype, start1, cache=cache)
     t2 = solo_trace(tree, prototype, start2, cache=cache)

@@ -252,16 +252,97 @@ def random_bounded_degree_tree(
 def all_trees(num_nodes: int) -> list[Tree]:
     """All non-isomorphic trees on ``num_nodes`` nodes (canonical ports).
 
-    Uses :func:`networkx.nonisomorphic_trees`; intended for exhaustive
-    small-instance testing (n <= 10 or so).
+    Intended for exhaustive small-instance testing (n <= 12 or so).  The
+    trees come from the Wright–Richmond–Odlyzko–McKay (WROM) generator,
+    which walks the canonical level sequences of free trees in constant
+    amortized time per tree.  Node ``i`` is entry ``i`` of the level
+    sequence (a preorder from a central root, node 0), for every n.
+    Ports: at every other node port 0 leads to the parent, and the
+    children follow in preorder.  This is networkx's
+    ``nonisomorphic_trees`` read through :meth:`Tree.from_networkx`:
+    the same trees in the same order, numbering and labeling (tested up
+    to n = 10).
     """
-    import networkx as nx
-
+    if num_nodes < 0:
+        raise InvalidTreeError("num_nodes must be >= 0")
+    if num_nodes == 0:
+        return []
     if num_nodes == 1:
         return [Tree([[]], validate=False)]
-    if num_nodes == 2:
-        return [line(2)]
-    return [Tree.from_networkx(g) for g in nx.nonisomorphic_trees(num_nodes)]
+    return [_level_sequence_tree(seq) for seq in _free_level_sequences(num_nodes)]
+
+
+def _free_level_sequences(n: int):
+    """Yield the WROM-canonical level sequence of every free tree on
+    ``n >= 2`` nodes, starting from the path rooted at its center."""
+    seq: Optional[list[int]] = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _next_free(seq)
+        if seq is not None:
+            yield seq
+            seq = _next_rooted(seq)
+
+
+def _next_rooted(seq: list[int], p: Optional[int] = None) -> Optional[list[int]]:
+    """The Beyer–Hedetniemi successor of a rooted level sequence (None
+    after the last one).  ``p`` forces the position that is decremented."""
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    nxt = list(seq)
+    for i in range(p, len(nxt)):
+        nxt[i] = nxt[i - p + q]
+    return nxt
+
+
+def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
+    """(the root's first subtree, the tree without it), both as level
+    sequences rooted at level 0."""
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [level - 1 for level in seq[1:m]], [0] + seq[m:]
+
+
+def _next_free(seq: list[int]) -> Optional[list[int]]:
+    """``seq`` if it is the canonical rooting of a free tree, else the
+    next rooted sequence that can be.
+
+    Canonical: the first subtree is no higher than the rest of the tree
+    and, at equal height, no larger, and no later lexicographically.
+    """
+    first, rest = _split_first_subtree(seq)
+    h_first, h_rest = max(first), max(rest)
+    if h_rest > h_first or (
+        h_rest == h_first and (len(first), first) <= (len(rest), rest)
+    ):
+        return seq
+    p = len(first)
+    nxt = _next_rooted(seq, p)
+    if nxt is not None and seq[p] > 2:
+        h = max(_split_first_subtree(nxt)[0])
+        nxt[-(h + 1):] = range(1, h + 2)
+    return nxt
+
+
+def _level_sequence_tree(seq: list[int]) -> Tree:
+    """The tree of a level sequence: each node's parent is the last
+    earlier node one level up."""
+    n = len(seq)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    stack: list[int] = []
+    for i, level in enumerate(seq):
+        while stack and seq[stack[-1]] >= level:
+            stack.pop()
+        if stack:
+            adj[stack[-1]].append(i)
+            adj[i].append(stack[-1])
+        stack.append(i)
+    return Tree(adj)
 
 
 def subdivide(tree: Tree, times: int = 1) -> Tree:

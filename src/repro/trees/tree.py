@@ -385,10 +385,15 @@ class Tree:
     def from_networkx(cls, g) -> "Tree":
         """Build from a networkx tree; ports follow adjacency order.
 
-        Nodes must be hashable; they are renumbered ``0 .. n-1`` in sorted
-        order of their string representation for determinism.
+        Nodes are renumbered ``0 .. n-1`` in sorted order, so integer
+        nodes keep their numeric order (node ``i`` of ``0 .. n-1`` stays
+        node ``i``).  Nodes that do not compare with each other fall back
+        to the order of their ``repr``, for determinism.
         """
-        nodes = sorted(g.nodes(), key=repr)
+        try:
+            nodes = sorted(g.nodes())
+        except TypeError:
+            nodes = sorted(g.nodes(), key=repr)
         index = {v: i for i, v in enumerate(nodes)}
         edges = [(index[u], index[v]) for u, v in g.edges()]
         return cls.from_edges(len(nodes), edges)

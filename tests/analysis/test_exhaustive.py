@@ -1,6 +1,7 @@
 """Tests for the exhaustive verifiers (Thm 4.1 / Fact 1.1)."""
 
 from repro.analysis import verify_fact_11_impossibility, verify_theorem_41
+from repro.sim import run_rendezvous
 
 
 class TestVerifyTheorem41:
@@ -29,3 +30,16 @@ class TestVerifyFact11:
         report = verify_fact_11_impossibility(max_n=2, budget_rounds=2_000)
         assert report.ok
         assert report.instances == 1  # the single mirror pair of the edge
+
+    def test_an_uncertified_run_counts_as_a_failure(self):
+        # running out the budget without meeting is only an observation;
+        # the check asks every engine for the certified verdict
+        def observe_only(tree, agent, u, v, **kwargs):
+            kwargs["certify"] = False
+            return run_rendezvous(tree, agent, u, v, **kwargs)
+
+        report = verify_fact_11_impossibility(
+            max_n=4, budget_rounds=500, engine=observe_only
+        )
+        assert report.instances == 3  # the 2-node edge, two 4-path pairs
+        assert len(report.failures) == 3

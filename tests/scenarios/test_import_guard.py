@@ -1,7 +1,8 @@
 """Fresh-process guards on what a scenario run imports.
 
 numpy is loaded only where a vector path runs (kernel sweeps above the
-auto lane gate, traced vector scans), and the result provenance never
+auto lane gate, traced vector scans), networkx is never loaded by a
+scenario (it is optional interop only), and the result provenance never
 spawns a process.  ``sys.modules`` is process-wide, so each case runs
 in its own interpreter.
 """
@@ -142,3 +143,53 @@ def test_missing_numpy_degrades_to_the_dict_solver():
     assert out["rows"] == 1025
     assert out["environment"]["numpy"] is None
     assert out["environment"]["kernel"]["enabled"] is False
+
+
+EXHAUSTIVE_SCENARIOS = """
+import json, sys
+from repro.scenarios import Runner
+
+rows = {name: Runner().run(name).rows for name in ("verify-small", "atlas")}
+print(json.dumps({
+    "networkx": "networkx" in sys.modules,
+    "fact11": rows["verify-small"][1],
+    "atlas_trees": len(rows["atlas"]),
+}))
+"""
+
+
+def test_exhaustive_scenarios_do_not_load_networkx():
+    # all_trees enumerates with an in-repo generator; networkx is only an
+    # optional interop dependency of Tree.to_networkx/from_networkx
+    out = run_fresh(EXHAUSTIVE_SCENARIOS)
+    assert not out["networkx"]
+    assert out["fact11"] == {
+        "check": "fact11", "trees": 13, "instances": 11, "failures": 0,
+    }
+    assert out["atlas_trees"] == 11
+
+
+def test_only_tree_interop_imports_networkx():
+    import ast
+
+    importers = []
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "networkx" for m in modules):
+                importers.append((path, where))
+            visit(child, path, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(),
+              "<module>")
+    assert importers == [("repro/trees/tree.py", "to_networkx")]

@@ -230,19 +230,30 @@ class TestTracedRuns:
             )
 
     def test_certifies_never_meeting_program_agents(self):
-        # the reference engine cannot certify programs (no finite state
-        # attribute); the traced backend can, via machine-state lassos
         t = edge_colored_line(4)
         f = port_preserving_automorphism(t)
         u = 0
+        # delay 0 on a symmetric pair: every tier, the reference engine
+        # included, certifies from the automorphism before round 1
         ref = run_rendezvous(
             t, baseline_agent(), u, f[u], max_rounds=50_000, certify=True
         )
+        assert ref.certified_never and ref.rounds_executed == 0
+        # a delay breaks the symmetry argument: the reference engine has
+        # no finite state to certify programs with and runs out its
+        # budget, while the traced backend certifies via machine-state
+        # lassos
+        ref = run_rendezvous(
+            t, baseline_agent(), u, f[u], delay=2, max_rounds=50_000,
+            certify=True,
+        )
         low = run_rendezvous_traced(
-            t, baseline_agent(), u, f[u], max_rounds=50_000, certify=True
+            t, baseline_agent(), u, f[u], delay=2, max_rounds=50_000,
+            certify=True,
         )
         assert ref.undecided  # the oracle can only run out its budget
         assert low.certified_never  # lowering turns that into proof
+        assert low.rounds_executed > 0  # by the lasso, not the symmetry
 
     def test_record_trace_matches_reference(self):
         t = line(7)

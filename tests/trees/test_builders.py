@@ -1,11 +1,14 @@
 """Unit tests for tree family builders."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.errors import InvalidTreeError
 from repro.trees import (
+    Tree,
     all_trees,
     binomial_tree,
     broom,
@@ -130,16 +133,49 @@ class TestRandomFamilies:
             random_bounded_degree_tree(5, 1)
 
 
+def _port_rows(trees):
+    return [[list(t.neighbors(u)) for u in range(t.n)] for t in trees]
+
+
 class TestExhaustiveEnumeration:
     def test_counts_match_oeis(self):
-        # Number of non-isomorphic trees on n nodes: 1, 1, 1, 2, 3, 6, 11, 23
-        expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
-        for n, count in expected.items():
-            assert len(all_trees(n)) == count
+        # OEIS A000055: the number of non-isomorphic trees on n nodes
+        expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+        assert [len(all_trees(n)) for n in range(1, 13)] == expected
+
+    def test_pairwise_nonisomorphic(self):
+        from repro.trees.automorphism import canonical_form
+
+        for n in range(1, 11):
+            forms = {canonical_form(t) for t in all_trees(n)}
+            assert len(forms) == len(all_trees(n))
+
+    def test_port_labelled_trees_are_pinned(self):
+        # Order, node numbering and ports of every tree up to n = 8: the
+        # exhaustive checks and the atlas rows index trees by position.
+        rows = _port_rows(t for n in range(1, 9) for t in all_trees(n))
+        assert len(rows) == 48
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == (
+            "d81fc343a09c0975f55d6104d593ded94bfdd893910ab53114a07871120ab701"
+        )
+
+    def test_degenerate_sizes(self):
+        assert all_trees(0) == []
+        assert _port_rows(all_trees(1)) == [[[]]]
+        assert all_trees(2) == [line(2)]
+        with pytest.raises(InvalidTreeError):
+            all_trees(-1)
 
     def test_all_valid(self):
         for t in all_trees(7):
             assert t.n == 7
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_networkx_order_and_ports(self, n):
+        nx = pytest.importorskip("networkx")
+        expected = [Tree.from_networkx(g) for g in nx.nonisomorphic_trees(n)]
+        assert _port_rows(all_trees(n)) == _port_rows(expected)
 
 
 class TestExtendedFamilies:

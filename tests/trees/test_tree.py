@@ -149,12 +149,31 @@ class TestTransforms:
 
 class TestInterop:
     def test_networkx_round_trip(self):
+        pytest.importorskip("networkx")
         t = star(3)
         g = t.to_networkx()
         assert g.number_of_nodes() == 4
         t2 = Tree.from_networkx(g)
         assert t2.n == 4
         assert t2.num_leaves == 3
+
+    def test_from_networkx_keeps_integer_node_numbers(self):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_nodes_from(reversed(range(12)))
+        g.add_edges_from((i, i + 1) for i in range(11))
+        t = Tree.from_networkx(g)
+        # node i stays node i: 10 and 11 are not sorted before 2 by repr
+        assert [t.degree(i) for i in range(12)] == [1] + [2] * 10 + [1]
+        assert all(t.distance(i, i + 1) == 1 for i in range(11))
+
+    def test_from_networkx_orders_incomparable_nodes_by_repr(self):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph([("b", 1), (1, ("a",))])
+        t = Tree.from_networkx(g)
+        # repr order: "'b'" < "('a',)" < "1"
+        assert t.degree(2) == 2
+        assert t.neighbors(2) == (0, 1)
 
     def test_equality_and_hash(self):
         a = line(4)
