@@ -5,13 +5,9 @@ PY := PYTHONPATH=src python
 RESULTS_TMP ?= /tmp
 BENCH_BASELINE := $(RESULTS_TMP)/BENCH_engine.baseline.json
 GOLDEN_TMP := $(RESULTS_TMP)/repro-golden-check
-GOLDEN_SCENARIOS := verify-small gathering-line-k3 thm31-sweep atlas-programs \
-        rendezvous-relabel-line gathering-crash-k3 delays-line delays-line-long \
-        gathering-line-k4 gathering-spider-k3 gathering-binary-k4 \
-        memory-vs-leaves memory-vs-n gap-table prime-memory explo-cost \
-        ablation-reps atlas baseline-delays gathering-spider minimization \
-        prime-rounds success-families thm31-random thm42-random thm42-sweep \
-        thm43 thm43-collisions tradeoff-reps
+# One golden per registered scenario (a test pins the one-to-one match),
+# so the golden directory itself is the list.
+GOLDEN_SCENARIOS := $(basename $(notdir $(wildcard benchmarks/results/golden/*.json)))
 # The results the committed v0 atlas fixture holds (atlas-smoke migration).
 ATLAS_FIXTURE_SCENARIOS := verify-small gathering-line-k3 thm31-sweep \
         atlas-programs rendezvous-relabel-line gathering-crash-k3

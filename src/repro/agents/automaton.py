@@ -154,9 +154,10 @@ class LineAutomaton(Automaton):
     def __reduce__(self):
         # The transition closure defined in __init__ is not picklable, but
         # the automaton is fully determined by its constructor arguments —
-        # required for the multiprocessing fan-out in repro.sim.batch.  The
-        # runtime state rides along so a pickled mid-run agent (e.g. in a
-        # returned outcome) round-trips exactly.
+        # required for jobs to cross into the process pool in
+        # repro.sim.supervise (and for its pickle-based job fingerprints).
+        # The runtime state rides along so a pickled mid-run agent
+        # round-trips exactly.
         return (
             LineAutomaton,
             (self._deg_table, self.output, self.initial_state),

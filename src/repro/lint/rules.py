@@ -466,22 +466,21 @@ class PicklabilityRule(FileRule):
     """RPR004: lambdas and locally-defined functions must not flow into
     the multiprocessing fan-out entry points.
 
-    The pools pickle every job; an unpicklable payload either crashes
-    the pool or silently forces the serial fallback — both discovered at
-    runtime, deep inside a sweep.  Flag it at the call site instead.
+    The supervised pool pickles every job; an unpicklable payload
+    silently forces the whole batch onto the serial path, with no
+    parallelism and no timeout preemption — discovered at runtime, deep
+    inside a sweep.  Flag it at the call site instead.
     """
 
     code = "RPR004"
     name = "picklability"
     contract = (
         "no lambdas/locally-defined functions passed into batch fan-out "
-        "entry points (run_batch*, *Job, supervised pools)"
+        "entry points (run_*batch_supervised, *Job)"
     )
 
     #: Call targets whose arguments cross a process boundary.
     BATCH_ENTRY_POINTS = frozenset({
-        "run_batch",
-        "run_gathering_batch",
         "run_batch_supervised",
         "run_gathering_batch_supervised",
         "BatchJob",

@@ -19,8 +19,9 @@ Every rendezvous or gathering run a scenario performs goes through a
   (:mod:`repro.sim.traced`): per-run execution replays shared solo
   traces, and the exact sweeps roll lassoed traces into per-(tree,
   start) automata for the product solvers;
-- :class:`BatchedBackend` — the compiled dispatch fanned out over a
-  process pool (:mod:`repro.sim.batch`) for independent-run grids;
+- :class:`BatchedBackend` — the compiled dispatch fanned out over the
+  supervised process pool (:mod:`repro.sim.supervise`) for
+  independent-run grids;
 - :class:`AutoBackend` — per-call selection via
   :func:`repro.sim.compiled.supports_compilation`: automata ride the
   compiled backend natively ("native"), register programs ride it
@@ -70,7 +71,7 @@ from typing import Optional, Sequence
 from ..agents.lowering import lowered_for
 from ..agents.observations import AgentBase
 from ..errors import BudgetExceededError, LoweringError
-from ..sim.batch import BatchJob, GatheringJob, run_batch, run_gathering_batch
+from ..sim.batch import BatchJob, GatheringJob
 from ..sim.compiled import (
     run_rendezvous_compiled,
     run_rendezvous_fast,
@@ -561,10 +562,12 @@ class AutoBackend(Backend):
 class BatchedBackend(AutoBackend):
     """Auto dispatch per run, multiprocess fan-out for independent grids.
 
-    With ``timeout=`` and/or ``checkpoint=`` set, grids run under the
-    supervised pool (:mod:`repro.sim.supervise`): per-job wall-clock
-    preemption, ``retries`` bounded retries with backoff, dead-worker
-    respawn, and checkpointed resume.  A job that still fails after its
+    Grids run under the supervised pool (:mod:`repro.sim.supervise`) with
+    the backend's ``processes``, ``timeout``, ``retries`` and
+    ``checkpoint``: per-job wall-clock preemption when ``timeout`` is
+    set, bounded retries with backoff, dead-worker respawn, and
+    checkpointed resume when ``checkpoint`` is set.  Pooled outcomes
+    carry no trace and no agents.  A job that still fails after its
     retries raises :class:`~repro.scenarios.spec.ScenarioError` naming
     every failed slot — a grid result must never silently hold holes.
     """
@@ -584,38 +587,26 @@ class BatchedBackend(AutoBackend):
         self.retries = retries
         self.checkpoint = checkpoint
 
-    @property
-    def _supervised(self) -> bool:
-        return self.timeout is not None or self.checkpoint is not None
-
     @staticmethod
     def _settled(results):
         failures = [r for r in results if isinstance(r, JobFailure)]
         if failures:
-            detail = "; ".join(
-                f"job {f.index}: {f.kind} after {f.attempts} attempt(s) ({f.message})"
-                for f in failures
-            )
-            raise ScenarioError(f"{len(failures)} batch job(s) failed: {detail}")
+            raise ScenarioError(JobFailure.summarize(failures))
         return results
 
     def run_many(self, jobs: Sequence[BatchJob]) -> list[RendezvousOutcome]:
-        if self._supervised:
-            return self._settled(run_batch_supervised(
-                jobs, processes=self.processes, timeout=self.timeout,
-                retries=self.retries, checkpoint=self.checkpoint,
-            ))
-        return run_batch(jobs, processes=self.processes)
+        return self._settled(run_batch_supervised(
+            jobs, processes=self.processes, timeout=self.timeout,
+            retries=self.retries, checkpoint=self.checkpoint,
+        ))
 
     def run_gathering_many(
         self, jobs: Sequence[GatheringJob]
     ) -> list[GatheringOutcome]:
-        if self._supervised:
-            return self._settled(run_gathering_batch_supervised(
-                jobs, processes=self.processes, timeout=self.timeout,
-                retries=self.retries, checkpoint=self.checkpoint,
-            ))
-        return run_gathering_batch(jobs, processes=self.processes)
+        return self._settled(run_gathering_batch_supervised(
+            jobs, processes=self.processes, timeout=self.timeout,
+            retries=self.retries, checkpoint=self.checkpoint,
+        ))
 
 
 def select_backend(

@@ -36,13 +36,7 @@ from .adversary import (
     feasible_start_pairs,
     labelings_for,
 )
-from .batch import (
-    BatchJob,
-    GatheringJob,
-    derive_seed,
-    run_batch,
-    run_gathering_batch,
-)
+from .batch import BatchJob, GatheringJob, derive_seed
 from .certificates import (
     JointConfig,
     NonMeetingCertificate,
@@ -121,8 +115,6 @@ __all__ = [
     "DelayVerdict",
     "BatchJob",
     "GatheringJob",
-    "run_batch",
-    "run_gathering_batch",
     "derive_seed",
     "FaultPlan",
     "CrashFault",

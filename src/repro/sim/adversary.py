@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..agents.observations import AgentBase
+from ..errors import SimulationError
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.labelings import all_labelings, random_relabel
 from ..trees.tree import Tree
-from .batch import BatchJob, derive_seed, run_batch
+from .batch import BatchJob, derive_seed
 from .compiled import run_rendezvous_fast
 from .engine import RendezvousOutcome
+from .supervise import JobFailure, run_batch_supervised
 
 __all__ = [
     "all_start_pairs",
@@ -121,9 +123,12 @@ def adversarial_search(
     same pair list applies to every relabeling.
 
     Finite-state prototypes run on the compiled backend automatically.
-    ``processes`` > 1 fans the sweep out over a process pool
-    (:mod:`repro.sim.batch`); it is ignored when ``stop_at_first_failure``
-    is set, since early exit needs sequential results anyway.
+    ``processes`` > 1 fans the sweep out over the supervised process pool
+    (:mod:`repro.sim.supervise`); it is ignored when
+    ``stop_at_first_failure`` is set, since early exit needs sequential
+    results anyway.  Pooled outcomes carry no trace and no agents, and a
+    job that fails in the pool raises :class:`~repro.errors.
+    SimulationError` naming every failed slot.
 
     ``seed`` (optional) derives one per-instance RNG seed
     (:func:`repro.sim.batch.derive_seed`) and threads it through the
@@ -149,7 +154,11 @@ def adversarial_search(
                      max_rounds=max_rounds, certify=certify, seed=job_seed(idx))
             for idx, (t, u, v, d, side) in enumerate(grid)
         ]
-        for (t, u, v, d, side), outcome in zip(grid, run_batch(jobs, processes=processes)):
+        outcomes = run_batch_supervised(jobs, processes=processes)
+        failures = [o for o in outcomes if isinstance(o, JobFailure)]
+        if failures:
+            raise SimulationError(JobFailure.summarize(failures))
+        for (t, u, v, d, side), outcome in zip(grid, outcomes):
             report.record(FailedInstance(t, u, v, d, side, outcome))
         return report
     # seeded serial runs must not leak deterministic state to the caller

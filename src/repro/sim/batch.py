@@ -1,42 +1,27 @@
-"""Multiprocessing fan-out for simulation sweeps.
+"""Job descriptions for simulation sweeps.
 
 The adversarial sweeps (labelings × start pairs × delays) and the
 gathering grids (start sets × per-agent delay vectors) are
 embarrassingly parallel: every run is independent and the inputs are
-small.  This module fans lists of :class:`BatchJob` /
-:class:`GatheringJob` descriptions out over a process pool, routing each
-job through the fast backend dispatch
+small.  A :class:`BatchJob` / :class:`GatheringJob` describes one such
+run as plain picklable data; :func:`_run_job` / :func:`_run_gathering_job`
+execute it through the fast backend dispatch
 (:func:`repro.sim.compiled.run_rendezvous_fast` /
-:func:`repro.sim.multi.run_gathering`).
-
-Robustness over raw throughput:
-
-- ``processes=None`` uses ``os.cpu_count()``; ``processes<=1`` runs the
-  jobs serially in-process (no pool overhead, easier debugging);
-- jobs that cannot be pickled (e.g. agents wrapping closures) make the
-  whole batch fall back to the serial path rather than erroring — results
-  are identical, only slower.  The probe covers *every* job, not just the
-  first: batches are allowed to be heterogeneous, pickling a
-  closure-holding agent raises ``AttributeError``/``TypeError`` rather
-  than ``PicklingError``, and catching those around ``pool.map`` instead
-  would swallow genuine worker exceptions — so the probe is deliberately
-  broad and the pool-failure catch deliberately narrow;
-- results always come back in job order.
+:func:`repro.sim.multi.run_gathering`).  The process pool that fans
+lists of jobs out lives in :mod:`repro.sim.supervise`.
 
 Explicit automata are picklable (:class:`~repro.agents.automaton.
 LineAutomaton` implements ``__reduce__`` for its internal closure);
 register programs generally are not until they are started, but their
-factories may hold lambdas — hence the fallback.
+factories may hold lambdas — the pool runs such batches in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from ..agents.observations import AgentBase
 from ..trees.tree import Tree
@@ -47,12 +32,9 @@ from .multi import GatheringOutcome, run_gathering
 __all__ = [
     "BatchJob",
     "GatheringJob",
-    "run_batch",
-    "run_gathering_batch",
     "derive_seed",
 ]
 
-_J = TypeVar("_J")  # BatchJob | GatheringJob
 _O = TypeVar("_O")
 
 
@@ -159,107 +141,3 @@ def _run_gathering_job(job: GatheringJob) -> GatheringOutcome:
     if job.seed is not None:
         random.seed(job.seed)
     return job.apply(run_gathering)
-
-
-def _picklable(jobs: Sequence) -> bool:
-    # Probe the whole batch: heterogeneous batches may hold an unpicklable
-    # agent in any position, and crashing the pool mid-map is exactly what
-    # the serial fallback exists to avoid.
-    from ..telemetry import current as _telemetry
-
-    t = _telemetry()
-    try:
-        pickle.dumps(list(jobs))
-        if t.enabled:
-            t.count("batch.probe.picklable")
-        return True
-    # repro-lint: disable=RPR002 -- pickling probe: "cannot pickle" is this function's False answer, whatever exception type the payload's reduce hooks raise; the serial fallback is the surfacing
-    except Exception:
-        if t.enabled:
-            t.count("batch.probe.unpicklable")
-            t.event("batch.probe.unpicklable", jobs=len(jobs))
-        return False
-
-
-def run_batch(
-    jobs: Sequence[BatchJob],
-    *,
-    processes: Optional[int] = None,
-    chunksize: Optional[int] = None,
-) -> list[RendezvousOutcome]:
-    """Run every rendezvous job, in parallel when possible; job order kept."""
-    return _fan_out(jobs, _run_job, processes, chunksize)
-
-
-def run_gathering_batch(
-    jobs: Sequence[GatheringJob],
-    *,
-    processes: Optional[int] = None,
-    chunksize: Optional[int] = None,
-) -> list[GatheringOutcome]:
-    """Run every gathering job, in parallel when possible; job order kept."""
-    return _fan_out(jobs, _run_gathering_job, processes, chunksize)
-
-
-def _fan_out(
-    jobs: Sequence[_J],
-    run_one: Callable[[_J], _O],
-    processes: Optional[int],
-    chunksize: Optional[int],
-) -> list[_O]:
-    from ..telemetry import current as _telemetry
-
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    if processes is None:
-        processes = os.cpu_count() or 1
-    processes = min(processes, len(jobs))
-    t = _telemetry()
-    if processes <= 1 or not _picklable(jobs):
-        if t.enabled:
-            t.count("batch.serial_fallback")
-            t.event("batch.serial", jobs=len(jobs), processes=processes)
-        return _run_serial(jobs, run_one)
-    if t.enabled:
-        t.count("batch.pool.spawned")
-        t.event("batch.pool", jobs=len(jobs), processes=processes)
-
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = multiprocessing.get_context()
-    if chunksize is None:
-        chunksize = max(1, len(jobs) // (4 * processes))
-    pool = ctx.Pool(processes)
-    try:
-        return pool.map(run_one, jobs, chunksize)
-    except (pickle.PicklingError, OSError):  # pragma: no cover - env-specific
-        # Covers what the up-front probe cannot: a pickle failure on the
-        # *result* path, or pool breakage from the environment.  Kept
-        # narrow on purpose — the probe already vetted every job, so an
-        # AttributeError/TypeError here is a genuine worker bug that must
-        # surface, not trigger a full serial re-run.
-        return _run_serial(jobs, run_one)
-    finally:
-        # A failed — or ^C-interrupted — batch must never leak workers:
-        # terminate unconditionally (a no-op cost on the success path,
-        # where map has already drained) and join before the exception
-        # propagates.  ``with Pool(...)`` alone is not enough: its
-        # __exit__ can itself be interrupted before reaping the children.
-        pool.terminate()
-        pool.join()
-
-
-def _run_serial(jobs: Sequence[_J], run_one: Callable[[_J], _O]) -> list[_O]:
-    """In-process execution; seeded jobs must not leak RNG state to the
-    caller (pool workers are forked, so their reseeding dies with them)."""
-    seeded = any(job.seed is not None for job in jobs)
-    state = random.getstate() if seeded else None
-    try:
-        return [run_one(job) for job in jobs]
-    finally:
-        if state is not None:
-            random.setstate(state)

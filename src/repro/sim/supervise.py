@@ -1,12 +1,15 @@
-"""Supervised multiprocessing fan-out: the self-healing sweep pool.
+"""Supervised multiprocessing fan-out: the package's one process pool.
 
-:mod:`repro.sim.batch`'s ``Pool.map`` fan-out is the right tool for
-healthy workloads, but a single pathological job takes the whole batch
-with it: a hung worker blocks ``map`` forever, a killed worker (OOM,
-``kill -9``) poisons the pool, and a 40-minute grid that dies at job
-39/40 restarts from zero.  This module re-runs the same
-:class:`~repro.sim.batch.BatchJob` / :class:`~repro.sim.batch.
-GatheringJob` descriptions under an explicit supervisor:
+Every parallel sweep — ``BatchedBackend.run_many`` /
+``run_gathering_many`` and ``adversarial_search(processes=N)`` — runs
+its :class:`~repro.sim.batch.BatchJob` / :class:`~repro.sim.batch.
+GatheringJob` descriptions here.  A plain ``Pool.map`` lets a single
+pathological job take the whole batch with it: a hung worker blocks
+``map`` forever, a killed worker (OOM, ``kill -9``) poisons the pool,
+and a 40-minute grid that dies at job 39/40 restarts from zero.  This
+module runs the jobs under an explicit supervisor instead; with
+``timeout=None`` and no ``checkpoint`` it is the plain fan-out plus the
+safety nets below:
 
 - **per-job wall-clock timeouts** — a worker that exceeds ``timeout``
   seconds on one job is killed and replaced; the job is retried or
@@ -35,7 +38,10 @@ the in-process engines when you need those.
 Jobs that cannot be pickled (or ``processes <= 1``) run serially under
 the same contract minus preemption: exceptions still become
 :class:`JobFailure` rows and checkpoints still work, but a hung job
-cannot be interrupted from within its own process.
+cannot be interrupted from within its own process.  The picklability
+probe covers *every* job, not just the first: batches may be
+heterogeneous, and pickling a closure-holding agent raises
+``AttributeError``/``TypeError`` rather than ``PicklingError``.
 """
 
 from __future__ import annotations
@@ -56,13 +62,7 @@ from ..telemetry import (
     current as _telemetry,
     use as _use_telemetry,
 )
-from .batch import (
-    BatchJob,
-    GatheringJob,
-    _picklable,
-    _run_gathering_job,
-    _run_job,
-)
+from .batch import BatchJob, GatheringJob, _run_gathering_job, _run_job
 from .engine import RendezvousOutcome
 from .multi import GatheringOutcome
 
@@ -106,6 +106,61 @@ class JobFailure:
     attempts: int
     duration_seconds: float = 0.0
     attempt_seconds: tuple[float, ...] = ()
+
+    @staticmethod
+    def summarize(failures: Sequence["JobFailure"]) -> str:
+        """One error message naming every failed slot of a batch."""
+        detail = "; ".join(
+            f"job {f.index}: {f.kind} after {f.attempts} attempt(s) ({f.message})"
+            for f in failures
+        )
+        return f"{len(failures)} batch job(s) failed: {detail}"
+
+
+def _job_failed(
+    telem: Telemetry,
+    index: int,
+    kind: str,
+    message: str,
+    attempts: int,
+    attempt_seconds: Sequence[float],
+) -> JobFailure:
+    """The slot's :class:`JobFailure`, reported to telemetry."""
+    spent = tuple(round(d, 6) for d in attempt_seconds)
+    failure = JobFailure(
+        index,
+        kind,
+        message,
+        attempts,
+        duration_seconds=round(sum(spent), 6),
+        attempt_seconds=spent,
+    )
+    if telem.enabled:
+        telem.count("supervise.job.failed")
+        telem.event(
+            "supervise.job_failed",
+            index=index,
+            kind=kind,
+            attempts=attempts,
+            duration_seconds=failure.duration_seconds,
+        )
+    return failure
+
+
+def _picklable(jobs: Sequence) -> bool:
+    """Whether the whole batch can cross a process boundary."""
+    telem = _telemetry()
+    try:
+        pickle.dumps(list(jobs))
+        if telem.enabled:
+            telem.count("batch.probe.picklable")
+        return True
+    # repro-lint: disable=RPR002 -- pickling probe: "cannot pickle" is this function's False answer, whatever exception type the payload's reduce hooks raise; the serial fallback is the surfacing
+    except Exception:
+        if telem.enabled:
+            telem.count("batch.probe.unpicklable")
+            telem.event("batch.probe.unpicklable", jobs=len(jobs))
+        return False
 
 
 def job_fingerprint(index: int, job: Union[BatchJob, GatheringJob]) -> str:
@@ -395,12 +450,11 @@ def _supervise(
     # retries so a final JobFailure can report total time lost.
     durations: dict[int, list[float]] = {}
 
-    def record_attempt(index: int, started_at: float) -> float:
+    def record_attempt(index: int, started_at: float) -> None:
         elapsed = time.monotonic() - started_at
         durations.setdefault(index, []).append(elapsed)
         if collect:
             telem.add_span("supervise/job", elapsed)
-        return elapsed
 
     def settle(index: int, value) -> None:
         nonlocal remaining
@@ -416,25 +470,34 @@ def _supervise(
             ready_at = time.monotonic() + backoff * (2 ** (attempt - 1))
             queue.append((ready_at, index, attempt + 1))
         else:
-            spent = tuple(round(d, 6) for d in durations.get(index, ()))
-            failure = JobFailure(
-                index,
-                fail_kind,
-                message,
-                attempt,
-                duration_seconds=round(sum(spent), 6),
-                attempt_seconds=spent,
-            )
+            settle(index, _job_failed(
+                telem, index, fail_kind, message, attempt, durations.get(index, ()),
+            ))
+
+    def on_reply(worker: _Worker, reply: tuple) -> None:
+        """Settle the worker's job from its ``"ok"`` or ``"error"`` reply."""
+        tag, index, attempt, payload, batch = reply
+        if worker.busy is None or (index, attempt) != worker.busy[:2]:
+            return  # stale reply from a superseded attempt
+        started_at = worker.busy[3]
+        worker.busy = None
+        record_attempt(index, started_at)
+        if collect and batch is not None:
+            telem.merge(batch)
+        if tag == "ok":
             if collect:
-                telem.count("supervise.job.failed")
-                telem.event(
-                    "supervise.job_failed",
-                    index=index,
-                    kind=fail_kind,
-                    attempts=attempt,
-                    duration_seconds=failure.duration_seconds,
-                )
-            settle(index, failure)
+                telem.count("supervise.job.finished")
+            settle(index, decode_outcome(payload))
+            if ckpt is not None:
+                ckpt.append(fingerprints[index], payload)
+        else:
+            # In-job exceptions are deterministic: retrying would
+            # reproduce them, so fail the slot immediately.
+            if collect:
+                telem.count("supervise.job.error")
+            settle(index, _job_failed(
+                telem, index, "error", payload, attempt, durations[index],
+            ))
 
     def reap(worker: _Worker, message: str) -> None:
         """A worker died or was preempted mid-job: account for the job,
@@ -488,70 +551,23 @@ def _supervise(
             for conn in ready:
                 worker = busy_conns[conn]
                 try:
-                    tag, index, attempt, payload, batch = conn.recv()
+                    reply = conn.recv()
                 except (EOFError, OSError):
                     reap(worker, "worker process died mid-job")
                     continue
-                if worker.busy is None or (index, attempt) != worker.busy[:2]:
-                    continue  # stale reply from a superseded attempt
-                started_at = worker.busy[3]
-                worker.busy = None
-                elapsed = record_attempt(index, started_at)
-                if collect and batch is not None:
-                    telem.merge(batch)
-                if tag == "ok":
-                    if collect:
-                        telem.count("supervise.job.finished")
-                    settle(index, decode_outcome(payload))
-                    if ckpt is not None:
-                        ckpt.append(fingerprints[index], payload)
-                else:
-                    # In-job exceptions are deterministic: retrying would
-                    # reproduce them, so fail the slot immediately.
-                    spent = tuple(round(d, 6) for d in durations.get(index, ()))
-                    if collect:
-                        telem.count("supervise.job.error")
-                        telem.count("supervise.job.failed")
-                        telem.event(
-                            "supervise.job_failed",
-                            index=index,
-                            kind="error",
-                            attempts=attempt,
-                            duration_seconds=round(elapsed, 6),
-                        )
-                    settle(
-                        index,
-                        JobFailure(
-                            index,
-                            "error",
-                            payload,
-                            attempt,
-                            duration_seconds=round(sum(spent), 6),
-                            attempt_seconds=spent,
-                        ),
-                    )
+                on_reply(worker, reply)
 
             # Deadline and liveness sweep (copy: reap mutates workers).
             now = time.monotonic()
             for worker in list(workers):
                 if worker.busy is None:
                     continue
-                index, attempt, deadline, started_at = worker.busy
+                deadline = worker.busy[2]
                 if not worker.proc.is_alive():
                     # Drain a reply that raced ahead of the death notice.
                     try:
                         if worker.conn.poll():
-                            tag, r_index, r_attempt, payload, batch = worker.conn.recv()
-                            if tag == "ok" and (r_index, r_attempt) == (index, attempt):
-                                worker.busy = None
-                                record_attempt(index, started_at)
-                                if collect:
-                                    if batch is not None:
-                                        telem.merge(batch)
-                                    telem.count("supervise.job.finished")
-                                settle(index, decode_outcome(payload))
-                                if ckpt is not None:
-                                    ckpt.append(fingerprints[index], payload)
+                            on_reply(worker, worker.conn.recv())
                     except (EOFError, OSError):
                         pass
                     reap(worker, "worker process died mid-job")
@@ -597,25 +613,12 @@ def _supervise_serial(
                 raise
             # repro-lint: disable=RPR002 -- deliberate job-error capture: the failure is surfaced structurally as a JobFailure row (same contract as the pooled path); KeyboardInterrupt re-raised above, SystemExit propagates past Exception
             except Exception as exc:
-                elapsed = round(time.monotonic() - started_at, 6)
+                elapsed = time.monotonic() - started_at
                 if collect:
                     telem.add_span("supervise/job", elapsed)
                     telem.count("supervise.job.error")
-                    telem.count("supervise.job.failed")
-                    telem.event(
-                        "supervise.job_failed",
-                        index=i,
-                        kind="error",
-                        attempts=1,
-                        duration_seconds=elapsed,
-                    )
-                results[i] = JobFailure(
-                    i,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    1,
-                    duration_seconds=elapsed,
-                    attempt_seconds=(elapsed,),
+                results[i] = _job_failed(
+                    telem, i, "error", f"{type(exc).__name__}: {exc}", 1, (elapsed,),
                 )
                 continue
             if collect:

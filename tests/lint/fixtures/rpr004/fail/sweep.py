@@ -1,6 +1,7 @@
 """RPR004 failing fixture: unpicklable payloads into the fan-out."""
 
-from repro.sim.batch import BatchJob, run_batch
+from repro.sim.batch import BatchJob
+from repro.sim.supervise import run_batch_supervised
 
 
 def sweep(tree, starts):
@@ -14,4 +15,4 @@ def sweep(tree, starts):
     ]
     # BUG under RPR004: locally-defined function into a batch entry point
     jobs.append(BatchJob(tree, local_agent, 0, 1))
-    return run_batch(jobs)
+    return run_batch_supervised(jobs)

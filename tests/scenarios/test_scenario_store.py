@@ -218,6 +218,14 @@ class TestGoldenSample:
         assert "thm31-sweep" in GOLDEN_NAMES
         assert "gathering-line-k3" in GOLDEN_NAMES
 
+    def test_goldens_match_registry_one_to_one(self):
+        # `make golden-diff` iterates this directory, so a scenario
+        # without a golden would go unchecked and a stray golden would
+        # fail to resolve.
+        from repro.scenarios.registry import scenario_names
+
+        assert GOLDEN_NAMES == scenario_names()
+
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_validates(self, name):
         payload = json.loads((GOLDEN_DIR / f"{name}.json").read_text())

@@ -65,14 +65,14 @@ class TestCallerRngIsolation:
                            delays=(0,), max_rounds=500, seed=1)
         assert random.random() == expected
 
-    def test_run_batch_serial_restores_global_state(self):
-        from repro.sim import run_batch
+    def test_run_batch_supervised_serial_restores_global_state(self):
+        from repro.sim import run_batch_supervised
 
         jobs = [BatchJob(line(5), CoinFlipWalker(), 0, 4, max_rounds=200,
                          seed=derive_seed(3, i)) for i in range(3)]
         random.seed(42)
         expected = random.Random(42).random()
-        run_batch(jobs, processes=1)
+        run_batch_supervised(jobs, processes=1)
         assert random.random() == expected
 
 

@@ -1,19 +1,26 @@
-"""Tests for the supervised sweep pool (repro.sim.supervise).
+"""Tests for the process pool (repro.sim.supervise), the one fan-out
+every parallel sweep runs through.
 
-The pool's contract: per-job wall-clock timeouts, bounded retry with
-backoff, dead-worker detection and respawn, structured JobFailure rows
-instead of batch-wide crashes, checkpointed resume, and no leaked
-worker processes on any path.
+The pool's contract: results equal to in-process execution, a serial
+path for unpicklable batches, per-job wall-clock timeouts, bounded
+retry with backoff, dead-worker detection and respawn, structured
+JobFailure rows instead of batch-wide crashes, checkpointed resume, and
+no leaked worker processes on any path.
 """
 
+import json
 import multiprocessing
 import os
+import pickle
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.agents import STAY, Automaton, alternator
+from repro.agents import STAY, Automaton, LineAutomaton, alternator
+from repro.errors import SimulationError
+from repro.scenarios import Runner, backends
 from repro.scenarios.backends import BatchedBackend
 from repro.scenarios.spec import ScenarioError
 from repro.sim import (
@@ -21,14 +28,19 @@ from repro.sim import (
     GatheringJob,
     JobFailure,
     SweepCheckpoint,
+    adversarial_search,
     job_fingerprint,
-    run_batch,
     run_batch_supervised,
-    run_gathering_batch,
+    run_gathering,
     run_gathering_batch_supervised,
+    run_gathering_reference,
+    run_rendezvous_fast,
 )
 from repro.sim.supervise import decode_outcome, encode_outcome
-from repro.trees import line, spider
+from repro.telemetry import Telemetry
+from repro.trees import edge_colored_line, line, spider
+
+GOLDEN_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "golden"
 
 
 def walker():
@@ -67,8 +79,40 @@ def hang_job():
     )
 
 
+def gathering_jobs():
+    t = spider([2, 2, 2])
+    return [
+        GatheringJob(t, walker(), starts, delays=delays,
+                     max_rounds=4000, certify=True)
+        for starts, delays in [
+            ((1, 3, 5), None),
+            ((1, 3, 5), (0, 1, 2)),
+            ((2, 4, 6), (3, 0, 0)),
+            ((1, 2, 3, 4), None),
+        ]
+    ]
+
+
+def closure_agent():
+    """A transition *closure* cannot be pickled."""
+    return Automaton(1, lambda s, ip, d: 0, [STAY])
+
+
 def as_verdicts(outcomes):
     return [(o.met, o.meeting_round, o.certified_never) for o in outcomes]
+
+
+def as_gathering_verdicts(outcomes):
+    return [(o.gathered, o.gathering_round, o.certified_never) for o in outcomes]
+
+
+def in_process(jobs):
+    """The reference loop: every rendezvous job run in this process."""
+    return [job.apply(run_rendezvous_fast) for job in jobs]
+
+
+def in_process_gathering(jobs):
+    return [job.apply(run_gathering) for job in jobs]
 
 
 def assert_no_leaked_workers():
@@ -79,10 +123,9 @@ def assert_no_leaked_workers():
 
 
 class TestHealthyPaths:
-    def test_pooled_matches_plain_batch(self):
-        plain = run_batch(healthy_jobs(), processes=2)
+    def test_pooled_matches_in_process(self):
         supervised = run_batch_supervised(healthy_jobs(), processes=2)
-        assert as_verdicts(supervised) == as_verdicts(plain)
+        assert as_verdicts(supervised) == as_verdicts(in_process(healthy_jobs()))
         assert_no_leaked_workers()
 
     def test_supervised_outcomes_carry_no_trace_or_agents(self):
@@ -91,36 +134,76 @@ class TestHealthyPaths:
             assert out.agents == ()
 
     def test_serial_path_matches(self):
-        plain = run_batch(healthy_jobs(), processes=1)
         supervised = run_batch_supervised(healthy_jobs(), processes=1)
-        assert as_verdicts(supervised) == as_verdicts(plain)
+        assert as_verdicts(supervised) == as_verdicts(in_process(healthy_jobs()))
 
     def test_empty_batch(self):
         assert run_batch_supervised([]) == []
         assert run_gathering_batch_supervised([]) == []
 
-    def test_unpicklable_jobs_fall_back_to_serial(self):
-        closure_agent = Automaton(1, lambda s, ip, d: 0, [STAY])
-        jobs = [BatchJob(line(5), closure_agent, 1, 3, max_rounds=50, certify=True)]
+    def test_gathering_pooled_and_serial_match_in_process(self):
+        expected = as_gathering_verdicts(in_process_gathering(gathering_jobs()))
+        for processes in (1, 2):
+            supervised = run_gathering_batch_supervised(
+                gathering_jobs(), processes=processes
+            )
+            assert as_gathering_verdicts(supervised) == expected
+        assert_no_leaked_workers()
+
+    def test_gathering_pooled_matches_reference_loop(self):
+        outcomes = run_gathering_batch_supervised(gathering_jobs(), processes=2)
+        for job, out in zip(gathering_jobs(), outcomes):
+            ref = run_gathering_reference(
+                job.tree, job.prototype, list(job.starts),
+                delays=list(job.delays) if job.delays else None,
+                max_rounds=job.max_rounds, certify=True,
+            )
+            assert (out.gathered, out.gathering_round, out.certified_never) == (
+                ref.gathered, ref.gathering_round, ref.certified_never,
+            )
+
+
+class TestPicklability:
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_unpicklable_jobs_fall_back_to_serial(self, timeout):
+        jobs = [BatchJob(line(5), closure_agent(), 1, 3, max_rounds=50, certify=True)]
         # A timeout cannot preempt in-process work, but the batch must
         # still complete instead of failing on the pickle hop.
-        (out,) = run_batch_supervised(jobs, processes=4, timeout=30.0)
+        (out,) = run_batch_supervised(jobs, processes=4, timeout=timeout)
         assert out.certified_never
 
-    def test_gathering_supervised_matches_plain(self):
-        t = spider([2, 2, 2])
+    def test_unpicklable_later_job_runs_whole_batch_in_process(self):
+        # The picklability probe covers every job, not just jobs[0]:
+        # pickling a closure raises AttributeError/TypeError, which a
+        # PicklingError-only catch around the pool would not see.
         jobs = [
-            GatheringJob(t, walker(), starts, delays=delays,
-                         max_rounds=4000, certify=True)
-            for starts, delays in [((1, 3, 5), None), ((2, 4, 6), (3, 0, 0))]
+            BatchJob(line(5), walker(), 0, 4, max_rounds=50, certify=True),
+            BatchJob(line(5), closure_agent(), 1, 3, max_rounds=50, certify=True),
         ]
-        plain = run_gathering_batch(jobs, processes=2)
-        supervised = run_gathering_batch_supervised(jobs, processes=2)
-        assert [(o.gathered, o.gathering_round, o.certified_never)
-                for o in supervised] == [
-            (o.gathered, o.gathering_round, o.certified_never) for o in plain
+        first, second = run_batch_supervised(jobs, processes=4)
+        assert first.met or first.certified_never  # decided, not crashed
+        assert second.certified_never
+
+    def test_gathering_unpicklable_later_job_runs_in_process(self):
+        jobs = [
+            GatheringJob(spider([2, 2, 2]), walker(), (1, 3, 5),
+                         max_rounds=200, certify=True),
+            GatheringJob(line(5), closure_agent(), (1, 3),
+                         max_rounds=200, certify=True),
         ]
-        assert_no_leaked_workers()
+        outcomes = run_gathering_batch_supervised(jobs, processes=4)
+        assert len(outcomes) == 2
+        assert all(o.gathered or o.certified_never for o in outcomes)
+
+    def test_line_automaton_pickle_roundtrip(self):
+        agent = LineAutomaton([(0, 1), (1, 0)], [0, 1], initial_state=1)
+        agent.step(0, 2)  # advance the runtime state past the initial one
+        copy = pickle.loads(pickle.dumps(agent))
+        assert copy.num_states == agent.num_states
+        assert copy.output == agent.output
+        assert copy.initial_state == agent.initial_state
+        assert copy.pi_prime() == agent.pi_prime()
+        assert copy.state == agent.state  # mid-run state survives the pool hop
 
 
 class TestFailureKinds:
@@ -135,9 +218,7 @@ class TestFailureKinds:
         assert failure.index == 0
         assert failure.attempts == 1
         # The hung slot must not poison its neighbors.
-        assert as_verdicts(results[1:]) == as_verdicts(
-            run_batch(healthy_jobs()[:2], processes=1)
-        )
+        assert as_verdicts(results[1:]) == as_verdicts(in_process(healthy_jobs()[:2]))
         assert_no_leaked_workers()
 
     def test_retries_are_counted_and_bounded(self):
@@ -195,7 +276,7 @@ class TestCheckpointing:
         full = run_batch_supervised(jobs, processes=2, checkpoint=path)
         # The two finished cells were replayed, the rest computed fresh.
         assert len(path.read_text().splitlines()) == len(jobs)
-        assert as_verdicts(full) == as_verdicts(run_batch(jobs, processes=1))
+        assert as_verdicts(full) == as_verdicts(in_process(jobs))
         assert as_verdicts(full[:2]) == as_verdicts(first)
 
     def test_checkpoint_resume_skips_failures(self, tmp_path):
@@ -220,7 +301,7 @@ class TestCheckpointing:
         assert len(loaded) == 2
         # And a resume over the damaged file still completes cleanly.
         results = run_batch_supervised(jobs, processes=1, checkpoint=path)
-        assert as_verdicts(results) == as_verdicts(run_batch(jobs, processes=1))
+        assert as_verdicts(results) == as_verdicts(in_process(jobs))
 
     def test_fingerprints_are_stable_and_positional(self):
         jobs = healthy_jobs()
@@ -231,7 +312,7 @@ class TestCheckpointing:
 
 class TestOutcomeCodec:
     def test_rendezvous_roundtrip(self):
-        (out,) = run_batch(healthy_jobs()[:1], processes=1)
+        out = healthy_jobs()[0].apply(run_rendezvous_fast)
         back = decode_outcome(encode_outcome(out))
         assert (back.met, back.meeting_round, back.meeting_node,
                 back.rounds_executed, back.certified_never, back.crossings,
@@ -245,7 +326,7 @@ class TestOutcomeCodec:
     def test_gathering_roundtrip(self):
         job = GatheringJob(spider([2, 2, 2]), walker(), (1, 3, 5),
                            max_rounds=400, certify=True)
-        (out,) = run_gathering_batch([job], processes=1)
+        out = job.apply(run_gathering)
         back = decode_outcome(encode_outcome(out))
         assert (back.gathered, back.gathering_round, back.gathering_node,
                 back.positions, back.largest_cluster, back.certified_never,
@@ -270,12 +351,23 @@ class TestBatchedBackendIntegration:
         assert "timeout" in str(exc.value)
         assert_no_leaked_workers()
 
-    def test_supervised_backend_healthy_grid_matches_plain(self):
-        backend = BatchedBackend(processes=2, timeout=60.0)
-        plain = BatchedBackend(processes=2)
-        assert as_verdicts(backend.run_many(healthy_jobs())) == as_verdicts(
-            plain.run_many(healthy_jobs())
-        )
+    def test_backend_grids_match_in_process(self):
+        expected = as_verdicts(in_process(healthy_jobs()))
+        for backend in (BatchedBackend(processes=2, timeout=60.0),
+                        BatchedBackend(processes=2)):
+            assert as_verdicts(backend.run_many(healthy_jobs())) == expected
+        assert as_gathering_verdicts(
+            BatchedBackend(processes=2).run_gathering_many(gathering_jobs())
+        ) == as_gathering_verdicts(in_process_gathering(gathering_jobs()))
+        assert_no_leaked_workers()
+
+    def test_backend_without_timeout_names_failed_jobs(self):
+        bad = BatchJob(line(5), walker(), 0, 99, max_rounds=50)  # start off-tree
+        with pytest.raises(ScenarioError) as exc:
+            BatchedBackend(processes=2).run_many(healthy_jobs()[:1] + [bad])
+        assert "1 batch job(s) failed: job 1: error after 1 attempt(s)" in str(exc.value)
+        assert "SimulationError" in str(exc.value)
+        assert_no_leaked_workers()
 
     def test_backend_checkpoint_roundtrip(self, tmp_path):
         path = tmp_path / "backend.jsonl"
@@ -416,6 +508,126 @@ class TestSupervisedTelemetry:
         # With the default NullTelemetry, workers are spawned with
         # collect=False and replies carry None in the batch slot —
         # verified indirectly: results identical, nothing raised.
-        plain = run_batch(healthy_jobs(), processes=1)
         supervised = run_batch_supervised(healthy_jobs(), processes=2)
-        assert as_verdicts(supervised) == as_verdicts(plain)
+        assert as_verdicts(supervised) == as_verdicts(in_process(healthy_jobs()))
+
+
+class _DeadProc:
+    """Stand-in for a worker process that has already exited."""
+
+    def is_alive(self):
+        return False
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+class _DeadWorkerConn(_ScriptedConn):
+    """Supervisor end of a pipe whose worker replied, then died: each
+    dispatched job queues the scripted reply for the drain branch."""
+
+    def __init__(self, tag, payload):
+        super().__init__([])
+        self.reply = (tag, payload)
+
+    def send(self, msg):
+        super().send(msg)
+        if msg is not None:
+            index, attempt, _job = msg
+            tag, payload = self.reply
+            self.messages.append((tag, index, attempt, payload, None))
+
+    def poll(self):
+        return bool(self.messages)
+
+    def close(self):
+        pass
+
+
+class TestDeadWorkerReplies:
+    """A reply that raced ahead of its worker's death notice is settled
+    exactly like one read from a live worker."""
+
+    @staticmethod
+    def run_dead_worker(monkeypatch, tag, payload):
+        from multiprocessing import connection
+
+        from repro.sim import supervise
+
+        monkeypatch.setattr(
+            supervise, "_spawn",
+            lambda *args: supervise._Worker(_DeadProc(), _DeadWorkerConn(tag, payload)),
+        )
+        # No pipe ever reads as ready: the death notice wins the race.
+        monkeypatch.setattr(connection, "wait", lambda conns, timeout=None: [])
+        # timeout= forces the pooled path for a single job
+        return run_batch_supervised(
+            healthy_jobs()[:1], processes=1, timeout=30.0, retries=3
+        )
+
+    def test_error_reply_from_dead_worker_keeps_its_message(self, monkeypatch):
+        (failure,) = self.run_dead_worker(monkeypatch, "error", "ValueError: boom")
+        assert isinstance(failure, JobFailure)
+        assert failure.kind == "error"
+        assert failure.message == "ValueError: boom"
+        assert failure.attempts == 1  # deterministic: never retried
+
+    def test_ok_reply_from_dead_worker_settles_the_outcome(self, monkeypatch):
+        expected = healthy_jobs()[0].apply(run_rendezvous_fast)
+        (out,) = self.run_dead_worker(monkeypatch, "ok", encode_outcome(expected))
+        assert as_verdicts([out]) == as_verdicts([expected])
+
+
+class TestAdversarialSearchPool:
+    def test_parallel_matches_serial(self):
+        t = edge_colored_line(6)
+        serial = adversarial_search(t, walker(), delays=(0, 1), max_rounds=4000, certify=True)
+        parallel = adversarial_search(
+            t, walker(), delays=(0, 1), max_rounds=4000, certify=True, processes=2
+        )
+        assert serial.instances_run == parallel.instances_run
+        assert serial.successes == parallel.successes
+        assert serial.undecided == parallel.undecided
+        assert len(serial.failures) == len(parallel.failures)
+        assert serial.max_meeting_round == parallel.max_meeting_round
+        assert_no_leaked_workers()
+
+    def test_failed_slots_raise_simulation_error(self):
+        with pytest.raises(SimulationError) as exc:
+            adversarial_search(
+                line(5), walker(), pairs=[(0, 4), (0, 99)], labelings=[line(5)],
+                max_rounds=50, processes=2,
+            )
+        assert "1 batch job(s) failed: job 1: error after 1 attempt(s)" in str(exc.value)
+        assert_no_leaked_workers()
+
+
+#: The scenarios whose adversary re-certification reaches the pool on
+#: ``--backend batched``.
+POOLED_SCENARIOS = ("thm31-sweep", "thm31-random", "thm42-sweep", "thm43")
+
+
+class TestBatchedScenarioPins:
+    @pytest.mark.parametrize("name", POOLED_SCENARIOS)
+    def test_batched_rows_match_golden(self, name, monkeypatch):
+        submitted = []
+        pooled = backends.run_batch_supervised
+
+        def counting(jobs, **kwargs):
+            jobs = list(jobs)
+            submitted.append(len(jobs))
+            return pooled(jobs, **kwargs)
+
+        monkeypatch.setattr(backends, "run_batch_supervised", counting)
+        telem = Telemetry()
+        result = Runner(processes=2).run(name, backend="batched", telemetry=telem)
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        assert result.rows == golden["rows"]
+        counters = telem.snapshot()["counters"]
+        assert sum(submitted) > 0
+        assert counters["batch.probe.picklable"] >= 1  # the pool really ran
+        assert counters["supervise.job.finished"] == sum(submitted)
+        assert_no_leaked_workers()
