@@ -59,7 +59,7 @@ check-regression:
 	    --baseline $(BENCH_BASELINE) --current BENCH_engine.json \
 	    --require throughput --require delay_sweep \
 	    --require lowering --require kernel \
-	    --require telemetry_overhead
+	    --require telemetry_overhead --require solo_replay
 
 # Golden row-level drift gate, exactly as CI runs it: re-run the golden
 # scenarios and `scenarios diff` them against the checked-in goldens.

@@ -9,6 +9,10 @@ Measures, on fixed deterministic instances:
    :func:`repro.sim.solve_all_delays` pass over the product configuration
    graph — the headline optimisation: the batch solver shares every joint
    configuration's fate across all delays.
+3. *Solo replay*: wall time of the ``memory-vs-leaves`` scenario at
+   registry size, in process, best of 2 — the interpreted solo replay
+   (:func:`repro.agents.program.drive`) the memory experiments run — with
+   its rows checked against the golden and its ``drive.*`` counters.
 
 Results go to ``BENCH_engine.json`` at the repo root (via
 ``_util.record_json``) so successive PRs accumulate a perf trajectory.
@@ -18,13 +22,14 @@ benchmarks.  The tier-1 suite exercises the quick mode through
 ``tests/sim/test_bench_smoke.py``.
 """
 
+import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))  # for import under pytest/importlib
 
-from _util import record_json
+from _util import REPO_ROOT, record_json
 
 from repro.agents import counting_walker, pausing_walker
 from repro.sim import run_rendezvous, run_rendezvous_compiled, solve_all_delays
@@ -93,11 +98,36 @@ def _delay_sweep(quick: bool) -> dict:
     }
 
 
+def _solo_replay(quick: bool) -> dict:
+    """``memory-vs-leaves`` at registry size in both modes: quick mode
+    keeps it too, since a smaller instance would time under
+    check_regression's floor."""
+    from repro.scenarios import Runner
+    from repro.scenarios.store import diff_payloads
+    from repro.telemetry import Telemetry
+
+    name = "memory-vs-leaves"
+    golden = json.loads((REPO_ROOT / "benchmarks/results/golden" / f"{name}.json").read_text())
+    runner = Runner()
+    times = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        result = runner.run(name)
+        times.append(time.perf_counter() - t0)
+    telemetry = Telemetry()  # counted on a third, untimed run
+    runner.run(name, telemetry=telemetry)
+    return {
+        "quick": quick,
+        "workload": f"{name} (registry size, in process)",
+        "rounds": len(times),
+        "replay_seconds": round(min(times), 4),
+        "rows_match_golden": not diff_payloads(result.to_payload(), golden),
+        "drive": {k: v for k, v in sorted(telemetry.counters.items())
+                  if k.startswith("drive.")},
+    }
+
+
 def main(quick: bool = False, out_dir: Path | None = None) -> dict:
-    import json
-
-    from _util import REPO_ROOT
-
     # merge into the existing trajectory file: bench_lowering.py records
     # its own "lowering" section into the same JSON
     target = (out_dir or REPO_ROOT) / "BENCH_engine.json"
@@ -108,6 +138,7 @@ def main(quick: bool = False, out_dir: Path | None = None) -> dict:
             "quick": quick,
             "throughput": _throughput(quick),
             "delay_sweep": _delay_sweep(quick),
+            "solo_replay": _solo_replay(quick),
         }
     )
     record_json("BENCH_engine", payload, out_dir)
@@ -118,6 +149,7 @@ def test_engine_backends(benchmark):
     payload = benchmark.pedantic(main, rounds=1, iterations=1)
     assert payload["delay_sweep"]["verdicts_match"]
     assert payload["delay_sweep"]["speedup"] >= 5
+    assert payload["solo_replay"]["rows_match_golden"]
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ must exist non-empty in the current file — a benchmark silently dropping
 out of ``bench-smoke`` would otherwise read as "no regression" (its
 timings land on the never-fatal "only in baseline" path).  The Makefile
 requires every recorded section (throughput, delay_sweep, lowering,
-kernel).
+kernel, telemetry_overhead, solo_replay).
 
 Usage (what ``make check-regression`` and the CI job run)::
 

@@ -15,7 +15,6 @@ properly 2-edge-colored lines, where the observation reduces to the degree
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Callable, Mapping, Sequence
 from typing import Optional
@@ -104,7 +103,7 @@ class Automaton:
     @property
     def memory_bits(self) -> int:
         """⌈log₂ K⌉ — the paper's memory measure for automata."""
-        return max(1, math.ceil(math.log2(self.num_states)))
+        return max(1, (self.num_states - 1).bit_length())
 
     def __repr__(self) -> str:
         return f"Automaton(K={self.num_states}, bits={self.memory_bits})"

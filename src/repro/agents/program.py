@@ -18,12 +18,19 @@ this module provides the *register machine* view of an agent:
   imperative syntax (``yield from move(ctx, port)``) while staying
   round-accurate.
 
-Two drivers run routines.  ``AgentProgram.start``/``step`` expand every
-:class:`Walk` round by round, so the simulation engines, the lowering
-passes and the traced tier see exactly the per-round actions and register
-writes of the equivalent ``stay``/``move`` loop.  :func:`drive` runs one
-routine *alone* on a tree and jumps each walk whole through per-tree
-tables — the solo replay the memory experiments measure.
+A routine may also yield a :class:`Block` — a fixed run of walks whose
+end node, edge count and register effects depend only on the start node
+and the block's key.  It receives either the block's final observation
+``(in_port, degree, rounds)``, when the driver jumped it, or ``None``,
+and then runs the block's walks itself.
+
+Two drivers run routines.  ``AgentProgram.start``/``step`` answer every
+:class:`Block` with ``None`` and expand every :class:`Walk` round by
+round, so the simulation engines, the lowering passes and the traced
+tier see exactly the per-round actions and register writes of the
+equivalent ``stay``/``move`` loop.  :func:`drive` runs one routine
+*alone* on a tree and jumps each walk, and each block, whole through
+per-call tables — the solo replay the memory experiments measure.
 
 When the generator returns, the agent is considered to *wait forever* (the
 rendezvous algorithms end by waiting at a node).
@@ -31,19 +38,20 @@ rendezvous algorithms end by waiting at a node).
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from ..errors import AgentProtocolError
+from ..telemetry import current as _telemetry
 from .observations import NULL_PORT, STAY
 
 __all__ = [
     "Registers",
     "Ctx",
     "Walk",
+    "Block",
     "move",
     "stay",
     "walk",
@@ -86,16 +94,38 @@ class Walk:
             )
 
 
+class Block:
+    """A fixed run of walks, jumped whole by :func:`drive`.
+
+    ``routine(ctx, registers, speed)`` restarts the routine that yields
+    the block: it yields this block first and, answered ``None``, runs
+    the block's walks and returns.  The walks all run at speed
+    ``1/speed``, and their end node, edge count and register writes
+    depend only on the start node and ``key`` — so ``drive`` can run
+    them once at speed 1 and replay them at every speed.  The routine
+    declares every register it writes.
+    """
+
+    __slots__ = ("key", "routine", "speed")
+
+    def __init__(self, key: Any, routine: Callable[..., Any], speed: int = 1) -> None:
+        self.key = key
+        self.routine = routine
+        self.speed = speed
+
+
 # A routine yields int actions and receives observations (in_port, degree),
-# or yields a Walk and receives (in_port, degree, rounds) once it is done.
-Routine = Generator[Union[int, Walk], tuple, Any]
+# yields a Walk and receives (in_port, degree, rounds) once it is done, or
+# yields a Block and receives the same triple or None (run its walks yourself).
+Routine = Generator[Union[int, Walk, Block], Optional[tuple], Any]
 
 
 class Registers:
     """A bank of named bounded counters with bit accounting.
 
     ``declare(name, bound)`` registers a counter taking values in
-    ``0 .. bound`` (inclusive) and costs ``ceil(log2(bound+1))`` bits.
+    ``0 .. bound`` (inclusive) and costs ``bound.bit_length()`` bits
+    (at least 1), i.e. ``ceil(log2(bound+1))`` computed exactly.
     Assignments through ``__setitem__`` are range-checked, so a program that
     exceeds its declared memory fails loudly instead of silently cheating
     the memory model.
@@ -188,15 +218,34 @@ class Registers:
 
     def bits_declared(self) -> int:
         """Analytic memory: sum of declared register widths, in bits."""
-        return sum(
-            max(1, math.ceil(math.log2(b + 1))) for b in self._bounds.values()
-        )
+        return sum(max(1, b.bit_length()) for b in self._bounds.values())
 
     def bits_used(self) -> int:
         """Empirical memory: widths needed for the peak values stored."""
-        return sum(
-            max(1, math.ceil(math.log2(p + 1))) for p in self._peaks.values()
+        return sum(max(1, p.bit_length()) for p in self._peaks.values())
+
+    def effects(self) -> tuple:
+        """Every register as ``(name, bound, peak, value)``; ``value`` is
+        ``None`` once released.  Run on a block's scratch bank, these are
+        the block's register effects (:meth:`apply`)."""
+        return tuple(
+            (name, bound, self._peaks[name], self._values.get(name))
+            for name, bound in self._bounds.items()
         )
+
+    def apply(self, effects: tuple) -> None:
+        """Fold :meth:`effects` into this bank as if the block had run
+        here: bounds widen, peaks rise, final values are set."""
+        bounds, peaks, values = self._bounds, self._peaks, self._values
+        for name, bound, peak, value in effects:
+            if bound > bounds.get(name, -1):
+                bounds[name] = bound
+            if peak > peaks.get(name, -1):
+                peaks[name] = peak
+            if value is None:
+                values.pop(name, None)
+            else:
+                values[name] = value
 
     def report(self) -> dict[str, tuple[int, int]]:
         """Per-register ``(declared bound, peak value)``."""
@@ -251,11 +300,12 @@ ProgramFactory = Callable[..., Routine]
 class AgentProgram:
     """Adapter: a generator program behind the :class:`AgentBase` protocol.
 
-    A :class:`Walk` the routine yields is expanded here, one round per
-    ``step``: the expansion state (the walk, the port of the pending
-    move, arrivals done, idle rounds left, whether the last round moved)
-    lives on the adapter, and the routine resumes only on the walk's
-    final observation.
+    A :class:`Block` the routine yields is answered ``None`` at once, so
+    the routine runs its walks.  A :class:`Walk` is expanded here, one
+    round per ``step``: the expansion state (the walk, the port of the
+    pending move, arrivals done, idle rounds left, whether the last round
+    moved) lives on the adapter, and the routine resumes only on the
+    walk's final observation.
 
     Parameters
     ----------
@@ -302,6 +352,8 @@ class AgentProgram:
     def _resume(self, obs: Optional[tuple]) -> int:
         try:
             action = self._gen.send(obs)  # type: ignore[union-attr]
+            while action.__class__ is Block:
+                action = self._gen.send(None)  # type: ignore[union-attr]
         except StopIteration:
             self._done = True
             return STAY
@@ -392,6 +444,15 @@ class Drive:
     finished: bool
 
 
+_DRIVE_COUNTERS = (
+    "drive.walk.jump",
+    "drive.walk.edges",
+    "drive.block.jump",
+    "drive.block.build",
+    "drive.block.expand",
+)
+
+
 def _walk_edges(tree, u: int, port: int, delta: int, arrivals: int):
     """Yield ``(node, in_port, arrivals so far)`` after each edge of the
     walk leaving ``u`` by ``port``."""
@@ -446,7 +507,7 @@ def drive(
     appended to ``trail`` when one is given.
 
     Int actions are interpreted one round each.  A :class:`Walk` is
-    resolved whole through two tables built on the fly for this tree: a
+    resolved whole through two tables built on the fly for this call: a
     hop table ``(u, port) -> (v, in_port, edges)`` across degree-2
     chains, and a walk memo ``(u, port, delta, arrivals) -> (v, in_port,
     edges)`` — O(arrivals) the first time, O(1) on every repeat.  The
@@ -456,6 +517,23 @@ def drive(
     budget ends inside (or a walk whose nodes ``trail`` records) is
     followed edge by edge instead, which is exact because no register
     changes between arrivals.
+
+    A :class:`Block` is resolved through a block memo ``(u, key) -> (v,
+    in_port, edges, effects)``.  As in the walk memo the speed is left
+    out of the key: on a miss a nested ``drive`` runs the block's walks
+    once, at speed 1, on a scratch register bank, and every hit charges
+    ``edges * speed`` rounds, folds the scratch bank's effects into
+    ``registers`` (:meth:`Registers.apply`: bounds widen, peaks rise,
+    final values are set) and sends ``(in_port, degree, rounds)``.  A block the budget
+    would end inside or finds spent, and every block while ``trail`` is
+    recorded, is answered ``None``, and the routine runs its walks —
+    exactly what ``AgentProgram.step`` does with every block.
+
+    With telemetry on, the call reports its ``drive.*`` counters once:
+    walks jumped (``walk.jump``) and followed edge by edge
+    (``walk.edges``), blocks jumped (``block.jump``), built on a memo
+    miss (``block.build``) and answered ``None`` (``block.expand``).  A
+    nested build reports its own walks.
     """
     # Bound per call, not at import: profilers count the interpreted
     # rounds by rebinding ``observations.resolve_action``.
@@ -466,11 +544,40 @@ def drive(
     budget = sys.maxsize if max_rounds is None else max_rounds
     hops: dict = {}  # (u, port) -> (v, in_port, edges)
     walks: dict = {}  # (u, port, delta, arrivals) -> (v, in_port, edges)
+    blocks: dict = {}  # (u, block key) -> (v, in_port, edges, effects)
+    walk_jump = walk_edges = block_jump = block_build = block_expand = 0
     pos = start
     rounds = 0
     try:
         action = next(routine)
         while rounds < budget:
+            if action.__class__ is Block:
+                if trail is None:
+                    key = (pos, action.key)
+                    if key not in blocks:
+                        scratch = Registers()
+                        ctx = Ctx(NULL_PORT, degree(pos))
+                        # Restart the routine past its own block: the nested
+                        # drive's first step answers that block None.
+                        expansion = action.routine(ctx, scratch, 1)
+                        next(expansion)
+                        run = drive(tree, pos, expansion, scratch)
+                        if not run.rounds:
+                            raise AgentProtocolError(f"block {action.key!r} moved no edge")
+                        blocks[key] = (run.node, ctx.in_port, run.rounds, scratch.effects())
+                        block_build += 1
+                    v, ip, edges, effects = blocks[key]
+                    cost = edges * action.speed
+                    if rounds + cost <= budget:
+                        registers.apply(effects)
+                        pos = v
+                        rounds += cost
+                        block_jump += 1
+                        action = routine.send((ip, degree(v), cost))
+                        continue
+                block_expand += 1
+                action = routine.send(None)
+                continue
             if action.__class__ is not Walk:
                 a = resolve_action(action, degree(pos))
                 if a == STAY:
@@ -497,9 +604,11 @@ def drive(
                         registers[w.counter] = w.arrivals
                     pos = v
                     rounds += cost
+                    walk_jump += 1
                     action = routine.send((ip, degree(v), cost))
                     continue
             # Edge by edge: record the trail, or stop where the budget ends.
+            walk_edges += 1
             begun = rounds
             seen = 0
             for v, ip, arrived in _walk_edges(tree, pos, port, w.delta, w.arrivals):
@@ -519,6 +628,20 @@ def drive(
                 rounds = budget
                 break
             action = routine.send((ip, degree(pos), rounds - begun))
+        # Out of rounds: answer a pending block None, as ``step`` does, so
+        # the register writes the block makes before its first walk
+        # happen here too.
+        while action.__class__ is Block:
+            block_expand += 1
+            action = routine.send(None)
     except StopIteration as stop:
-        return Drive(stop.value, rounds, pos, True)
-    return Drive(None, rounds, pos, False)
+        value, finished = stop.value, True
+    else:
+        value, finished = None, False
+    t = _telemetry()
+    if t.enabled:
+        tally = (walk_jump, walk_edges, block_jump, block_build, block_expand)
+        for name, n in zip(_DRIVE_COUNTERS, tally):
+            if n:
+                t.count(name, n)
+    return Drive(value, rounds, pos, finished)

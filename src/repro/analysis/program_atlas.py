@@ -41,7 +41,6 @@ lowering + one refinement per distinct machine and runs in seconds.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -73,7 +72,7 @@ DEFAULT_ATLAS_GRID: dict[str, tuple[str, ...]] = {
 
 
 def _bits(states: int) -> int:
-    return max(1, math.ceil(math.log2(max(states, 2))))
+    return max(1, (states - 1).bit_length())
 
 
 @dataclass(frozen=True)

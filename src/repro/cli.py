@@ -320,8 +320,6 @@ def _cmd_lower(args: argparse.Namespace) -> int:
     print state counts and memory bits; failures print the reason and
     degrade — never a crash.
     """
-    import math
-
     from .agents.lowering import lower_to_automaton
     from .errors import BudgetExceededError, LoweringError
     from .scenarios.spec import build_agent
@@ -377,7 +375,7 @@ def _cmd_lower(args: argparse.Namespace) -> int:
         lassoed += 1
         states = trace.rounds_recorded
         total_states += states
-        bits = max(1, math.ceil(math.log2(max(states, 2))))
+        bits = max(1, (states - 1).bit_length())
         if trace.status == "finished":
             shape = f"finishes after {states} rounds"
         else:

@@ -3,7 +3,8 @@
 The paper measures agent memory in bits (⌈log₂ K⌉ for a K-state automaton).
 Register programs (:class:`repro.agents.program.Registers`) declare every
 bounded counter; this module turns those declarations into the reports the
-experiments print (from solo replays that jump whole basic walks, see
+experiments print (from solo replays that jump whole basic walks and
+whole traversals of the rendezvous path, see
 :func:`measure_memory`), and provides the closed-form reference curves
 (the O(log ℓ + log log n) upper bound and the Θ(log n) arbitrary-delay
 bound) the measured values are compared against in EXPERIMENTS.md.
@@ -11,7 +12,6 @@ bound) the measured values are compared against in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..agents.program import AgentProgram, drive
@@ -66,8 +66,10 @@ def measure_memory(tree, start: int, agent: AgentProgram, rounds: int) -> Memory
     must be *equipped with* on the instance, so the experiments measure a
     solo execution over a representative horizon (Stage 1 + Synchro + a few
     outer iterations) instead.  The replay is :func:`repro.agents.program.drive`,
-    which jumps each basic walk whole; the report equals that of a
-    round-by-round drive through ``AgentProgram.step``.
+    which jumps each basic walk whole and each traversal of the rendezvous
+    path P as one block (built once per extremity of C, then replayed at
+    every prime speed); the report equals that of a round-by-round drive
+    through ``AgentProgram.step``, which expands every block walk by walk.
     """
     clone = agent.clone()
     drive(tree, start, clone.routine(tree.degree(start)), clone.registers,
@@ -76,8 +78,9 @@ def measure_memory(tree, start: int, agent: AgentProgram, rounds: int) -> Memory
 
 
 def log_bits(x: int) -> int:
-    """⌈log₂(x+1)⌉ with a floor of 1 — bits to hold a counter up to x."""
-    return max(1, math.ceil(math.log2(x + 1)))
+    """⌈log₂(x+1)⌉ with a floor of 1 — bits to hold a counter up to x
+    (exact integer arithmetic: ``x.bit_length()``)."""
+    return max(1, x.bit_length())
 
 
 def upper_bound_bits(n: int, ell: int, c_ell: int = 8, c_loglog: int = 3) -> int:

@@ -19,10 +19,14 @@ thus realized by the *same* instruction sequence, which is what the
 
 Every segment is one basic-walk instruction
 (:class:`~repro.agents.program.Walk`): a tour is ``2(ν-1)`` branching
-arrivals by ``bw``/``cbw``, a crossing of C is one arrival.  Engines expand
-them round by round; the solo replay behind the memory experiments
-(:func:`repro.agents.program.drive`) jumps each whole through per-tree
-tables, which is what makes replays over many prime speeds cheap.
+arrivals by ``bw``/``cbw``, a crossing of C is one arrival.  A whole
+traversal is one :class:`~repro.agents.program.Block` keyed by ``(ν,
+5ℓ, central port)``: its end node, edge count and register effects
+depend only on the extremity it starts from.  Engines expand it walk by
+walk and each walk round by round; the solo replay behind the memory
+experiments (:func:`repro.agents.program.drive`) builds it once per
+extremity at speed 1 and then jumps each traversal, at every prime
+speed, as one instruction.
 
 The navigator's counters: a segment-repetition counter up to ``5ℓ`` and a
 branching-arrival counter up to ``2(ν-1)`` — O(log ℓ) bits, as Theorem 4.1
@@ -32,7 +36,7 @@ the physical position plus these counters.
 
 from __future__ import annotations
 
-from ..agents.program import Ctx, Registers, Routine, walk
+from ..agents.program import Block, Ctx, Registers, Routine, walk
 
 __all__ = ["RendezvousPathNavigator", "rendezvous_path_num_edges"]
 
@@ -71,10 +75,20 @@ class RendezvousPathNavigator:
         self.ell = ell
         self.central_port = central_port
         self.reps = reps_factor * ell
+        self.key = ("P", nu, self.reps, central_port)
 
     # -- public API ----------------------------------------------------------
     def traverse(self, ctx: Ctx, regs: Registers, speed: int) -> Routine:
-        """Walk P once, ending at the other extremity of C."""
+        """Walk P once, ending at the other extremity of C.
+
+        The traversal is one :class:`~repro.agents.program.Block`; its
+        walks run here only when the driver answers ``None``.
+        """
+        done = yield Block(self.key, self.traverse, speed)
+        if done is not None:  # jumped whole
+            ctx.in_port, ctx.degree, rounds = done
+            ctx.rounds += rounds
+            return
         regs.declare("path_rep", max(self.reps, 1))
         for r in range(self.reps):
             regs["path_rep"] = r

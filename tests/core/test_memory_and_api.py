@@ -1,5 +1,7 @@
 """Tests for memory accounting helpers and the public solve API."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -13,9 +15,12 @@ from repro.core import (
     solve_with_delay,
     upper_bound_bits,
 )
+from repro import telemetry
+from repro.agents import Automaton, Registers
+from repro.analysis.program_atlas import _bits as atlas_bits
 from repro.core.baseline import baseline_agent
 from repro.errors import InfeasibleRendezvousError
-from repro.trees import complete_binary_tree, line, star, subdivide
+from repro.trees import complete_binary_tree, double_broom, line, star, subdivide
 
 
 class TestBitHelpers:
@@ -26,6 +31,27 @@ class TestBitHelpers:
         assert log_bits(7) == 3
         assert log_bits(8) == 4
         assert log_bits(255) == 8
+
+    def test_exact_bits_agree_with_the_float_formula_below_2_49(self):
+        for x in range(4097):
+            assert log_bits(x) == max(1, math.ceil(math.log2(x + 1)))
+        for states in range(1, 4098):
+            assert atlas_bits(states) == max(1, math.ceil(math.log2(max(states, 2))))
+        assert [Automaton(k, {}, [0] * k).memory_bits for k in (1, 2, 3, 4, 5, 9)] == [
+            1, 1, 2, 2, 3, 4]
+
+    def test_exact_bits_from_2_49_on(self):
+        # The float formula is one bit short here: log2(2**49 + 1) rounds to 49.
+        assert math.ceil(math.log2(2**49 + 1)) == 49
+        assert log_bits(2**49) == 50 and log_bits(2**49 - 1) == 49
+        assert log_bits(2**60) == 61 and log_bits(2**60 - 1) == 60
+        assert atlas_bits(2**49 + 1) == 50 and atlas_bits(2**60 + 1) == 61
+        regs = Registers()
+        regs.declare("big", 2**60)
+        regs.declare("mid", 2**49)
+        regs["mid"] = 2**49
+        assert regs.bits_declared() == 61 + 50
+        assert regs.bits_used() == 1 + 50
 
     def test_loglog_bits_grows_very_slowly(self):
         assert loglog_bits(10) <= loglog_bits(10**6) <= loglog_bits(10**12)
@@ -53,6 +79,23 @@ class TestMeasureMemory:
         r2 = measure_memory(big, 3, rendezvous_agent(max_outer=2),
                             estimate_round_budget(big, 2))
         assert r1.declared == r2.declared
+
+    def test_replay_drive_counters_are_pinned(self):
+        """The exact ``drive.*`` counts of the ℓ=4 memory-vs-leaves point:
+        P is built once per extremity of C and jumped 66 times.  A replay
+        that fell back to walk-by-walk traversals would change them."""
+        tree = double_broom(77, 2, 2)
+        tel = telemetry.Telemetry()
+        with telemetry.use(tel):
+            report = measure_memory(tree, 78, rendezvous_agent(max_outer=2),
+                                    estimate_round_budget(tree, 2))
+        counts = {k: v for k, v in tel.counters.items() if k.startswith("drive.")}
+        assert counts == {
+            "drive.walk.jump": 261,
+            "drive.block.jump": 66,
+            "drive.block.build": 2,
+        }
+        assert (report.declared, report.used) == (40, 37)
 
     def test_baseline_memory_grows_with_n(self):
         r1 = measure_memory(line(8), 0, baseline_agent(), 600)

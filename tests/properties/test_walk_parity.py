@@ -1,4 +1,4 @@
-"""Property tests: the basic-walk instruction ≡ the loop it replaces.
+"""Property tests: the walk and block instructions ≡ the loops they replace.
 
 A :class:`~repro.agents.program.Walk` has two executors: the round-by-round
 expansion inside ``AgentProgram.start``/``step`` (what every engine, the
@@ -6,6 +6,10 @@ lowering passes and the traced tier see) and the solo driver
 :func:`~repro.agents.program.drive`, which jumps whole walks through
 per-tree tables.  Both are held to the inline ``stay``/``move`` loop the
 navigators used before walks existed — kept here as the oracle.
+
+A :class:`~repro.agents.program.Block` (one traversal of the rendezvous
+path P) is expanded walk by walk by ``step`` and jumped whole by
+``drive``; the round-by-round drive is the oracle for the jump.
 """
 
 import random
@@ -14,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.agents import (
     NULL_PORT,
     AgentProgram,
+    Block,
     Ctx,
     drive,
     machine_state_key,
@@ -28,8 +34,18 @@ from repro.agents import (
 from repro.core import rendezvous_agent
 from repro.core.memory import memory_report
 from repro.core.prime_walk import prime_line_agent
+from repro.core.rendezvous_path import rendezvous_path_num_edges
+from repro.errors import AgentProtocolError
 from repro.sim import run_solo
-from repro.trees import complete_binary_tree, line, random_relabel, random_tree, subdivide
+from repro.trees import (
+    complete_binary_tree,
+    contract,
+    double_broom,
+    line,
+    random_relabel,
+    random_tree,
+    subdivide,
+)
 
 
 def inline_walk(ctx, regs, port, delta, arrivals, speed, counter):
@@ -124,13 +140,15 @@ def test_expanded_walk_matches_inline_loop(tree, data, specs):
 
 
 def assert_drive_matches_steps(tree, start, prototype, budget):
-    """drive()'s report, final node and rounds equal a round-by-round drive."""
+    """drive()'s registers (bounds, values, peaks), final node and rounds
+    equal a round-by-round drive's."""
     stepped = prototype.clone()
     _, _, node, used = step_rounds(tree, start, stepped, budget)
     jumped = prototype.clone()
     run = drive(tree, start, jumped.routine(tree.degree(start)),
                 jumped.registers, max_rounds=budget)
     assert memory_report(jumped) == memory_report(stepped)
+    assert jumped.registers.snapshot() == stepped.registers.snapshot()
     assert (run.node, run.rounds, run.finished) == (node, used, stepped.finished)
 
 
@@ -202,3 +220,122 @@ def test_machine_state_key_sees_the_walk_expansion():
     assert agent.walk_state is not None
     assert len({key[1] for key in keys}) == 1  # the generator never resumed
     assert len(set(keys)) == 3
+
+
+# -- blocks ------------------------------------------------------------------
+
+
+def spy(routine, spans):
+    """Pass ``routine``'s instructions through, appending ``(instruction,
+    first round, end round)`` for each walk or block answered whole."""
+    rounds = 0
+    reply = None
+    try:
+        while True:
+            action = routine.send(reply)
+            reply = yield action
+            if action.__class__ is int:
+                rounds += 1
+            elif reply is not None:
+                spans.append((action, rounds, rounds + reply[2]))
+                rounds += reply[2]
+    except StopIteration as stop:
+        return stop.value
+
+
+def drive_spans(tree, start, prototype, trail=None):
+    """Spans of an unbounded solo drive; with a ``trail`` every block is
+    expanded, so the spans are the walks instead."""
+    agent = prototype.clone()
+    spans = []
+    drive(tree, start, spy(agent.routine(tree.degree(start)), spans),
+          agent.registers, trail=trail)
+    return spans
+
+
+SYMMETRIC = [double_broom(3, 2, 2), double_broom(5, 3, 3), line(6)]
+
+
+@pytest.mark.parametrize("tree", SYMMETRIC, ids=["broom-3-2", "broom-5-3", "line-6"])
+def test_drive_matches_steps_around_blocks(tree):
+    """Budgets that end just before a block, between two of its walks,
+    inside one of its walks and exactly at its end cut like ``step``."""
+    prototype = rendezvous_agent(max_outer=1)
+    blocks = [(b, e) for i, b, e in drive_spans(tree, 0, prototype) if i.__class__ is Block]
+    walks = [(b, e) for i, b, e in drive_spans(tree, 0, prototype, trail=[])]
+    assert len(blocks) >= 2
+    for begin, end in blocks[:2]:  # one from each extremity of C
+        inside = [(b, e) for b, e in walks if begin <= b and e <= end]
+        assert inside[0][0] == begin and inside[-1][1] == end
+        between = [e for _, e in inside[:-1]]
+        budgets = {begin - 1, begin, end - 1, end, end + 1}
+        budgets.update(between[:2] + between[-2:])
+        budgets.update(b + 1 for b, _ in inside[:3] + inside[-3:])
+        budgets.update(b + 3 for b, _ in inside[1:4])
+        for budget in sorted(budgets):
+            assert_drive_matches_steps(tree, 0, prototype, budget)
+
+
+def test_block_memo_hits_from_both_extremities_at_every_prime():
+    """One drive builds P once per extremity and jumps it at speeds 2
+    and 3 from both; the whole run still equals the round-by-round one."""
+    tree = double_broom(3, 2, 2)
+    prototype = rendezvous_agent(max_outer=2)
+    tel = telemetry.Telemetry()
+    with telemetry.use(tel):
+        speeds = [i.speed for i, _, _ in drive_spans(tree, 0, prototype) if i.__class__ is Block]
+    assert tel.counters["drive.block.build"] == 2
+    assert tel.counters["drive.block.jump"] == len(speeds)
+    assert set(speeds) == {2, 3}
+    agent = prototype.clone()
+    run = drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)
+    assert run.finished
+    assert_drive_matches_steps(tree, 0, prototype, run.rounds)
+
+
+@pytest.mark.parametrize("tree, chain", [
+    (double_broom(3, 2, 2), 3), (double_broom(5, 3, 3), 5), (line(6), 5),
+])
+def test_jumped_block_edges_match_path_formula(tree, chain):
+    edges = rendezvous_path_num_edges(tree.n, contract(tree).nu, tree.num_leaves, chain)
+    blocks = [
+        (i.speed, e - b) for i, b, e in drive_spans(tree, 0, rendezvous_agent(max_outer=2))
+        if i.__class__ is Block
+    ]
+    assert blocks and all(length == speed * edges for speed, length in blocks)
+
+
+def test_block_must_declare_what_it_writes():
+    """drive builds a block on a scratch bank, so a block writing a
+    register declared only outside it fails loudly."""
+
+    def writes_outer(ctx, regs, speed):
+        if (yield Block("writes-outer", writes_outer, speed)) is None:
+            regs["outer"] = 1
+            yield from walk(ctx, 0, +1, 1, speed)
+
+    def program(start_degree, regs):
+        ctx = Ctx(NULL_PORT, start_degree)
+        regs.declare("outer", 3)
+        yield from writes_outer(ctx, regs, 2)
+
+    agent = AgentProgram(program)
+    tree = line(4)
+    with pytest.raises(AgentProtocolError, match="never declared"):
+        drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)
+
+
+def test_block_must_move():
+    """A jump answers with the block's last observation, which an empty
+    block does not have, so drive refuses one."""
+
+    def empty(ctx, regs, speed):
+        yield Block("empty", empty, speed)
+
+    def program(start_degree, regs):
+        yield from empty(Ctx(NULL_PORT, start_degree), regs, 1)
+
+    agent = AgentProgram(program)
+    tree = line(4)
+    with pytest.raises(AgentProtocolError, match="moved no edge"):
+        drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)

@@ -42,6 +42,9 @@ def test_bench_engine_quick_emits_json(tmp_path):
     assert sweep["verdicts_match"], "batch solver diverged from the reference"
     assert sweep["speedup"] >= 5
     assert payload["throughput"]["speedup"] > 1.0
+    replay = payload["solo_replay"]
+    assert replay["rows_match_golden"], "memory-vs-leaves rows drifted from the golden"
+    assert replay["drive"]["drive.block.jump"] > 0
 
 
 def load_bench_gathering():
