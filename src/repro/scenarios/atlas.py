@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Union
 from ..telemetry import current as _telemetry
 from .runner import ScenarioResult
 from .spec import ScenarioError
-from .store import comparable, validate_payload
+from .store import comparable, validate_payload, write_atomic
 
 __all__ = [
     "AtlasStore",
@@ -511,12 +511,7 @@ class AtlasStore:
             raise ScenarioError(f"no atlas result named {name!r} in {self.path}")
         out = pathlib.Path(out_dir) / f"{name}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(out.name + ".tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, out)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomic(out, text)
         return out
 
     def export_all(self, out_dir: Union[str, pathlib.Path]) -> list[pathlib.Path]:

@@ -47,6 +47,24 @@ __all__ = ["ResultStore", "validate_payload", "diff_payloads", "comparable"]
 _SCALAR = (str, int, float, bool, type(None))
 
 
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically: a reader (or a kill)
+    mid-write sees either the old complete file or the new one.
+
+    The temp file sits next to the target, so ``os.replace`` stays on
+    one filesystem (rename atomicity), and its name is unique per call:
+    with a fixed name a second writer of the same path truncates the
+    first one's temp file, which then publishes a torn file while the
+    second one's ``os.replace`` finds no temp file at all.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise ScenarioError(f"invalid scenario result: {message}")
@@ -155,20 +173,14 @@ class ResultStore:
         return self.root / f"{name}.json"
 
     def save(self, result: ScenarioResult) -> pathlib.Path:
-        """Write atomically: a reader (or a kill) mid-save must see either
-        the old complete file or the new complete file, never a torn one.
-        The temp file lives next to the target so ``os.replace`` stays on
-        one filesystem (rename atomicity)."""
+        """Write atomically (:func:`write_atomic`): a reader (or a kill)
+        mid-save must see either the old complete file or the new
+        complete file, never a torn one."""
         payload = result.to_payload()
         validate_payload(payload)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.name)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 
     def load(self, name_or_path: Union[str, pathlib.Path]) -> dict:

@@ -120,6 +120,30 @@ class TestRoundTrip:
             out = atlas.export("verify-small", tmp_path / "exported")
         assert out.read_bytes() == loose.read_bytes()
 
+    def test_export_racing_a_second_export(self, db, result, tmp_path, monkeypatch):
+        # A second export of the same name inside the first export's
+        # os.replace must not consume the first one's temp file.
+        import os
+
+        out_dir = tmp_path / "exported"
+        real_replace = os.replace
+        racing = []
+        with AtlasStore(db) as atlas:
+            atlas.save(result)
+
+            def replace(src, dst):
+                if not racing:
+                    racing.append(None)
+                    racing[0] = atlas.export("verify-small", out_dir)
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+            out = atlas.export("verify-small", out_dir)
+            monkeypatch.undo()
+            assert racing == [out]
+            assert out.read_text() == atlas._row_text("verify-small")
+        assert [p.name for p in out_dir.iterdir()] == ["verify-small.json"]
+
     def test_import_tree_golden_round_trip(self, db, tmp_path):
         # a results tree like benchmarks/results/: the goldens plus a
         # loose top-level result (built here, as a clean checkout has none)

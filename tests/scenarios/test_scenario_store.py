@@ -135,6 +135,33 @@ class TestRobustPersistence:
         # The temp file is gone and no half-written target appeared.
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_racing_a_second_save_of_the_same_name(
+        self, result, tmp_path, monkeypatch
+    ):
+        # A second save of the same name starts inside the first save's
+        # os.replace.  With a shared temp name the second save truncated
+        # and consumed the first one's temp file, so the first replace
+        # raised FileNotFoundError.
+        import dataclasses
+        import os
+
+        store = ResultStore(tmp_path)
+        other = dataclasses.replace(result, rows=result.rows[:1])
+        real_replace = os.replace
+        racing = []
+
+        def replace(src, dst):
+            if not racing:
+                racing.append(None)
+                racing[0] = store.save(other)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        store.save(result)
+        assert racing == [tmp_path / "delays-line.json"]
+        assert store.load(result.name)["rows"] == result.rows
+        assert [p.name for p in tmp_path.iterdir()] == ["delays-line.json"]
+
     def test_corrupt_json_is_quarantined_not_fatal_forever(self, result, tmp_path):
         store = ResultStore(tmp_path)
         path = store.save(result)
