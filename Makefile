@@ -12,10 +12,11 @@ GOLDEN_SCENARIOS := $(basename $(notdir $(wildcard benchmarks/results/golden/*.j
 ATLAS_FIXTURE_SCENARIOS := verify-small gathering-line-k3 thm31-sweep \
         atlas-programs rendezvous-relabel-line gathering-crash-k3
 FAULT_TMP := $(RESULTS_TMP)/repro-fault-smoke
-# Every delay_sweep / gathering_sweep scenario, faulted or not.
-SWEEP_SCENARIOS := delays-line delays-line-long rendezvous-relabel-line \
-        gathering-crash-k3 gathering-line-k3 gathering-line-k4 \
-        gathering-spider-k3 gathering-binary-k4
+# Every delay_sweep / gathering_sweep scenario, faulted or not, read off
+# the kind column of the registry listing (so a new sweep scenario cannot
+# skip fault-smoke); expanded only by the targets that use it.
+SWEEP_SCENARIOS = $(shell $(PY) -m repro scenarios list | \
+        awk '$$2 == "delay_sweep" || $$2 == "gathering_sweep" { print $$1 }')
 TELEMETRY_TMP := $(RESULTS_TMP)/repro-telemetry-smoke
 ATLAS_TMP := $(RESULTS_TMP)/repro-atlas-smoke
 ATLAS_FIXTURE := tests/scenarios/fixtures/atlas-v0.sqlite

@@ -87,10 +87,10 @@ class FaultThreadingRule(ProjectRule):
 
     Calls in branches the analyzer can prove fault-free (``if not
     faults:`` bodies, ``if faults: return ...`` fall-throughs) are
-    exempt — the shape of ``compiled.solve_all_delays``, which forwards
-    a plan to the faulted exact solver.  The per-run engines have no
-    such branch: they run one loop and pass the plan into it, so every
-    call there must thread ``faults=``.  ``**kwargs``
+    exempt — the shape of ``kernel._solve_auto``, which runs the
+    fault-free kernel only when ``faults is None``.  The per-run engines
+    have no such branch: they run one loop and pass the plan into it, so
+    every call there must thread ``faults=``.  ``**kwargs``
     expansion at the call site counts as threading (the dict is built
     from ``faults`` by the callers that use this pattern, and guessing
     otherwise would flag correct code).

@@ -33,9 +33,9 @@ A delay sweep is the k=2 case of a gathering grid: delaying side 2 by
 θ is the delay vector ``(0, θ)`` (:mod:`repro.sim.delays` owns the
 (θ, side) choice format and validates ``sides``).  So both exact sweeps
 go down one degrade ladder, :func:`_sweep_exact`: traced lowering →
-fault lowering → exact solver → per-run.  Only the solvers on its rungs
-differ — delay sweeps keep the delay-shaped dict and kernel solvers,
-which beat the gathering solvers on k=2 grids.
+fault lowering → exact solver → per-run.  Only the entry points on its
+rungs differ: the delay ones are (θ, side) adapters over the gathering
+solvers.
 
 Lowering degrades, never crashes: a trace that finds no lasso within
 its budget (or machine state the freezer cannot capture) raises

@@ -21,10 +21,12 @@ the joint configuration with array indexing only:
   fault plan (:mod:`repro.sim.faults`) swaps move tables and frozen
   flags at its event rounds, and a fault-free run is the empty plan;
 - :func:`solve_all_delays` decides *every* delay θ ∈ [0, Θ] (and both
-  delayed-agent choices) in one shared reachability pass over the product
-  configuration graph: trajectories for different delays re-enter the same
-  joint configurations, so each configuration's fate (meets after k rounds
-  / provably never) is computed once and spliced into every later delay.
+  delayed-agent choices) as the k=2 case of the exact gathering solver
+  (:func:`repro.sim.gathering_solver.solve_gathering`): one shared
+  reachability pass over the product configuration graph, in which
+  trajectories for different delays re-enter the same joint
+  configurations, so each configuration's fate (meets after k rounds /
+  provably never) is computed once and spliced into every later delay.
 
 :func:`run_rendezvous_fast` is the dispatch point the analysis and
 lower-bound layers use: compiled backend for automata, reference engine
@@ -51,11 +53,11 @@ from typing import Optional, Sequence
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY, AgentBase, resolve_action
 from ..agents.program import AgentProgram
-from ..errors import BudgetExceededError, SimulationError
+from ..errors import SimulationError
 from ..trees.tree import Tree
-from .delays import DelayVerdict, met_at_start, sweep_choices
+from .delays import DelayVerdict, delay_vector, sweep_choices, to_delay_verdicts
 from .engine import RendezvousOutcome, run_rendezvous
-from .faults import _NO_FAULTS, FaultPlan, _segments, solve_all_delays_faulted
+from .faults import _NO_FAULTS, FaultPlan, _segments
 from .trace import RoundRecord, Trace
 
 __all__ = [
@@ -168,10 +170,9 @@ def _make_stepper(compiled: CompiledAgent, tree: Tree):
     """One started-agent round over the flat tables:
     ``(pos, state, ip-index) -> successor``.
 
-    Shared by the exact solvers (:func:`solve_all_delays` here and
-    :func:`repro.sim.gathering_solver.solve_gathering`) so the table
-    stepping semantics live in one place; the per-round simulation loops
-    keep their hand-inlined copies for speed.
+    The exact solver (:func:`repro.sim.gathering_solver.solve_gathering`)
+    steps solo runs and joint configurations with it; the per-round
+    simulation loops keep their hand-inlined copies for speed.
     """
     stride, deg, move_to, move_in = tree.flat_move_tables()
     width = stride + 1
@@ -425,20 +426,6 @@ def run_rendezvous_fast(
 # The batched all-delays solver
 # ----------------------------------------------------------------------
 
-_NEVER = (False, -1)
-
-
-def _check_delay_args(tree, prototype, prototype2, pairs) -> None:
-    """The agent and start checks every delay-sweep solver shares."""
-    for p in (prototype, prototype if prototype2 is None else prototype2):
-        if not isinstance(p, Automaton):
-            raise SimulationError(
-                "the all-delays solver requires a finite-state Automaton"
-            )
-    for start1, start2 in pairs:
-        if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-            raise SimulationError("start nodes outside the tree")
-
 
 def solve_all_delays(
     tree: Tree,
@@ -454,13 +441,14 @@ def solve_all_delays(
 ) -> list[DelayVerdict]:
     """Decide every delay θ ∈ [0, max_delay] in one shared reachability pass.
 
-    For each requested ``delayed`` side, the non-delayed agent's solo
-    trajectory is simulated once; each delay's joint phase then starts
-    from the configuration reached at its θ and walks the deterministic
-    product configuration graph.  Configuration fates are memoized in one
-    dictionary shared across all delays *and both sides*, so the total
-    work is proportional to the number of distinct joint configurations
-    reached — not to Θ × (rounds per run) as with per-delay simulation.
+    The sweep is the k=2 gathering grid over its (θ, side) choices
+    (:mod:`repro.sim.delays`), decided by
+    :func:`repro.sim.gathering_solver.solve_gathering`: each agent's
+    solo run is stepped once and read by every θ, and configuration
+    fates are memoized in one dictionary shared across all delays *and
+    both sides*, so the total work is proportional to the number of
+    distinct joint configurations reached — not to Θ × (rounds per run)
+    as with per-delay simulation.
 
     Returns verdicts in the :func:`repro.sim.delays.sweep_choices` order
     (θ-major, θ = 0 once).  Raises :class:`~repro.errors.BudgetExceededError`
@@ -470,132 +458,17 @@ def solve_all_delays(
     ``prototype2`` (default: ``prototype``) is agent 2's automaton — the
     heterogeneous-agent seam used by traced lowering
     (:mod:`repro.sim.traced`).  ``faults`` (an optional
-    :class:`~repro.sim.faults.FaultPlan`) routes to the faulted exact
-    solver: the faulted gathering solver over k=2 delay vectors.
+    :class:`~repro.sim.faults.FaultPlan`) applies one fault schedule to
+    every choice; verdicts then carry ``crashed``.
     """
-    if faults:
-        return solve_all_delays_faulted(
-            tree, prototype, start1, start2, max_delay=max_delay,
-            faults=faults, delayed_sides=delayed_sides,
-            max_configs=max_configs, prototype2=prototype2,
-        )
+    from .gathering_solver import solve_gathering  # it imports this module
+
     choices = sweep_choices(max_delay, delayed_sides)
-    _check_delay_args(tree, prototype, prototype2, [(start1, start2)])
-    if start1 == start2:
-        return met_at_start(choices)
-
-    compiled = compile_agent(prototype, tree)
-    compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
-    stride, deg, move_to, move_in = tree.flat_move_tables()
-    step_1 = _make_stepper(compiled, tree)
-    step_2 = step_1 if prototype2 is None else _make_stepper(compiled2, tree)
-    # per-side views: the runner is the non-delayed agent (agent 1 when
-    # side 2 is delayed), and tuple slots stay agent-major: (agent 1,
-    # agent 2) regardless of which side sleeps.
-    by_agent = {
-        1: (compiled.start_action, compiled.initial_state, step_1),
-        2: (compiled2.start_action, compiled2.initial_state, step_2),
-    }
-
-    # verdict[config] = (True, k): meets k rounds after reaching config;
-    #                   (False, -1): provably never meets from config.
-    verdict: dict[tuple, tuple[bool, int]] = {}
-
-    def resolve(config: tuple) -> tuple[bool, int]:
-        """Fate of ``config`` (the joint configuration after some round)."""
-        path: list[tuple] = []
-        on_path: dict[tuple, int] = {}
-        cur = config
-        while True:
-            known = verdict.get(cur)
-            if known is not None:
-                res = known
-                break
-            if cur[0] == cur[3]:  # meeting configuration
-                res = (True, 0)
-                verdict[cur] = res
-                break
-            if cur in on_path:  # fresh cycle, and no meeting on it
-                res = _NEVER
-                break
-            on_path[cur] = len(path)
-            path.append(cur)
-            if len(verdict) + len(path) > max_configs:
-                raise BudgetExceededError(
-                    f"all-delays solver exceeded max_configs={max_configs}"
-                )
-            cur = (
-                *step_1(cur[0], cur[1], cur[2]),
-                *step_2(cur[3], cur[4], cur[5]),
-            )
-        met, dist = res
-        if met:
-            for c in reversed(path):
-                dist += 1
-                verdict[c] = (True, dist)
-        else:
-            for c in path:
-                verdict[c] = _NEVER
-        return verdict[config]
-
-    out: dict[tuple[int, int], DelayVerdict] = {}
-    for side in dict.fromkeys(s for _t, s in choices):
-        runner_start = start1 if side == 2 else start2
-        sleeper_start = start2 if side == 2 else start1
-        start_act_r, s0_r, step_r = by_agent[1 if side == 2 else 2]
-        start_act_s, s0_s, _step_s = by_agent[side]
-
-        # Solo prefix of the non-delayed agent: configs after rounds
-        # 1..max_delay, and the first round it steps onto the sleeper.
-        # Every θ >= first_hit is decided the moment the runner lands on
-        # the sleeper, and the undecided θ < first_hit only enter from
-        # solo[θ - 1], so the walk stops at first_hit instead of always
-        # paying the full max_delay rounds.
-        solo: list[tuple[int, int, int]] = []
-        first_hit: Optional[int] = None
-        pos, st, ip = runner_start, s0_r, 0
-        a = start_act_r[deg[runner_start]]
-        if a != STAY:
-            base = pos * stride + a
-            pos, ip = move_to[base], move_in[base] + 1
-        solo.append((pos, st, ip))
-        if pos == sleeper_start:
-            first_hit = 1
-        else:
-            for t in range(2, max_delay + 1):
-                pos, st, ip = step_r(pos, st, ip)
-                solo.append((pos, st, ip))
-                if pos == sleeper_start:
-                    first_hit = t
-                    break
-
-        for theta in [t for t, s in choices if s == side]:
-            if first_hit is not None and theta >= first_hit:
-                out[(theta, side)] = DelayVerdict(theta, side, True, first_hit, False)
-                continue
-            # Round θ+1: the runner takes its (θ+1)-th active round, the
-            # sleeper executes its start action.
-            if theta == 0:
-                r_pos, r_st, r_ip = solo[0]
-            else:
-                r_pos, r_st, r_ip = step_r(*solo[theta - 1])
-            sl_st = s0_s
-            a = start_act_s[deg[sleeper_start]]
-            if a == STAY:
-                sl_pos, sl_ip = sleeper_start, 0
-            else:
-                base = sleeper_start * stride + a
-                sl_pos, sl_ip = move_to[base], move_in[base] + 1
-            if side == 2:
-                entry = (r_pos, r_st, r_ip, sl_pos, sl_st, sl_ip)
-            else:
-                entry = (sl_pos, sl_st, sl_ip, r_pos, r_st, r_ip)
-            met, dist = resolve(entry)
-            if met:
-                out[(theta, side)] = DelayVerdict(
-                    theta, side, True, theta + 1 + dist, False
-                )
-            else:
-                out[(theta, side)] = DelayVerdict(theta, side, False, None, True)
-
-    return [out[choice] for choice in choices]
+    verdicts = solve_gathering(
+        tree, prototype, (start1, start2),
+        [delay_vector(theta, side) for theta, side in choices],
+        max_configs=max_configs,
+        prototypes=None if prototype2 is None else (prototype, prototype2),
+        faults=faults,
+    )
+    return to_delay_verdicts(choices, verdicts)

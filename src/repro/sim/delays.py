@@ -11,18 +11,20 @@ sides in request order, and θ = 0 once — both sides are the same
 adversary choice there, emitted as side 2 when requested, else as the
 single requested side.
 
-The faulted delay solver is the faulted gathering solver over
+Every exact delay solver is its tier's gathering solver over
 :func:`delay_vector`'s k=2 vectors, mapped back by
-:func:`to_delay_verdicts`.  The fault-free dict and kernel delay solvers
-keep delay-shaped bodies: they walk each runner's solo prefix once per
-side and share it across every θ, where a gathering solver replays one
-staggered prefix per vector, and that makes them several times faster.
+:func:`to_delay_verdicts`: the dict solver
+(:func:`repro.sim.compiled.solve_all_delays`, faulted or not), the
+kernel (:func:`repro.sim.kernel.solve_delay_grid_kernel`) and the traced
+sweep, which feeds lassoed solo traces to one of those.  The gathering
+solvers step each agent slot's solo run once per grid and read every
+vector's staggered prefix off it, so a sweep shares its solo prefixes
+across θ without a delay-shaped body of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -37,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class DelayVerdict:
+class DelayVerdict(NamedTuple):
     """Exact fate of one ``(delay, delayed)`` adversary choice: the
     :class:`~repro.sim.gathering_solver.GatheringVerdict` of its k=2
     delay vector, field for field.  The exact solvers always decide;
@@ -99,11 +100,9 @@ def to_delay_verdicts(choices, verdicts) -> list[DelayVerdict]:
     """Gathering verdicts over ``map(delay_vector, choices)``, as delay
     verdicts (field for field)."""
     return [
-        DelayVerdict(
-            theta, side, gv.gathered, gv.gathering_round,
-            gv.certified_never, gv.crashed,
-        )
-        for (theta, side), gv in zip(choices, verdicts)
+        DelayVerdict(theta, side, gathered, gathering_round, never, crashed)
+        for (theta, side), (_delays, gathered, gathering_round, never, crashed)
+        in zip(choices, verdicts)
     ]
 
 

@@ -10,26 +10,33 @@ once and shared across every delay vector of the grid.
 
 For one delay vector ``(θ_0, ..., θ_{k-1})`` the solver:
 
-1. replays the staggered prefix, rounds ``1 .. max(max(θ), horizon) +
-   1``, with the k-agent table stepper of
-   :func:`repro.sim.multi.run_gathering_compiled` (agents are still
-   waking up and faults may still fire, so the configuration is not yet
-   a pure function of its predecessor), checking gathering after every
-   round — ``horizon`` is the fault plan's last active round, 0 without
-   faults;
+1. plays the staggered prefix, rounds ``1 .. max(max(θ), horizon) +
+   1`` (agents are still waking up and faults may still fire, so the
+   configuration is not yet a pure function of its predecessor),
+   checking gathering after every round — ``horizon`` is the fault
+   plan's last active round, 0 without faults;
 2. from the configuration reached after that round walks the
    deterministic product configuration graph (final labeling, crashed
    agents frozen), memoizing each visited configuration's fate in a
    dictionary shared across *all* delay vectors of the call.
 
-One body serves fault-free and faulted grids:
+Without faults an agent's moves depend only on its own start, so the
+prefixes share one solo run per agent slot (:class:`_Solo`): agent i
+started after round θ_i is, after round r, where its solo run is after
+``r - θ_i`` rounds.  Each slot's solo run is stepped once for the grid,
+only as far as some vector reads it, and a vector's prefix is read off
+the solo runs: before every agent has started, the agents can only
+gather on the start node of the last one to wake, and the first round
+they do is found through each solo run's per-node visit index.  A two-agent delay sweep — delay vectors ``(0, θ)`` / ``(θ, 0)``,
+see :mod:`repro.sim.delays` — thus costs O(Θ) prefix steps, not O(Θ²).
+A fault plan acts on absolute rounds, so faulted grids replay each
+vector's prefix with the k-agent table stepper of
+:func:`repro.sim.multi.run_gathering_compiled`.
+
+One body serves fault-free and faulted grids, and every delay sweep:
 :func:`repro.sim.faults.solve_gathering_faulted` is this solver with a
-fault plan.  A two-agent delay sweep is the k=2 case — delay vectors
-``(0, θ)`` / ``(θ, 0)``, see :mod:`repro.sim.delays` — and the faulted
-delay sweep runs here as such.  The fault-free delay sweep keeps its own
-solver, :func:`repro.sim.compiled.solve_all_delays`, which shares each
-runner's solo prefix across every θ instead of replaying one staggered
-prefix per vector, and is several times faster on k=2 grids.
+fault plan, and :func:`repro.sim.compiled.solve_all_delays` (faulted or
+not) is this solver over the sweep's k=2 delay vectors.
 
 Because the product graph is finite, every verdict is exact: exactly one
 of ``gathered`` / ``certified_never`` holds — the sweep executors never
@@ -40,10 +47,11 @@ as ``(n·K·(Δ+1))^k``), not a round budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from bisect import bisect_left
+from typing import NamedTuple, Optional, Sequence
 
 from ..agents.automaton import Automaton
+from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
 from .compiled import _make_stepper, compile_agent
@@ -55,8 +63,7 @@ __all__ = ["GatheringVerdict", "solve_gathering"]
 _NEVER = (False, -1)
 
 
-@dataclass(frozen=True, slots=True)
-class GatheringVerdict:
+class GatheringVerdict(NamedTuple):
     """Fate of one per-agent delay vector.
 
     :func:`solve_gathering` always decides (the product configuration
@@ -65,6 +72,10 @@ class GatheringVerdict:
     (``Backend.sweep_gathering`` over per-run engines) may return a
     verdict with *neither* flag set — an undecided round-budget
     exhaustion, which callers must never treat as a non-gathering proof.
+
+    A NamedTuple rather than a frozen dataclass: a grid builds one per
+    delay vector, and a dataclass's ``__init__`` costs about four times
+    as much.
     """
 
     delays: tuple[int, ...]
@@ -76,19 +87,28 @@ class GatheringVerdict:
     crashed: bool = False
 
 
-def _check_grid(tree, prototype, starts, delay_vectors, prototypes):
-    """A gathering grid's ``(starts, per-agent automata, delay vectors)``,
-    validated — the argument checks every gathering solver shares."""
-    starts = list(starts)
-    protos = list(prototypes) if prototypes is not None else [prototype] * len(starts)
-    if len(protos) != len(starts):
+def _check_grid(tree, prototype, start_sets, delay_vectors, prototypes):
+    """A gathering grid's ``(start sets, per-agent automata, delay
+    vectors)``, validated — the argument checks every gathering solver
+    shares.  Every start set has one node per agent slot; vectors come
+    back as tuples."""
+    start_sets = [tuple(starts) for starts in start_sets]
+    k = len(start_sets[0]) if start_sets else 0
+    protos = list(prototypes) if prototypes is not None else [prototype] * k
+    if len(protos) != k or any(len(starts) != k for starts in start_sets):
         raise SimulationError("'prototypes' must align with 'starts'")
     for p in protos:
         if not isinstance(p, Automaton):
             raise SimulationError(
                 "the gathering solver requires finite-state Automaton agents"
             )
-    return starts, protos, [list(_validate(tree, starts, vec)) for vec in delay_vectors]
+    vectors = list(map(tuple, delay_vectors))
+    if vectors:
+        for starts in start_sets:
+            _validate(tree, starts, None)
+        if set(map(len, vectors)) != {k} or min(map(min, vectors)) < 0:
+            raise SimulationError("delays must align with starts and be >= 0")
+    return start_sets, protos, vectors
 
 
 def _frozen_steppers(compileds, final_tree, crashed_agents):
@@ -117,14 +137,16 @@ def _fate_resolver(steppers, max_configs: int):
     ``max_configs`` distinct configurations.
     """
     k = len(steppers)
-    slots = [(step, 3 * i) for i, step in enumerate(steppers)]
+    slots = [(step, 3 * i, 3 * i + 1, 3 * i + 2) for i, step in enumerate(steppers)]
     # verdict[config] = (True, d): gathers d rounds after reaching config;
     #                   (False, -1): provably never gathers from config.
     verdict: dict[tuple, tuple[bool, int]] = {}
 
     def resolve(config: tuple) -> tuple[bool, int]:
-        path: list[tuple] = []
-        on_path: dict[tuple, int] = {}
+        known = verdict.get(config)
+        if known is not None:
+            return known
+        path: dict[tuple, None] = {}  # the walk so far, in order
         cur = config
         while True:
             known = verdict.get(cur)
@@ -136,18 +158,17 @@ def _fate_resolver(steppers, max_configs: int):
                 res = (True, 0)
                 verdict[cur] = res
                 break
-            if cur in on_path:  # fresh cycle, and no gathering on it
+            if cur in path:  # fresh cycle, and no gathering on it
                 res = _NEVER
                 break
-            on_path[cur] = len(path)
-            path.append(cur)
+            path[cur] = None
             if len(verdict) + len(path) > max_configs:
                 raise BudgetExceededError(
                     f"gathering solver exceeded max_configs={max_configs}"
                 )
             nxt: tuple = ()
-            for step, j in slots:
-                nxt += step(cur[j], cur[j + 1], cur[j + 2])
+            for step, a, b, c in slots:
+                nxt += step(cur[a], cur[b], cur[c])
             cur = nxt
         met, dist = res
         if met:
@@ -160,6 +181,139 @@ def _fate_resolver(steppers, max_configs: int):
         return verdict[config]
 
     return resolve
+
+
+class _Solo:
+    """One agent slot's solo run, stepped on demand and shared by every
+    delay vector of a fault-free grid.
+
+    ``configs[t]`` is the agent's ``(position, state, entry port)``
+    after its t-th active round (``configs[0]`` is unused: before its
+    first round an agent sleeps on its start node), and ``visits[v]``
+    lists, ascending, the stepped t at which it stands on node ``v``.
+    The run is stepped only when a vector reads past its end, so an
+    invalid transition raises exactly when some vector's own prefix
+    would have executed it.
+    """
+
+    __slots__ = ("configs", "visits", "step")
+
+    def __init__(self, first: tuple[int, int, int], step):
+        self.configs = [None, first]
+        self.visits = {first[0]: [1]}
+        self.step = step
+
+    def advance(self, hi: int, node: int = -1, lo: int = 0) -> int:
+        """Step up to round ``hi``, stopping early at the first round
+        ``>= lo`` on ``node``; returns the last round stepped to."""
+        configs, visits, step = self.configs, self.visits, self.step
+        cfg = configs[-1]
+        t = len(configs) - 1
+        while t < hi:
+            t += 1
+            cfg = step(*cfg)
+            configs.append(cfg)
+            seen = visits.get(cfg[0])
+            if seen is None:
+                visits[cfg[0]] = [t]
+            else:
+                seen.append(t)
+            if cfg[0] == node and t >= lo:
+                break
+        return t
+
+    def first_visit(self, node: int, lo: int, hi: int) -> Optional[int]:
+        """The first t in ``[lo, hi]`` with the agent on ``node`` after
+        its t-th round, or ``None`` — stepping no further than that t
+        (or ``hi``)."""
+        times = self.visits.get(node)
+        if times:
+            i = bisect_left(times, lo)
+            if i < len(times):
+                return times[i] if times[i] <= hi else None
+        t = self.advance(hi, node, lo)
+        return t if t >= lo and self.configs[t][0] == node else None
+
+
+def _start_config(compiled, tree: Tree, node: int) -> tuple[int, int, int]:
+    """An agent's ``(position, state, entry port)`` after its start
+    round from ``node``."""
+    stride, deg, move_to, move_in = tree.flat_move_tables()
+    a = compiled.start_action[deg[node]]
+    if a == STAY:
+        return node, compiled.initial_state, 0
+    base = node * stride + a
+    return move_to[base], compiled.initial_state, move_in[base] + 1
+
+
+def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
+    """Fault-free prefixes read off shared solo runs (see the module
+    docstring).  ``prefix(delays)`` returns ``(rnd, None)`` when the k
+    agents gather at round ``rnd`` before all have started, else
+    ``(rnd, entry)``: the joint configuration after round
+    ``rnd = max(delays) + 1``.
+
+    Through round ``max(delays)`` the last agent to wake still sleeps on
+    its start node, so an earlier gathering happens there, and only once
+    every agent starting elsewhere is up.  The agents then leapfrog to
+    their first common round on that node: a sleeping agent (its start
+    is that node) is on it, an awake one at its next visit.
+    """
+    agents = list(enumerate(solos))
+    away = {node: [a for a in agents if starts[a[0]] != node] for node in starts}
+    home = {node: [a for a in agents if starts[a[0]] == node] for node in starts}
+
+    def prefix(delays):
+        last = max(delays)
+        node = starts[delays.index(last)]
+        rnd = 1
+        movers = away[node]
+        for i, _solo in movers:
+            if delays[i] >= rnd:
+                rnd = delays[i] + 1
+        if len(home[node]) > 1:  # agents that wake on the node, then leave it
+            movers = movers + [a for a in home[node] if delays[a[0]] < last]
+        runner = agreed = 0
+        while rnd <= last:
+            i, solo = movers[runner]
+            d = delays[i]
+            if rnd > d:
+                t = solo.first_visit(node, rnd - d, last - d)
+                if t is None:
+                    break
+                if t + d != rnd:
+                    rnd, agreed = t + d, 0
+            agreed += 1
+            if agreed == len(movers):
+                return rnd, None
+            runner = (runner + 1) % len(movers)
+        rnd = last + 1
+        entry = ()
+        for i, solo in agents:
+            t = rnd - delays[i]
+            if t >= len(solo.configs):
+                solo.advance(t)
+            entry += solo.configs[t]
+        return rnd, entry
+
+    return prefix
+
+
+def _replayed_prefix(events, compileds, starts: Sequence[int], horizon: int):
+    """Faulted prefixes: a fault plan acts on absolute rounds, so each
+    vector replays rounds ``1 .. max(max(delays), horizon) + 1`` with the
+    k-agent table stepper (same contract as :func:`_shared_prefix`)."""
+    k = len(starts)
+
+    def prefix(delays):
+        last = max(max(delays), horizon) + 1
+        pos = st = ip = None
+        for rnd, pos, st, ip in _table_rounds(events, compileds, starts, delays, last):
+            if pos[0] == pos[-1] and pos.count(pos[0]) == k:
+                return rnd, None
+        return last, tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
+
+    return prefix
 
 
 def solve_gathering(
@@ -191,49 +345,45 @@ def solve_gathering(
     ``crashed``.
     """
     plan = FaultPlan.coerce(faults) or _NO_FAULTS
-    starts, protos, vectors = _check_grid(
-        tree, prototype, starts, delay_vectors, prototypes
+    (starts,), protos, vectors = _check_grid(
+        tree, prototype, [starts], delay_vectors, prototypes
     )
     plan.validate_for(len(starts))
-    k = len(starts)
+    if len(set(starts)) == 1:
+        return [GatheringVerdict(key, True, 0, False) for key in vectors]
 
     compileds = [compile_agent(p, tree) for p in protos]
     events = plan.events(tree)
     crashed_agents = {c.agent for c in plan.crashes}
     has_crashes = bool(crashed_agents)
     # The last event's labeling is the final one.
-    resolve = _fate_resolver(
-        _frozen_steppers(compileds, events[-1][1], crashed_agents), max_configs
-    )
+    steppers = _frozen_steppers(compileds, events[-1][1], crashed_agents)
+    resolve = _fate_resolver(steppers, max_configs)
+    if plan:
+        prefix = _replayed_prefix(events, compileds, starts, plan.horizon)
+    else:
+        solos: dict[tuple, _Solo] = {}
+        for c, step, node in zip(compileds, steppers, starts):
+            if (id(c), node) not in solos:
+                solos[id(c), node] = _Solo(_start_config(c, tree, node), step)
+        prefix = _shared_prefix(
+            starts, [solos[id(c), node] for c, node in zip(compileds, starts)]
+        )
 
     out: list[GatheringVerdict] = []
-    for delays in vectors:
-        key = tuple(delays)
-        if len(set(starts)) == 1:
-            out.append(GatheringVerdict(key, True, 0, False))
-            continue
-        # Staggered (and faulted) prefix: rounds 1 .. max(max(delays),
-        # horizon) + 1.  After the last of these every surviving agent
-        # has started, every pause has expired and the labeling is
-        # final, so the joint configuration is a pure function of its
-        # predecessor.
-        prefix = max(max(delays), plan.horizon) + 1
-        met_at: Optional[int] = None
-        pos = st = ip = None
-        for rnd, pos, st, ip in _table_rounds(
-            events, compileds, starts, delays, prefix
-        ):
-            if pos[0] == pos[-1] and pos.count(pos[0]) == k:
-                met_at = rnd
-                break
-        if met_at is not None:
+    for key in vectors:
+        # After the prefix's last round every surviving agent has
+        # started, every pause has expired and the labeling is final, so
+        # the joint configuration is a pure function of its predecessor.
+        rnd, entry = prefix(key)
+        if entry is None:
             out.append(GatheringVerdict(
-                key, True, met_at, False, bool(plan.crashed_by(met_at))
+                key, True, rnd, False, has_crashes and bool(plan.crashed_by(rnd))
             ))
             continue
-        met, dist = resolve(tuple(x for i in range(k) for x in (pos[i], st[i], ip[i])))
+        met, dist = resolve(entry)
         if met:
-            out.append(GatheringVerdict(key, True, prefix + dist, False, has_crashes))
+            out.append(GatheringVerdict(key, True, rnd + dist, False, has_crashes))
         else:
             out.append(GatheringVerdict(key, False, None, True, has_crashes))
     return out

@@ -1,7 +1,7 @@
 """The vectorized sweep kernel: whole frontiers per step, not configs.
 
-The exact solvers (:func:`repro.sim.compiled.solve_all_delays`,
-:func:`repro.sim.gathering_solver.solve_gathering`) walk the product
+The exact dict solver (:func:`repro.sim.gathering_solver.solve_gathering`,
+which :func:`repro.sim.compiled.solve_all_delays` runs) walks the product
 configuration graph one Python dict lookup at a time.  This module keeps
 their verdict semantics but advances *every* undecided adversary choice
 at once:
@@ -45,13 +45,14 @@ _require_kernel()`` at the entry points) when it runs, so importing this
 module costs nothing until a vector path is taken.
 
 A delay sweep is the k=2 case of a gathering grid (:mod:`repro.sim.delays`
-owns the (θ, side) format), yet it keeps its own kernel entry, :func:`solve_delay_grid_kernel`: it
-batches one solo prefix per side across every θ and pair, where the
-gathering kernel replays a staggered prefix per vector (the
-success-families benchmark in ``BENCH_engine.json`` gates that speed).
-Verdict parity — against the dict solvers and against the gathering
-grid over the k=2 vectors — is asserted by
-``tests/properties/test_kernel_parity.py``.
+owns the (θ, side) format): :func:`solve_delay_grid_kernel` is the
+gathering body, :func:`_solve_grids`, over the sweep's delay vectors for
+many start pairs at once.  That body steps one solo run per distinct
+(table, start node) and reads every (start set, vector) cell's staggered
+prefix off those runs, vectorized over cells (the success-families
+benchmark in ``BENCH_engine.json`` gates that speed).  Verdict parity —
+against the dict solvers and against the gathering grid over the k=2
+vectors — is asserted by ``tests/properties/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -68,9 +69,14 @@ from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
 from ..telemetry import current as _telemetry
 from ..trees.tree import Tree
-from .compiled import _INVALID, _check_delay_args, compile_agent, solve_all_delays
-from .delays import DelayVerdict, met_at_start, sweep_choices
-from .gathering_solver import GatheringVerdict, _check_grid, solve_gathering
+from .compiled import _INVALID, compile_agent, solve_all_delays
+from .delays import DelayVerdict, delay_vector, sweep_choices, to_delay_verdicts
+from .gathering_solver import (
+    GatheringVerdict,
+    _check_grid,
+    _start_config,
+    solve_gathering,
+)
 from .numpy_probe import load_numpy, numpy_importable
 
 __all__ = [
@@ -305,19 +311,12 @@ def _build_succ(compiled, tree: Tree):
 def _build_start_ids(compiled, tree: Tree):
     """Ids after the start round from every node (tiny: one per node)."""
     _np = load_numpy()
-    stride, deg, move_to, move_in = tree.flat_move_tables()
-    width = stride + 1
-    s0 = compiled.initial_state
-    ids = []
-    for v in range(tree.n):
-        a = compiled.start_action[deg[v]]
-        if a == STAY:
-            pos, ip = v, 0
-        else:
-            base = v * stride + a
-            pos, ip = move_to[base], move_in[base] + 1
-        ids.append((s0 * tree.n + pos) * width + ip)
-    return _np.asarray(ids, dtype=_np.int64)
+    width = tree.flat_move_tables()[0] + 1
+    configs = (_start_config(compiled, tree, v) for v in range(tree.n))
+    return _np.asarray(
+        [(st * tree.n + pos) * width + ip for pos, st, ip in configs],
+        dtype=_np.int64,
+    )
 
 
 # automaton -> tree -> AgentTable; both levels weak so tables die with
@@ -521,80 +520,183 @@ def _note_frontier(
 
 
 # ----------------------------------------------------------------------
-# Delay sweeps
+# Gathering grids (a delay sweep is the k=2 case)
 # ----------------------------------------------------------------------
 
 
-def _solo_batch(table: AgentTable, runner_starts, sleeper_starts, max_delay: int):
-    """Batched runner solo prefixes in id space — the dict solver's
-    prefix (with its early break) for many walks per numpy gather.
+def _solo_ids(tables: Sequence[AgentTable], start_sets, reach):
+    """The shared solo runs of a grid, in id space.
 
-    ``rows[t][w]`` is walk ``w``'s runner id after round ``t + 1``;
-    ``first_hit[w]`` is the first round the runner steps onto its
-    sleeper's start node (0 = no hit within ``max_delay``).  A walk
-    freezes once its hit is found, so — exactly like the scalar prefix —
-    an invalid successor only raises when some walk genuinely still
-    needs that step.
+    One run per distinct (table, start node), stepped once to the
+    longest prefix any vector of the grid reads (``reach[i]`` rounds for
+    slot i).  Returns ``(walk_of, ids)``: ``walk_of[b, i]`` is the run
+    of start set b's slot i, and ``ids[w, t]`` its id after round t
+    (column 0 unused).  A run that reaches an invalid transition stops
+    there; the entries past it stay ``-1``, and a cell reading one raises
+    :class:`KernelUnsupported` — so the error surfaces exactly when some
+    vector's own prefix needs that step, however far the run was meant
+    to go.
     """
     _np = load_numpy()
-    succ = table.succ
-    n, width = table.n, table.width
-    starts = _np.asarray(runner_starts, dtype=_np.int64)
-    sleep = _np.asarray(sleeper_starts, dtype=_np.int64)
-    if starts.size <= 4:  # numpy per-op overhead dwarfs tiny batches
-        return _solo_batch_scalar(table, starts, sleep, max_delay)
-    cur = table.start_ids[starts].astype(_np.int64)
-    fh = _np.where((cur // width) % n == sleep, 1, 0)
-    rows = [cur]
-    for t in range(2, max_delay + 2):
-        active = fh == 0
-        if not active.any():
-            break
-        nxt = succ[cur[active]]
-        if (nxt < 0).any():
-            raise KernelUnsupported(
-                "solo prefix reached an invalid transition entry"
-            )
-        cur = cur.copy()
-        cur[active] = nxt
-        if t <= max_delay:
-            hit = active & ((cur // width) % n == sleep)
-            fh[hit] = t
-        rows.append(cur)
-    while len(rows) < max_delay + 1:  # frozen tail, never read past first_hit
-        rows.append(rows[-1])
-    return _np.stack(rows), fh
+    runs: dict[tuple[int, int], int] = {}
+    walks = []  # [table, start node, rounds]
+    walk_of = []
+    for starts in start_sets:
+        row = []
+        for table, node, rounds in zip(tables, starts, reach):
+            w = runs.setdefault((id(table), node), len(walks))
+            if w == len(walks):
+                walks.append([table, node, rounds])
+            elif walks[w][2] < rounds:
+                walks[w][2] = rounds
+            row.append(w)
+        walk_of.append(row)
+
+    ids = _np.full((len(walks), max(w[2] for w in walks) + 1), -1, dtype=_np.int64)
+    for w, (table, node, rounds) in enumerate(walks):
+        succ = _np.asarray(table.succ, dtype=_np.int32)  # plain ndarray: fast .item()
+        cur = int(table.start_ids[node])
+        run = [cur]
+        while len(run) < rounds:
+            cur = succ.item(cur)
+            if cur < 0:
+                break
+            run.append(cur)
+        ids[w, 1:len(run) + 1] = run
+    return _np.asarray(walk_of, dtype=_np.int64), ids
 
 
-def _solo_batch_scalar(table: AgentTable, starts, sleep, max_delay: int):
-    """Per-walk scalar prefixes (same semantics as the batched pass);
-    long single-pair sweeps step one int at a time instead of paying
-    numpy dispatch on one-element arrays every round."""
+def _prefix_gatherings(tables, start_sets, vectors, walk_of, ids):
+    """First round each (start set, vector) cell gathers at before every
+    agent has started, 0 where it does not — :func:`_shared_prefix` of
+    the dict solver, vectorized over cells.
+
+    Each cell can only gather on the start node of its last agent to
+    wake, once every agent starting elsewhere is up; every agent's next
+    round on that node comes from a per-(run, node) next-visit table,
+    and the agents leapfrog to their first common round.
+    """
     _np = load_numpy()
-    succ = table.succ
-    n, width = table.n, table.width
-    mat = _np.empty((max_delay + 1, starts.size), dtype=_np.int64)
-    fh = _np.zeros(starts.size, dtype=_np.int64)
-    for w in range(starts.size):
-        sid = int(table.start_ids[starts[w]])
-        target = int(sleep[w])
-        ids = [sid]
-        first_hit = 1 if (sid // width) % n == target else 0
-        t = 1
-        while t < (first_hit or max_delay + 1):
-            nxt = int(succ[ids[-1]])
-            if nxt < 0:
-                raise KernelUnsupported(
-                    "solo prefix reached an invalid transition entry"
-                )
-            t += 1
-            ids.append(nxt)
-            if not first_hit and t <= max_delay and (nxt // width) % n == target:
-                first_hit = t
-        fh[w] = first_hit
-        mat[:len(ids), w] = ids
-        mat[len(ids):, w] = ids[-1]  # frozen tail, never read past first_hit
-    return mat, fh
+    n, width = tables[0].n, ids.shape[1]
+    never = _np.iinfo(_np.int64).max // 4
+    last = vectors.max(axis=1)
+    node = start_sets[:, vectors.argmax(axis=1)]  # (sets, vectors)
+    away = start_sets[:, None, :] != node[:, :, None]
+    rnd = _np.where(away, vectors[None], 0).max(axis=2) + 1
+    gathered = _np.zeros(node.shape, dtype=_np.int64)
+    bs, vs = _np.nonzero(rnd <= last[None, :])
+    if not bs.size:
+        return gathered
+    runs, lags, target = walk_of[bs], vectors[vs], node[bs, vs]
+
+    # nxt[q, t]: the first round >= t at which run keys[q] // n stands
+    # on node keys[q] % n (``never`` past the run's known rounds)
+    keys, query = _np.unique(runs * n + target[:, None], return_inverse=True)
+    query = query.reshape(runs.shape)
+    known = ids[keys // n]
+    # every table on one tree shares the id layout (tables[0].width)
+    hits = (known >= 0) & ((known // tables[0].width) % n == (keys % n)[:, None])
+    hits[:, 0] = False
+    nxt = _np.where(hits, _np.arange(width, dtype=_np.int64), never)
+    nxt = _np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    nxt = _np.concatenate(
+        [nxt, _np.full((len(keys), 1), never, dtype=_np.int64)], axis=1
+    )
+
+    rnd, hi = rnd[bs, vs], last[vs]
+    live = _np.arange(bs.size, dtype=_np.int64)
+    while live.size:
+        local = rnd[live, None] - lags[live]
+        # a sleeping agent lies on the node already
+        best = _np.where(
+            local > 0,
+            nxt[query[live], _np.clip(local, 0, width)] + lags[live],
+            rnd[live, None],
+        ).max(axis=1)
+        found = best == rnd[live]
+        gathered[bs[live[found]], vs[live[found]]] = rnd[live[found]]
+        rnd[live] = best
+        live = live[~found & (best <= hi[live])]
+    return gathered
+
+
+def _solve_grids(tables: Sequence[AgentTable], start_sets, vectors, max_configs):
+    """Verdict rows of a fault-free grid for many start sets at once.
+
+    ``start_sets`` share the slot tables and the delay vectors.  The
+    shared-prefix step runs vectorized over every (start set, vector)
+    cell: the solo runs are stepped once (:func:`_solo_ids`), prefix
+    gatherings are read off them (:func:`_prefix_gatherings`), and the
+    remaining cells' entry configurations after round ``max(θ) + 1``
+    are deduplicated and resolved in one k-agent frontier.
+    """
+    _np = load_numpy()
+    rows = [
+        [GatheringVerdict(key, True, 0, False) for key in vectors]
+        if len(set(starts)) == 1 else None
+        for starts in start_sets
+    ]
+    live = [b for b, row in enumerate(rows) if row is None]
+    if not live or not vectors:
+        return [row or [] for row in rows]
+    sets = _np.asarray([start_sets[b] for b in live], dtype=_np.int64)
+    delays = _np.asarray(vectors, dtype=_np.int64)
+    first_joint = delays.max(axis=1) + 1
+    reach = (first_joint[:, None] - delays).max(axis=0)
+    walk_of, ids = _solo_ids(tables, sets.tolist(), reach.tolist())
+    rounds = _prefix_gatherings(tables, sets, delays, walk_of, ids)
+
+    bs, vs = _np.nonzero(rounds == 0)
+    entry = ids[walk_of[bs], first_joint[vs, None] - delays[vs]]
+    if (entry < 0).any():
+        raise KernelUnsupported("prefix reached an invalid transition entry")
+    # one lane per distinct entry: rank the rows agent by agent (a row
+    # key of k table ids would overflow int64)
+    key = entry[:, 0]
+    for i in range(1, len(tables)):
+        key = _np.unique(key * tables[i].size + entry[:, i], return_inverse=True)[1]
+    _keys, first, lane_of = _np.unique(key, return_index=True, return_inverse=True)
+    met, dist, _und = _joint_fates(tables, entry[first].T, max_configs=max_configs)
+    lane_of = lane_of.reshape(-1)
+    rounds[bs, vs] = _np.where(met[lane_of], first_joint[vs] + dist[lane_of], -1)
+
+    # start sets share verdicts: one object per (vector, round)
+    made: dict[tuple[int, int], GatheringVerdict] = {}
+
+    def verdict(v: int, r: int) -> GatheringVerdict:
+        gv = made[v, r] = (
+            GatheringVerdict(vectors[v], True, r, False) if r > 0
+            else GatheringVerdict(vectors[v], False, None, True)
+        )
+        return gv
+
+    for b, row in zip(live, rounds.tolist()):
+        rows[b] = [made.get((v, r)) or verdict(v, r) for v, r in enumerate(row)]
+    return rows
+
+
+def solve_gathering_kernel(
+    tree: Tree,
+    prototype: Automaton,
+    starts: Sequence[int],
+    delay_vectors: Sequence[Sequence[int]],
+    *,
+    max_configs: int = 4_000_000,
+    prototypes: Optional[Sequence[Automaton]] = None,
+) -> list[GatheringVerdict]:
+    """Vectorized drop-in for
+    :func:`repro.sim.gathering_solver.solve_gathering` (fault-free).
+
+    Prefixes are read off shared solo runs, and the fully-started entry
+    configurations are deduplicated and resolved in one k-agent
+    frontier (:func:`_solve_grids`).
+    """
+    _require_kernel()
+    start_sets, protos, vectors = _check_grid(
+        tree, prototype, [starts], delay_vectors, prototypes
+    )
+    tables = [agent_table(p, tree) for p in protos]
+    return _solve_grids(tables, start_sets, vectors, max_configs)[0]
 
 
 def solve_delay_grid_kernel(
@@ -610,103 +712,26 @@ def solve_delay_grid_kernel(
     """Decide whole delay sweeps for *many* start pairs in one frontier.
 
     Returns one :func:`repro.sim.compiled.solve_all_delays`-ordered
-    verdict list per input pair.  Every undecided (pair, θ, side) lane
-    advances in the same vectorized step — this is the shape the
+    verdict list per input pair: the k=2 gathering grid over the
+    sweep's delay vectors (:mod:`repro.sim.delays`), every pair decided
+    by one :func:`_solve_grids` call — the shape the
     ``success-families`` grid benchmark measures.  ``max_configs`` is
     granted per pair (the grid call may spend ``max_configs *
     len(pairs)`` lane-steps total), matching a per-pair dict-solver
     loop's aggregate budget.
     """
-    _np = _require_kernel()
+    _require_kernel()
     choices = sweep_choices(max_delay, delayed_sides)
-    _check_delay_args(tree, prototype, prototype2, pairs)
-
-    t1 = agent_table(prototype, tree)
-    t2 = t1 if prototype2 is None else agent_table(prototype2, tree)
-
-    live = [i for i, (a, b) in enumerate(pairs) if a != b]
-    num_live = len(live)
-    if num_live == 0:
-        return [met_at_start(choices) for _ in pairs]
-    s1 = _np.asarray([pairs[i][0] for i in live], dtype=_np.int64)
-    s2 = _np.asarray([pairs[i][1] for i in live], dtype=_np.int64)
-
-    # One batched solo-prefix pass per delayed side; each side's block
-    # holds its walks' verdict slots in (walk, θ) order — lanes where
-    # the joint fate is still open, short-circuit cells (θ >= first_hit
-    # meets at round first_hit) prefilled.
-    lane_ids1, lane_ids2 = [], []
-    block_meta = []  # (side, lo, met_block, round_block, lane_scatter...)
-    for side in dict.fromkeys(s for _t, s in choices):
-        lo = 0 if (0, side) == choices[0] else 1
-        width_cols = max_delay + 1 - lo
-        if width_cols <= 0:
-            continue
-        runner_t, sleeper_t = (t1, t2) if side == 2 else (t2, t1)
-        runner_starts = s1 if side == 2 else s2
-        sleeper_starts = s2 if side == 2 else s1
-        rows, fh = _solo_batch(runner_t, runner_starts, sleeper_starts, max_delay)
-        sleeper_entry = sleeper_t.start_ids[sleeper_starts].astype(_np.int64)
-
-        hi = _np.where(fh > 0, fh - 1, max_delay)
-        counts = _np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        walk = _np.repeat(_np.arange(num_live, dtype=_np.int64), counts)
-        offs = _np.cumsum(counts) - counts
-        theta = _np.arange(total, dtype=_np.int64) - offs[walk] + lo
-        runner_ids = rows[theta, walk]
-        sleeper_ids = sleeper_entry[walk]
-        lane_ids1.append(runner_ids if side == 2 else sleeper_ids)
-        lane_ids2.append(sleeper_ids if side == 2 else runner_ids)
-
-        met_blk = _np.ones((num_live, width_cols), dtype=bool)
-        round_blk = _np.repeat(fh[:, None], width_cols, axis=1)
-        block_meta.append((side, lo, met_blk, round_blk,
-                           walk * width_cols + (theta - lo), theta))
-
-    met, dist, _und = _joint_fates(
-        (t1, t2),
-        (_np.concatenate(lane_ids1), _np.concatenate(lane_ids2)),
-        max_configs=max_configs * max(1, len(pairs)),
+    if not pairs:
+        return []
+    start_sets, protos, vectors = _check_grid(
+        tree, prototype, pairs,
+        [delay_vector(theta, side) for theta, side in choices],
+        None if prototype2 is None else (prototype, prototype2),
     )
-
-    # Scatter lane fates into the blocks, stitch blocks into the dict
-    # solver's θ-major output order, and materialize verdicts in bulk.
-    pos = 0
-    for _side, _lo, met_blk, round_blk, scatter, theta in block_meta:
-        m = met[pos:pos + len(scatter)]
-        d = dist[pos:pos + len(scatter)]
-        pos += len(scatter)
-        met_blk.flat[scatter] = m
-        round_blk.flat[scatter] = _np.where(m, theta + 1 + d, -1)
-
-    met_cat = _np.concatenate([b[2] for b in block_meta], axis=1)
-    round_cat = _np.concatenate([b[3] for b in block_meta], axis=1)
-    col_of = {}
-    off = 0
-    for side, lo, met_blk, _r, _s, _t in block_meta:
-        for th in range(lo, max_delay + 1):
-            col_of[(th, side)] = off + (th - lo)
-        off += met_blk.shape[1]
-    perm = _np.asarray([col_of[k] for k in choices], dtype=_np.int64)
-    met_flat = met_cat[:, perm].ravel().tolist()
-    round_flat = round_cat[:, perm].ravel().tolist()
-
-    keys_tiled = choices * num_live
-    verdicts = [
-        DelayVerdict(th, sd, m, mr if m else None, not m)
-        for (th, sd), m, mr in zip(keys_tiled, met_flat, round_flat)
-    ]
-
-    stride = len(choices)
-    by_live = {
-        p_idx: verdicts[q * stride:(q + 1) * stride]
-        for q, p_idx in enumerate(live)
-    }
-    return [
-        by_live.get(p_idx) or met_at_start(choices)
-        for p_idx in range(len(pairs))
-    ]
+    tables = [agent_table(p, tree) for p in protos]
+    rows = _solve_grids(tables, start_sets, vectors, max_configs * len(pairs))
+    return [to_delay_verdicts(choices, row) for row in rows]
 
 
 def solve_all_delays_kernel(
@@ -727,98 +752,6 @@ def solve_all_delays_kernel(
         max_delay=max_delay, delayed_sides=delayed_sides,
         max_configs=max_configs, prototype2=prototype2,
     )[0]
-
-
-# ----------------------------------------------------------------------
-# Gathering grids
-# ----------------------------------------------------------------------
-
-
-def solve_gathering_kernel(
-    tree: Tree,
-    prototype: Automaton,
-    starts: Sequence[int],
-    delay_vectors: Sequence[Sequence[int]],
-    *,
-    max_configs: int = 4_000_000,
-    prototypes: Optional[Sequence[Automaton]] = None,
-) -> list[GatheringVerdict]:
-    """Vectorized drop-in for
-    :func:`repro.sim.gathering_solver.solve_gathering` (fault-free).
-
-    Staggered prefixes (agents still waking up) replay in id space per
-    vector; the fully-started entry configurations are deduplicated and
-    resolved in one k-agent frontier.
-    """
-    _require_kernel()
-    starts, protos, vectors = _check_grid(
-        tree, prototype, starts, delay_vectors, prototypes
-    )
-    k = len(starts)
-    tables = [agent_table(p, tree) for p in protos]
-    n = tree.n
-
-    # Entry dedup: grids share entry configurations heavily (the dict
-    # solver's memo exploits the same structure).
-    entry_lane: dict[tuple[int, ...], int] = {}
-    entry_cols: list[list[int]] = [[] for _ in range(k)]
-    # per vector: ("done", verdict) or ("lane", lane_index, first_joint)
-    plan: list[tuple] = []
-
-    for delays in vectors:
-        key = tuple(delays)
-        if len(set(starts)) == 1:
-            plan.append(("done", GatheringVerdict(key, True, 0, False)))
-            continue
-        first_joint = max(delays) + 1
-        ids = [0] * k
-        started = [False] * k
-        pos = list(starts)
-        gathered_at: Optional[int] = None
-        for rnd in range(1, first_joint + 1):
-            for i in range(k):
-                if started[i]:
-                    nxt = int(tables[i].succ[ids[i]])
-                    if nxt < 0:
-                        raise KernelUnsupported(
-                            "prefix reached an invalid transition entry"
-                        )
-                    ids[i] = nxt
-                    pos[i] = (nxt // tables[i].width) % n
-                elif rnd > delays[i]:
-                    started[i] = True
-                    ids[i] = int(tables[i].start_ids[pos[i]])
-                    pos[i] = (ids[i] // tables[i].width) % n
-            if all(p == pos[0] for p in pos):
-                gathered_at = rnd
-                break
-        if gathered_at is not None:
-            plan.append(("done", GatheringVerdict(key, True, gathered_at, False)))
-            continue
-        entry = tuple(ids)
-        lane = entry_lane.get(entry)
-        if lane is None:
-            lane = len(entry_cols[0])
-            entry_lane[entry] = lane
-            for i in range(k):
-                entry_cols[i].append(entry[i])
-        plan.append(("lane", lane, first_joint, key))
-
-    met, dist, _und = _joint_fates(
-        tables, entry_cols, max_configs=max_configs
-    )
-
-    out: list[GatheringVerdict] = []
-    for item in plan:
-        if item[0] == "done":
-            out.append(item[1])
-            continue
-        _tag, lane, first_joint, key = item
-        if met[lane]:
-            out.append(GatheringVerdict(key, True, first_joint + int(dist[lane]), False))
-        else:
-            out.append(GatheringVerdict(key, False, None, True))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -252,6 +254,25 @@ class TestGoldenSample:
         from repro.scenarios.registry import scenario_names
 
         assert GOLDEN_NAMES == scenario_names()
+
+    @pytest.mark.skipif(shutil.which("make") is None, reason="needs make")
+    def test_fault_smoke_covers_every_sweep_scenario(self):
+        # `make fault-smoke` is the reference/compiled/auto parity gate
+        # of the exact sweep solvers: its SWEEP_SCENARIOS must be every
+        # delay_sweep / gathering_sweep scenario of the registry.
+        from repro.scenarios.registry import all_scenarios
+
+        listed = subprocess.run(
+            ["make", "-s", "--no-print-directory", "--eval",
+             "print-sweeps: ; @echo $(SWEEP_SCENARIOS)", "print-sweeps"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        expected = [
+            spec.name for spec in all_scenarios()
+            if spec.kind in ("delay_sweep", "gathering_sweep")
+        ]
+        assert sorted(listed) == sorted(expected)
+        assert "delays-line-long" in listed and "gathering-crash-k3" in listed
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_golden_validates(self, name):
