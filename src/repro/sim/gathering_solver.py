@@ -27,8 +27,9 @@ started after round θ_i is, after round r, where its solo run is after
 only as far as some vector reads it, and a vector's prefix is read off
 the solo runs: before every agent has started, the agents can only
 gather on the start node of the last one to wake, and the first round
-they do is found through each solo run's per-node visit index.  A two-agent delay sweep — delay vectors ``(0, θ)`` / ``(θ, 0)``,
-see :mod:`repro.sim.delays` — thus costs O(Θ) prefix steps, not O(Θ²).
+they do is found through each solo run's per-node visit index.  A
+two-agent delay sweep — delay vectors ``(0, θ)`` / ``(θ, 0)``, see
+:mod:`repro.sim.delays` — thus costs O(Θ) prefix steps, not O(Θ²).
 A fault plan acts on absolute rounds, so faulted grids replay each
 vector's prefix with the k-agent table stepper of
 :func:`repro.sim.multi.run_gathering_compiled`.
@@ -112,13 +113,15 @@ def _check_grid(tree, prototype, start_sets, delay_vectors, prototypes):
 
 
 def _frozen_steppers(compileds, final_tree, crashed_agents):
-    """Per-agent post-horizon steppers on the final labeling; crashed
-    agents step by identity (they are constant forever)."""
+    """Per-agent post-horizon steppers on the final labeling, one per
+    distinct compiled agent; crashed agents step by identity (they are
+    constant forever)."""
     def identity(p: int, s: int, i: int) -> tuple[int, int, int]:
         return p, s, i
 
+    steppers = {id(c): _make_stepper(c, final_tree) for c in compileds}
     return [
-        identity if i in crashed_agents else _make_stepper(c, final_tree)
+        identity if i in crashed_agents else steppers[id(c)]
         for i, c in enumerate(compileds)
     ]
 
@@ -137,7 +140,7 @@ def _fate_resolver(steppers, max_configs: int):
     ``max_configs`` distinct configurations.
     """
     k = len(steppers)
-    slots = [(step, 3 * i, 3 * i + 1, 3 * i + 2) for i, step in enumerate(steppers)]
+    slots = [(step, 3 * i) for i, step in enumerate(steppers)]
     # verdict[config] = (True, d): gathers d rounds after reaching config;
     #                   (False, -1): provably never gathers from config.
     verdict: dict[tuple, tuple[bool, int]] = {}
@@ -167,8 +170,8 @@ def _fate_resolver(steppers, max_configs: int):
                     f"gathering solver exceeded max_configs={max_configs}"
                 )
             nxt: tuple = ()
-            for step, a, b, c in slots:
-                nxt += step(cur[a], cur[b], cur[c])
+            for step, j in slots:
+                nxt += step(cur[j], cur[j + 1], cur[j + 2])
             cur = nxt
         met, dist = res
         if met:
@@ -203,14 +206,18 @@ class _Solo:
         self.visits = {first[0]: [1]}
         self.step = step
 
-    def advance(self, hi: int, node: int = -1, lo: int = 0) -> int:
-        """Step up to round ``hi``, stopping early at the first round
-        ``>= lo`` on ``node``; returns the last round stepped to."""
+    def seek(self, node: int, lo: int, hi: int) -> Optional[int]:
+        """The first t in ``[lo, hi]`` with the agent on ``node`` after
+        its t-th round, or ``None`` — stepping no further than that t
+        (or ``hi``).  ``seek(-1, 0, t)`` just steps through round t."""
+        times = self.visits.get(node)
+        if times:
+            i = bisect_left(times, lo)
+            if i < len(times):
+                return times[i] if times[i] <= hi else None
         configs, visits, step = self.configs, self.visits, self.step
         cfg = configs[-1]
-        t = len(configs) - 1
-        while t < hi:
-            t += 1
+        for t in range(len(configs), hi + 1):
             cfg = step(*cfg)
             configs.append(cfg)
             seen = visits.get(cfg[0])
@@ -219,20 +226,8 @@ class _Solo:
             else:
                 seen.append(t)
             if cfg[0] == node and t >= lo:
-                break
-        return t
-
-    def first_visit(self, node: int, lo: int, hi: int) -> Optional[int]:
-        """The first t in ``[lo, hi]`` with the agent on ``node`` after
-        its t-th round, or ``None`` — stepping no further than that t
-        (or ``hi``)."""
-        times = self.visits.get(node)
-        if times:
-            i = bisect_left(times, lo)
-            if i < len(times):
-                return times[i] if times[i] <= hi else None
-        t = self.advance(hi, node, lo)
-        return t if t >= lo and self.configs[t][0] == node else None
+                return t
+        return None
 
 
 def _start_config(compiled, tree: Tree, node: int) -> tuple[int, int, int]:
@@ -261,7 +256,6 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
     """
     agents = list(enumerate(solos))
     away = {node: [a for a in agents if starts[a[0]] != node] for node in starts}
-    home = {node: [a for a in agents if starts[a[0]] == node] for node in starts}
 
     def prefix(delays):
         last = max(delays)
@@ -271,14 +265,16 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
         for i, _solo in movers:
             if delays[i] >= rnd:
                 rnd = delays[i] + 1
-        if len(home[node]) > 1:  # agents that wake on the node, then leave it
-            movers = movers + [a for a in home[node] if delays[a[0]] < last]
+        if starts.count(node) > 1:  # agents that wake on the node, then leave it
+            movers = movers + [
+                a for a in agents if starts[a[0]] == node and delays[a[0]] < last
+            ]
         runner = agreed = 0
         while rnd <= last:
             i, solo = movers[runner]
             d = delays[i]
             if rnd > d:
-                t = solo.first_visit(node, rnd - d, last - d)
+                t = solo.seek(node, rnd - d, last - d)
                 if t is None:
                     break
                 if t + d != rnd:
@@ -292,7 +288,7 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
         for i, solo in agents:
             t = rnd - delays[i]
             if t >= len(solo.configs):
-                solo.advance(t)
+                solo.seek(-1, 0, t)
             entry += solo.configs[t]
         return rnd, entry
 
@@ -362,13 +358,10 @@ def solve_gathering(
     if plan:
         prefix = _replayed_prefix(events, compileds, starts, plan.horizon)
     else:
-        solos: dict[tuple, _Solo] = {}
-        for c, step, node in zip(compileds, steppers, starts):
-            if (id(c), node) not in solos:
-                solos[id(c), node] = _Solo(_start_config(c, tree, node), step)
-        prefix = _shared_prefix(
-            starts, [solos[id(c), node] for c, node in zip(compileds, starts)]
-        )
+        prefix = _shared_prefix(starts, [
+            _Solo(_start_config(c, tree, node), step)
+            for c, step, node in zip(compileds, steppers, starts)
+        ])
 
     out: list[GatheringVerdict] = []
     for key in vectors:
