@@ -113,15 +113,13 @@ def _check_grid(tree, prototype, start_sets, delay_vectors, prototypes):
 
 
 def _frozen_steppers(compileds, final_tree, crashed_agents):
-    """Per-agent post-horizon steppers on the final labeling, one per
-    distinct compiled agent; crashed agents step by identity (they are
-    constant forever)."""
+    """Per-agent post-horizon steppers on the final labeling; crashed
+    agents step by identity (they are constant forever)."""
     def identity(p: int, s: int, i: int) -> tuple[int, int, int]:
         return p, s, i
 
-    steppers = {id(c): _make_stepper(c, final_tree) for c in compileds}
     return [
-        identity if i in crashed_agents else steppers[id(c)]
+        identity if i in crashed_agents else _make_stepper(c, final_tree)
         for i, c in enumerate(compileds)
     ]
 
@@ -149,30 +147,31 @@ def _fate_resolver(steppers, max_configs: int):
         known = verdict.get(config)
         if known is not None:
             return known
-        path: dict[tuple, None] = {}  # the walk so far, in order
+        path: dict[tuple, int] = {}  # the walk so far: config -> its step
+        room = max_configs - len(verdict)
         cur = config
         while True:
-            known = verdict.get(cur)
-            if known is not None:
-                res = known
-                break
             # every agent on one node (first vs last: the cheap reject)
             if cur[0] == cur[-3] and cur[::3].count(cur[0]) == k:
                 res = (True, 0)
                 verdict[cur] = res
                 break
-            if cur in path:  # fresh cycle, and no gathering on it
+            step = len(path)
+            if path.setdefault(cur, step) != step:  # a fresh cycle, no gathering on it
                 res = _NEVER
                 break
-            path[cur] = None
-            if len(verdict) + len(path) > max_configs:
+            if step >= room:
                 raise BudgetExceededError(
                     f"gathering solver exceeded max_configs={max_configs}"
                 )
             nxt: tuple = ()
-            for step, j in slots:
-                nxt += step(cur[j], cur[j + 1], cur[j + 2])
+            for advance, j in slots:
+                nxt += advance(cur[j], cur[j + 1], cur[j + 2])
             cur = nxt
+            known = verdict.get(cur)
+            if known is not None:
+                res = known
+                break
         met, dist = res
         if met:
             for c in reversed(path):
@@ -254,7 +253,7 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
     their first common round on that node: a sleeping agent (its start
     is that node) is on it, an awake one at its next visit.
     """
-    agents = list(enumerate(solos))
+    agents = [(i, solo, solo.configs) for i, solo in enumerate(solos)]
     away = {node: [a for a in agents if starts[a[0]] != node] for node in starts}
 
     def prefix(delays):
@@ -262,7 +261,7 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
         node = starts[delays.index(last)]
         rnd = 1
         movers = away[node]
-        for i, _solo in movers:
+        for i, _solo, _configs in movers:
             if delays[i] >= rnd:
                 rnd = delays[i] + 1
         if starts.count(node) > 1:  # agents that wake on the node, then leave it
@@ -271,11 +270,12 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
             ]
         runner = agreed = 0
         while rnd <= last:
-            i, solo = movers[runner]
+            i, solo, _configs = movers[runner]
             d = delays[i]
             if rnd > d:
-                t = solo.seek(node, rnd - d, last - d)
-                if t is None:
+                # up to round last + 1, which the entry reads anyway
+                t = solo.seek(node, rnd - d, last + 1 - d)
+                if t is None or t + d > last:
                     break
                 if t + d != rnd:
                     rnd, agreed = t + d, 0
@@ -285,11 +285,11 @@ def _shared_prefix(starts: Sequence[int], solos: Sequence[_Solo]):
             runner = (runner + 1) % len(movers)
         rnd = last + 1
         entry = ()
-        for i, solo in agents:
+        for i, solo, configs in agents:
             t = rnd - delays[i]
-            if t >= len(solo.configs):
+            if t >= len(configs):
                 solo.seek(-1, 0, t)
-            entry += solo.configs[t]
+            entry += configs[t]
         return rnd, entry
 
     return prefix

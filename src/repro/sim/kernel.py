@@ -660,18 +660,19 @@ def _solve_grids(tables: Sequence[AgentTable], start_sets, vectors, max_configs)
     lane_of = lane_of.reshape(-1)
     rounds[bs, vs] = _np.where(met[lane_of], first_joint[vs] + dist[lane_of], -1)
 
-    # start sets share verdicts: one object per (vector, round)
-    made: dict[tuple[int, int], GatheringVerdict] = {}
-
-    def verdict(v: int, r: int) -> GatheringVerdict:
-        gv = made[v, r] = (
-            GatheringVerdict(vectors[v], True, r, False) if r > 0
-            else GatheringVerdict(vectors[v], False, None, True)
-        )
-        return gv
-
-    for b, row in zip(live, rounds.tolist()):
-        rows[b] = [made.get((v, r)) or verdict(v, r) for v, r in enumerate(row)]
+    # one verdict object per distinct (vector, round), shared by the
+    # start sets (round -1: never)
+    count = len(vectors)
+    codes, index = _np.unique(
+        (rounds + 1) * count + _np.arange(count, dtype=_np.int64), return_inverse=True
+    )
+    made = [
+        GatheringVerdict(vectors[v], True, r, False) if r > 0
+        else GatheringVerdict(vectors[v], False, None, True)
+        for r, v in zip((codes // count - 1).tolist(), (codes % count).tolist())
+    ]
+    for b, row in zip(live, index.reshape(rounds.shape).tolist()):
+        rows[b] = [made[j] for j in row]
     return rows
 
 
