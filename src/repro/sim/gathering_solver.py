@@ -96,7 +96,9 @@ def _check_grid(tree, prototype, start_sets, delay_vectors, prototypes):
     start_sets = [tuple(starts) for starts in start_sets]
     k = len(start_sets[0]) if start_sets else 0
     protos = list(prototypes) if prototypes is not None else [prototype] * k
-    if len(protos) != k or any(len(starts) != k for starts in start_sets):
+    if any(len(starts) != k for starts in start_sets):
+        raise SimulationError("every start set needs one node per agent")
+    if len(protos) != k:
         raise SimulationError("'prototypes' must align with 'starts'")
     for p in protos:
         if not isinstance(p, Automaton):
