@@ -2,16 +2,19 @@
 
 Measures, on fixed deterministic instances:
 
-1. *Throughput*: rounds/second of the reference engine vs the compiled
-   table-driven backend on one long finite-state run.
+1. *Throughput*: rounds/second and seconds of the reference engine vs
+   the compiled table-driven backend on one long finite-state
+   rendezvous run, and the seconds of both tiers' gathering loops on a
+   k=3 run of the same walker (``gathering_k3``).
 2. *Delay sweep*: wall time of a per-delay reference-engine sweep
-   (θ = 0..Θ, both delayed-agent choices, certified) of one start pair
-   vs one :func:`repro.sim.solve_all_delays` pass over the product
-   configuration graph — the headline optimisation: the batch solver
-   shares every joint configuration's fate across all delays.  The
-   recorded ``batch_solver_seconds`` sums the batch solver over every
-   pair of :func:`_sweep_pairs`; ``speedup`` compares the one
-   reference-checked pair.
+   (θ = 0..Θ, both delayed-agent choices, certified) of a few start
+   pairs vs one :func:`repro.sim.solve_all_delays` pass per pair over
+   the product configuration graph — the headline optimisation: the
+   batch solver shares every joint configuration's fate across all
+   delays.  ``reference_seconds`` sums the per-delay sweeps of the
+   reference-checked pairs; ``batch_solver_seconds`` sums the batch
+   solver over every pair of :func:`_sweep_pairs`; ``speedup`` compares
+   the two on the first reference-checked pair.
 3. *Solo replay*: wall time of the ``memory-vs-leaves`` scenario at
    registry size, in process, best of 2 — the interpreted solo replay
    (:func:`repro.agents.program.drive`) the memory experiments run — with
@@ -35,15 +38,22 @@ sys.path.insert(0, str(Path(__file__).parent))  # for import under pytest/import
 from _util import REPO_ROOT, record_json
 
 from repro.agents import counting_walker, pausing_walker
-from repro.sim import run_rendezvous, run_rendezvous_compiled, solve_all_delays
+from repro.sim import (
+    run_gathering_compiled,
+    run_gathering_reference,
+    run_rendezvous,
+    run_rendezvous_compiled,
+    solve_all_delays,
+)
 from repro.trees import edge_colored_line
 
 
 def _throughput(quick: bool) -> dict:
+    # Quick budgets keep every timing above check_regression's 20 ms floor.
     tree = edge_colored_line(33 if quick else 65)
     agent = counting_walker(3 if quick else 5)
     u, v = 1, tree.n - 2
-    budget = 60_000 if quick else 400_000
+    budget = 150_000 if quick else 400_000
 
     t0 = time.perf_counter()
     ref = run_rendezvous(tree, agent, u, v, max_rounds=budget)
@@ -57,9 +67,30 @@ def _throughput(quick: bool) -> dict:
     return {
         "instance": f"counting_walker on colored line n={tree.n}, {rounds} rounds",
         "rounds": rounds,
+        "reference_seconds": round(t1 - t0, 4),
+        "compiled_seconds": round(t2 - t1, 4),
         "reference_rounds_per_sec": round(ref_rps),
         "compiled_rounds_per_sec": round(cmp_rps),
         "speedup": round(cmp_rps / ref_rps, 2),
+        "gathering_k3": _gathering_k3(tree, agent, 30_000 if quick else 100_000),
+    }
+
+
+def _gathering_k3(tree, agent, budget: int) -> dict:
+    """Both tiers' k-agent loops on three copies of the throughput
+    walker (they never gather, so each runs its whole budget)."""
+    starts = [1, tree.n // 2, tree.n - 2]
+    t0 = time.perf_counter()
+    ref = run_gathering_reference(tree, agent, starts, max_rounds=budget)
+    t1 = time.perf_counter()
+    cmp_ = run_gathering_compiled(tree, agent, starts, max_rounds=budget)
+    t2 = time.perf_counter()
+    assert ref == cmp_
+    return {
+        "starts": starts,
+        "rounds": ref.rounds_executed,
+        "reference_seconds": round(t1 - t0, 4),
+        "compiled_seconds": round(t2 - t1, 4),
     }
 
 
@@ -73,46 +104,54 @@ def _sweep_pairs(n: int) -> list[tuple[int, int]]:
 def _delay_sweep(quick: bool) -> dict:
     tree = edge_colored_line(21 if quick else 41)
     agent = pausing_walker(2)
-    u, v = 1, tree.n - 3  # the pair checked against the reference
+    # The pairs checked against per-delay reference sweeps; one pair's
+    # sweep times under check_regression's 20 ms floor.
+    v = tree.n - 3
+    checked = [(1, v), (0, v), (1, v + 1), (0, v + 1)]
     pairs = _sweep_pairs(tree.n)
     max_delay = 127 if quick else 511
     budget = 500_000
 
-    t0 = time.perf_counter()
     reference = {}
-    for theta in range(max_delay + 1):
-        for side in (2,) if theta == 0 else (1, 2):
-            out = run_rendezvous(
-                tree, agent, u, v,
-                delay=theta, delayed=side, max_rounds=budget, certify=True,
-            )
-            reference[(theta, side)] = (out.met, out.meeting_round, out.certified_never)
-    ref_s = time.perf_counter() - t0
+    ref_s = {}
+    for pair in checked:
+        t0 = time.perf_counter()
+        for theta in range(max_delay + 1):
+            for side in (2,) if theta == 0 else (1, 2):
+                out = run_rendezvous(
+                    tree, agent, *pair,
+                    delay=theta, delayed=side, max_rounds=budget, certify=True,
+                )
+                reference[(pair, theta, side)] = (
+                    out.met, out.meeting_round, out.certified_never
+                )
+        ref_s[pair] = time.perf_counter() - t0
 
     batch_s = 0.0
+    pair_s = {}
+    match = True
     for pair in pairs:
         t0 = time.perf_counter()
         verdicts = solve_all_delays(tree, agent, *pair, max_delay=max_delay)
         elapsed = time.perf_counter() - t0
         batch_s += elapsed
-        if pair == (u, v):
-            pair_s, pair_verdicts = max(elapsed, 1e-9), verdicts
-
-    match = all(
-        reference[(dv.delay, dv.delayed)]
-        == (dv.met, dv.meeting_round, dv.certified_never)
-        for dv in pair_verdicts
-        if (dv.delay, dv.delayed) in reference
-    )
+        if pair in ref_s:
+            pair_s[pair] = max(elapsed, 1e-9)
+            match = match and all(
+                reference[(pair, dv.delay, dv.delayed)]
+                == (dv.met, dv.meeting_round, dv.certified_never)
+                for dv in verdicts
+            )
+    first = checked[0]
     return {
         "instance": f"pausing_walker(2) on colored line n={tree.n}, "
-                    f"{len(pairs)} start pairs (reference: ({u}, {v}))",
+                    f"{len(pairs)} start pairs (reference: {checked})",
         "max_delay": max_delay,
         "pairs": len(pairs),
         "per_delay_runs": len(reference),
-        "reference_seconds": round(ref_s, 4),
+        "reference_seconds": round(sum(ref_s.values()), 4),
         "batch_solver_seconds": round(batch_s, 4),
-        "speedup": round(ref_s / pair_s, 1),
+        "speedup": round(ref_s[first] / pair_s[first], 1),
         "verdicts_match": match,
     }
 
