@@ -39,6 +39,8 @@ from ..agents.observations import NULL_PORT, STAY, resolve_action
 from ..errors import SimulationError
 from ..trees.automorphism import port_preserving_automorphism
 from ..trees.tree import Tree
+from .delays import delay_vector
+from .engine import _agent_action, _AgentState, _execute
 
 __all__ = [
     "JointConfig",
@@ -234,33 +236,30 @@ def build_certificate(
     Raises :class:`SimulationError` if the agents actually meet or the
     budget is exhausted before a recurrence.
     """
-    # Warm up through the delay phase with the real engine semantics, then
-    # track pure joint configurations.
-    agent1 = automaton.clone()
-    agent2 = automaton.clone()
-    pos1, pos2 = start1, start2
-    in1 = in2 = NULL_PORT
-    started1 = started2 = False
-    start_round1 = delay if delayed == 1 else 0
-    start_round2 = delay if delayed == 2 else 0
-
-    if pos1 == pos2:
+    # Warm up through the delay phase with the reference tier's agent
+    # steps, then track pure joint configurations.
+    a1, a2 = agents = [
+        _AgentState(automaton.clone(), start, start_round)
+        for start, start_round in zip(
+            (start1, start2), delay_vector(delay, delayed)
+        )
+    ]
+    if start1 == start2:
         raise SimulationError("instance meets at round 0")
 
     seen: dict[tuple, int] = {}
     configs: list[JointConfig] = []
 
     for rnd in range(1, max_rounds + 1):
-        pos1, in1, started1 = _engine_step(
-            tree, agent1, pos1, in1, started1, rnd, start_round1
-        )
-        pos2, in2, started2 = _engine_step(
-            tree, agent2, pos2, in2, started2, rnd, start_round2
-        )
-        if pos1 == pos2:
+        for a in agents:
+            _execute(tree, a, _agent_action(tree, a, rnd))
+        if a1.pos == a2.pos:
             raise SimulationError(f"agents met at round {rnd}: no certificate")
-        if started1 and started2:
-            config = JointConfig(pos1, agent1.state, in1, pos2, agent2.state, in2)
+        if a1.started and a2.started:
+            config = JointConfig(
+                a1.pos, a1.agent.state, a1.in_port,
+                a2.pos, a2.agent.state, a2.in_port,
+            )
             idx = seen.get(config.key())
             if idx is not None:
                 return NonMeetingCertificate(
@@ -276,17 +275,3 @@ def build_certificate(
             seen[config.key()] = len(configs)
             configs.append(config)
     raise SimulationError("no recurrence within the round budget")
-
-
-def _engine_step(tree, agent, pos, in_port, started, rnd, start_round):
-    degree = tree.degree(pos)
-    if not started:
-        if rnd <= start_round:
-            return pos, NULL_PORT, False
-        action = resolve_action(agent.start(degree), degree)
-    else:
-        action = resolve_action(agent.step(in_port, degree), degree)
-    if action == STAY:
-        return pos, NULL_PORT, True
-    nxt, nxt_in = tree.move(pos, action)
-    return nxt, nxt_in, True

@@ -56,8 +56,8 @@ from ..agents.program import AgentProgram
 from ..errors import SimulationError
 from ..trees.tree import Tree
 from .delays import DelayVerdict, delay_vector, sweep_choices, to_delay_verdicts
-from .engine import RendezvousOutcome, run_rendezvous
-from .faults import _NO_FAULTS, FaultPlan, _segments
+from .engine import JointRun, RendezvousOutcome, _rendezvous, run_rendezvous
+from .faults import FaultPlan, _segments
 from .trace import RoundRecord, Trace
 
 __all__ = [
@@ -195,24 +195,6 @@ def _make_stepper(compiled: CompiledAgent, tree: Tree):
     return step_one
 
 
-def _final_agents(
-    prototype: Automaton,
-    s1: int,
-    started1: bool,
-    s2: int,
-    started2: bool,
-    prototype2: Optional[Automaton] = None,
-) -> tuple[Automaton, Automaton]:
-    """Clones carrying the final automaton states, like the reference
-    engine's outcome.agents."""
-    a1, a2 = prototype.clone(), (prototype2 or prototype).clone()
-    if started1:
-        a1.state = s1
-    if started2:
-        a2.state = s2
-    return a1, a2
-
-
 def run_rendezvous_compiled(
     tree: Tree,
     prototype: Automaton,
@@ -224,175 +206,176 @@ def run_rendezvous_compiled(
     max_rounds: int = 1_000_000,
     certify: bool = False,
     record_trace: bool = False,
-    prototype2: Optional[Automaton] = None,
     faults=None,
 ) -> RendezvousOutcome:
-    """Table-driven replay of :func:`repro.sim.engine.run_rendezvous`.
+    """Table-driven replay of :func:`repro.sim.engine.run_rendezvous`:
+    the k=2 run of this tier's k-agent loop (:func:`_compiled_run`).
 
     Semantics are identical to the reference engine, including the
     symmetry certificate before round 1; non-meeting certification by
     recurrence uses Brent cycle detection on the joint configuration
-    (O(1) memory) instead of a ``seen`` set.
-
-    ``prototype2`` (default: ``prototype``) lets the two agents run
-    different automata — the seam the lowering subsystem
-    (:mod:`repro.sim.traced`) uses to feed per-(tree, start) traced
-    tables through the product machinery.  The classic rendezvous
-    problem (two *identical* agents) simply leaves it unset.
-
-    ``faults`` (an optional :class:`~repro.sim.faults.FaultPlan`) runs
-    in this same loop: at each event round the move tables switch to the
-    labeling in force — the transition tables are keyed on ``(stride,
-    degree set)``, both labeling-invariant, so one compilation serves
-    every labeling — and the frozen flags are re-read.  Brent
-    certification anchors after ``max(first joint round, horizon)``,
-    the round the reference's ``seen``-set starts at.
+    (O(1) memory) instead of a ``seen`` set.  ``outcome.agents`` are
+    clones carrying the final automaton states.
     """
-    plan = FaultPlan.coerce(faults) or _NO_FAULTS
-    plan.validate_for(2)
     if not isinstance(prototype, Automaton):
         raise SimulationError("compiled backend requires a finite-state Automaton")
-    if prototype2 is not None and not isinstance(prototype2, Automaton):
-        raise SimulationError("compiled backend requires a finite-state Automaton")
-    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-        raise SimulationError("start nodes outside the tree")
-    if delay < 0:
-        raise SimulationError("delay must be >= 0")
-    if delayed not in (1, 2):
-        raise SimulationError("'delayed' must be 1 or 2")
+    return _rendezvous(
+        tree, prototype, start1, start2, delay, delayed, max_rounds, certify,
+        record_trace, faults, _compiled_run,
+    )
 
-    trace = Trace(start1, start2) if record_trace else None
-    if start1 == start2:
-        return RendezvousOutcome(
-            True, 0, start1, 0, False, 0, trace,
-            _final_agents(prototype, 0, False, 0, False, prototype2),
-        )
-    if certify and delay == 0 and not plan and prototype2 is None:
-        from .certificates import symmetry_certificate
 
-        if symmetry_certificate(tree, start1, start2) is not None:
-            return RendezvousOutcome(
-                False, None, None, 0, True, 0, trace,
-                _final_agents(prototype, 0, False, 0, False),
-            )
+def _compiled_run(
+    tree: Tree,
+    prototype: Automaton,
+    starts,
+    delays,
+    plan: FaultPlan,
+    max_rounds: int,
+    certify: bool,
+    trace: Optional[Trace],
+) -> JointRun:
+    """The compiled tier's k-agent loop (the :class:`JointRun` contract
+    of :func:`repro.sim.engine._reference_run`) over
+    :func:`_table_rounds`.
 
+    ``certify`` uses Brent cycle detection on the joint configuration —
+    O(1) memory, same verdicts as the reference's ``seen``-set (the
+    round a certificate fires at may differ).  It anchors after
+    ``max(first joint round, horizon)``, the round the reference's
+    ``seen``-set starts at.
+    """
+    k = len(starts)
     compiled = compile_agent(prototype, tree)
-    compiled2 = compiled if prototype2 is None else compile_agent(prototype2, tree)
-    width = compiled.stride + 1
-    nxt, act = compiled.next_state, compiled.action
-    nxt2, act2_t = compiled2.next_state, compiled2.action
-    start_act = compiled.start_action
-    start_act2 = compiled2.start_action
-    s0 = compiled.initial_state
-    s0_2 = compiled2.initial_state
-    automaton = compiled.automaton
-    automaton2 = compiled2.automaton
-
-    sr1 = delay if delayed == 1 else 0
-    sr2 = delay if delayed == 2 else 0
-    first_joint = max(sr1, sr2, plan.horizon) + 1
-
-    pos1, pos2 = start1, start2
-    st1 = st2 = 0  # automaton states (meaningless until started)
-    ip1 = ip2 = 0  # entry-port *indices* (in_port + 1; 0 == NULL_PORT)
-    started1 = started2 = False
-
+    pos = list(starts)
+    st = [compiled.initial_state] * k
+    ip = [0] * k
+    largest = max(map(pos.count, pos))
+    pair = k == 2
+    px, py = starts[0], starts[-1]  # the previous round's positions when k == 2
     crossings = 0
+    acts = [STAY] * k if trace is not None else None
+    first_joint = max(*delays, plan.horizon) + 1
     # Brent cycle detection state.
     anchor: Optional[tuple] = None
     steps = 0
     power = 1
 
-    for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
-        stride, deg, move_to, move_in = cur.flat_move_tables()
-        f1, f2 = 0 in frozen, 1 in frozen
-        for rnd in rounds:
-            prev1, prev2 = pos1, pos2
-
-            # -- agent 1 (frozen: no step, no move, entry port kept) ---------
-            if f1:
-                act1 = STAY
-            else:
-                if started1:
-                    d = deg[pos1]
-                    idx = (st1 * width + ip1) * width + d
-                    s2_ = nxt[idx]
-                    if s2_ == _INVALID:
-                        automaton.transition(st1, ip1 - 1, d)  # raises the real error
-                        raise SimulationError("invalid transition entry")  # pragma: no cover
-                    st1 = s2_
-                    a = act[idx]
-                elif rnd > sr1:
-                    started1 = True
-                    st1 = s0
-                    a = start_act[deg[pos1]]
-                else:
-                    a = STAY
-                act1 = a
-                if a == STAY:
-                    ip1 = 0
-                else:
-                    base = pos1 * stride + a
-                    pos1 = move_to[base]
-                    ip1 = move_in[base] + 1
-
-            # -- agent 2 -----------------------------------------------------
-            if f2:
-                act2 = STAY
-            else:
-                if started2:
-                    d = deg[pos2]
-                    idx = (st2 * width + ip2) * width + d
-                    s2_ = nxt2[idx]
-                    if s2_ == _INVALID:
-                        automaton2.transition(st2, ip2 - 1, d)
-                        raise SimulationError("invalid transition entry")  # pragma: no cover
-                    st2 = s2_
-                    a = act2_t[idx]
-                elif rnd > sr2:
-                    started2 = True
-                    st2 = s0_2
-                    a = start_act2[deg[pos2]]
-                else:
-                    a = STAY
-                act2 = a
-                if a == STAY:
-                    ip2 = 0
-                else:
-                    base = pos2 * stride + a
-                    pos2 = move_to[base]
-                    ip2 = move_in[base] + 1
-
-            # -- bookkeeping (reference order: trace, crossing, meet, certify)
-            if trace is not None:
-                trace.append(RoundRecord(rnd, pos1, pos2, act1, act2))
-            if pos1 == prev2 and pos2 == prev1 and pos1 != pos2:
+    for rnd in _table_rounds(
+        plan.events(tree), [compiled] * k, delays, max_rounds, pos, st, ip, acts
+    ):
+        if pair:
+            x, y = pos
+            if x == py and y == px and x != y:
                 crossings += 1
-            if pos1 == pos2:
-                return RendezvousOutcome(
-                    True, rnd, pos1, rnd, False, crossings, trace,
-                    _final_agents(prototype, st1, started1, st2, started2, prototype2),
-                    plan.crashed_by(rnd),
+            px, py = x, y
+        if trace is not None:
+            trace.append(RoundRecord(rnd, pos[0], pos[1], acts[0], acts[1]))
+        if pos.count(pos[0]) == k:
+            return JointRun(
+                True, rnd, rnd, tuple(pos), k, False, crossings,
+                _state_set(prototype, st),
+            )
+        # A cluster larger than ``largest`` leaves at most k - largest
+        # distinct nodes.
+        if largest < k - 1 and k - len(set(pos)) >= largest:
+            largest = max(map(pos.count, pos))
+        if certify and rnd > first_joint:
+            config = (*pos, *st, *ip)
+            if config == anchor:
+                return JointRun(
+                    False, None, rnd, tuple(pos), largest, True, crossings,
+                    _state_set(prototype, st),
                 )
-            if certify and rnd > first_joint:
-                config = (pos1, st1, ip1, pos2, st2, ip2)
-                if config == anchor:
-                    return RendezvousOutcome(
-                        False, None, None, rnd, True, crossings, trace,
-                        _final_agents(prototype, st1, started1, st2, started2, prototype2),
-                        plan.crashed_by(rnd),
-                    )
-                steps += 1
-                if steps == power:
-                    anchor = config
-                    steps = 0
-                    power <<= 1
-
-    return RendezvousOutcome(
-        False, None, None, max_rounds, False, crossings, trace,
-        _final_agents(prototype, st1, started1, st2, started2, prototype2),
-        plan.crashed_by(max_rounds),
+            steps += 1
+            if steps == power:
+                anchor = config
+                steps = 0
+                power <<= 1
+    return JointRun(
+        False, None, max_rounds, tuple(pos), largest, False, crossings,
+        _state_set(prototype, st),
     )
+
+
+def _state_set(prototype: Automaton, states) -> tuple:
+    """Clones carrying the final automaton states, like the reference
+    tier's executed agents."""
+    agents = tuple(prototype.clone() for _ in states)
+    for agent, state in zip(agents, states):
+        agent.state = state
+    return agents
+
+
+def _table_rounds(
+    events: list,
+    compileds: list,
+    start_rounds: Sequence[int],
+    max_rounds: int,
+    pos: list,
+    st: list,
+    ip: list,
+    acts: Optional[list] = None,
+):
+    """The k-agent table stepper: steps the joint configuration ``pos``
+    / ``st`` / ``ip`` (the caller's lists, updated in place) and yields
+    each executed round's index.
+
+    Agent i runs ``compileds[i]`` from node ``pos[i]``, in state
+    ``st[i]`` (its automaton's initial state until it starts) with
+    entry-port index ``ip[i]`` (in_port + 1; 0 == NULL_PORT), and
+    starts after round ``start_rounds[i]``.  ``acts`` (when given)
+    receives each agent's resolved action of the round, ``STAY`` while
+    frozen.
+
+    ``events`` is :meth:`FaultPlan.events <repro.sim.faults.FaultPlan.events>`
+    of the run's plan.  At each event round the move tables switch to
+    the labeling in force (the transition tables are keyed on ``(stride,
+    degree set)``, both labeling-invariant, so one compilation serves
+    every labeling) and the frozen flags are re-read; a frozen agent
+    executes nothing and keeps its pending entry port.  Each agent's
+    action depends only on its own (position, state, entry port), so
+    per-agent sequential updates within a round equal the reference's
+    order.
+    """
+    width = compileds[0].stride + 1
+    agents = [
+        (i, c.next_state, c.action, c.start_action, start_rounds[i])
+        for i, c in enumerate(compileds)
+    ]
+    started = [False] * len(agents)
+
+    for rounds, cur, frozen in _segments(events, max_rounds):
+        stride, deg, move_to, move_in = cur.flat_move_tables()
+        active = [agent for agent in agents if agent[0] not in frozen]
+        if acts is not None:
+            for i in frozen:
+                acts[i] = STAY
+        for rnd in rounds:
+            for i, nxt, act, start_act, start_round in active:
+                p = pos[i]
+                if started[i]:
+                    idx = (st[i] * width + ip[i]) * width + deg[p]
+                    s2 = nxt[idx]
+                    if s2 == _INVALID:
+                        compileds[i].automaton.transition(st[i], ip[i] - 1, deg[p])
+                        raise SimulationError("invalid transition entry")  # pragma: no cover
+                    st[i] = s2
+                    a = act[idx]
+                elif rnd > start_round:
+                    started[i] = True
+                    a = start_act[deg[p]]
+                else:
+                    a = STAY
+                if a == STAY:
+                    ip[i] = 0
+                else:
+                    base = p * stride + a
+                    pos[i] = move_to[base]
+                    ip[i] = move_in[base] + 1
+                if acts is not None:
+                    acts[i] = a
+            yield rnd
 
 
 def run_rendezvous_fast(

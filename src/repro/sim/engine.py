@@ -1,4 +1,4 @@
-"""The synchronous two-agent rendezvous simulator.
+"""The synchronous simulator's reference tier: one k-agent round loop.
 
 Model (paper §2.1):
 
@@ -13,18 +13,30 @@ Model (paper §2.1):
 - rendezvous is achieved the first round at the end of which both agents
   occupy the same node (including round 0 if the starts coincide).
 
+That is gathering (§1.3) with k=2 and the delay vector
+:func:`repro.sim.delays.delay_vector` ``(delay, delayed)``, and every
+engine tier runs it so: each tier has one k-agent round loop
+(:func:`_reference_run` here, :func:`repro.sim.compiled._compiled_run`,
+:func:`repro.sim.traced._traced_run`), reporting a :class:`JointRun`.
+The gathering entry points (:mod:`repro.sim.multi`) and the rendezvous
+entry points are thin adapters over it; :func:`_rendezvous` is the one
+rendezvous front end (argument checks, the round-0 meeting, the symmetry
+exit, the outcome).  A loop counts edge crossings when k == 2 and
+records the round's actions only while a :class:`~repro.sim.trace.Trace`
+is recorded.
+
 Certification of *non*-meeting: for finite-state (automaton) agents the
-joint configuration ``(pos1, state1, obs1, pos2, state2, obs2)`` after a
-round determines the entire future; if a configuration recurs with no
-meeting in between, the execution is periodic and the agents provably never
-meet.  The engine detects this when ``certify=True`` and both agents expose
-a hashable ``state`` attribute (explicit automata do).  For any agent, a
-``certify=True`` run with delay 0 and no faults first asks for a
+joint configuration ``(pos_i, state_i, obs_i)`` after a round determines
+the entire future; if a configuration recurs with no meeting in between,
+the execution is periodic and the agents provably never meet.  The
+engine detects this when ``certify=True`` and every agent exposes a
+hashable ``state`` attribute (explicit automata do).  For any agent, a
+``certify=True`` rendezvous with delay 0 and no faults first asks for a
 :class:`~repro.sim.certificates.SymmetryCertificate` (the paper's Fact
 1.1): if a port-preserving automorphism carries one start to the other,
 the run returns certified-never before round 1, with
 ``rounds_executed == 0``, ``crossings == 0`` and unexecuted agent clones.
-Every engine tier applies the same rule, so their verdicts agree.
+The front end applies that rule for every tier, so their verdicts agree.
 
 Faults (:mod:`repro.sim.faults`) run in the same loop: a fault-free run
 is the empty plan.  The loop re-reads the plan only at its event rounds
@@ -35,11 +47,12 @@ the frozen agents change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..errors import SimulationError
 from ..trees.tree import Tree
+from .delays import delay_vector
 from .faults import _NO_FAULTS, FaultPlan, _segments
 from .trace import RoundRecord, Trace
 
@@ -90,6 +103,75 @@ class RendezvousOutcome:
         return not self.met and not self.certified_never
 
 
+class JointRun(NamedTuple):
+    """What a tier's k-agent loop reports (rounds 1.. of a run whose
+    agents do not all share a node at round 0).
+
+    ``crossings`` counts rounds in which two agents swapped nodes over
+    an edge, kept when k == 2 (0 otherwise).  ``agents`` are the tier's
+    final agents: executed clones on the reference tier, state-set
+    clones on the compiled tier, fresh clones on the traced tier.
+    """
+
+    gathered: bool
+    round: Optional[int]
+    rounds_executed: int
+    positions: tuple[int, ...]
+    largest: int  # max #agents co-located at the end of a round
+    certified_never: bool
+    crossings: int
+    agents: tuple
+
+
+def _rendezvous(
+    tree: Tree,
+    prototype: AgentBase,
+    start1: int,
+    start2: int,
+    delay: int,
+    delayed: int,
+    max_rounds: int,
+    certify: bool,
+    record_trace: bool,
+    faults,
+    run,
+) -> RendezvousOutcome:
+    """The rendezvous front end shared by every tier: ``run`` is the
+    tier's k-agent loop, called with the k=2 delay vector."""
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
+    plan.validate_for(2)
+    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
+        raise SimulationError("start nodes outside the tree")
+    if delay < 0:
+        raise SimulationError("delay must be >= 0")
+    if delayed not in (1, 2):
+        raise SimulationError("'delayed' must be 1 or 2")
+
+    trace = Trace(start1, start2) if record_trace else None
+    if start1 == start2:
+        return RendezvousOutcome(
+            True, 0, start1, 0, False, 0, trace,
+            (prototype.clone(), prototype.clone()),
+        )
+    if certify and delay == 0 and not plan:
+        from .certificates import symmetry_certificate
+
+        if symmetry_certificate(tree, start1, start2) is not None:
+            return RendezvousOutcome(
+                False, None, None, 0, True, 0, trace,
+                (prototype.clone(), prototype.clone()),
+            )
+    out = run(
+        tree, prototype, (start1, start2), delay_vector(delay, delayed), plan,
+        max_rounds, certify, trace,
+    )
+    return RendezvousOutcome(
+        out.gathered, out.round, out.positions[0] if out.gathered else None,
+        out.rounds_executed, out.certified_never, out.crossings, trace,
+        out.agents, plan.crashed_by(out.rounds_executed),
+    )
+
+
 def run_rendezvous(
     tree: Tree,
     prototype: AgentBase,
@@ -127,79 +209,93 @@ def run_rendezvous(
         recorded as ``STAY`` in the trace.  ``None`` or an empty plan is
         a fault-free run.
     """
-    plan = FaultPlan.coerce(faults) or _NO_FAULTS
-    plan.validate_for(2)
-    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-        raise SimulationError("start nodes outside the tree")
-    if delay < 0:
-        raise SimulationError("delay must be >= 0")
-    if delayed not in (1, 2):
-        raise SimulationError("'delayed' must be 1 or 2")
-
-    a1 = _AgentState(prototype.clone(), start1, delay if delayed == 1 else 0)
-    a2 = _AgentState(prototype.clone(), start2, delay if delayed == 2 else 0)
-    trace = Trace(start1, start2) if record_trace else None
-
-    if start1 == start2:
-        return RendezvousOutcome(True, 0, start1, 0, False, 0, trace, (a1.agent, a2.agent))
-    if certify and delay == 0 and not plan:
-        from .certificates import symmetry_certificate
-
-        if symmetry_certificate(tree, start1, start2) is not None:
-            return RendezvousOutcome(
-                False, None, None, 0, True, 0, trace, (a1.agent, a2.agent)
-            )
-
-    certifiable = certify and all(
-        getattr(a.agent, "state", None) is not None for a in (a1, a2)
+    return _rendezvous(
+        tree, prototype, start1, start2, delay, delayed, max_rounds, certify,
+        record_trace, faults, _reference_run,
     )
+
+
+def _reference_run(
+    tree: Tree,
+    prototype: AgentBase,
+    starts,
+    delays,
+    plan: FaultPlan,
+    max_rounds: int,
+    certify: bool,
+    trace: Optional[Trace],
+) -> JointRun:
+    """The reference k-agent loop (the oracle every tier is checked
+    against): agent i starts at ``starts[i]`` after ``delays[i]``
+    rounds, under ``plan``."""
+    agents = [
+        _AgentState(prototype.clone(), pos, delay)
+        for pos, delay in zip(starts, delays)
+    ]
+    k = len(agents)
+    pos = list(starts)
+    largest = max(map(pos.count, pos))
+    pair = k == 2
+    px, py = starts[0], starts[-1]  # the previous round's positions when k == 2
+    crossings = 0
+    acts = [STAY] * k  # filled only while a trace is recorded
+
     # Certification starts at the first fully post-start round past the
-    # plan's horizon: the round after the later agent executed its start
+    # plan's horizon: the round after the last agent executed its start
     # action and the last fault was active.  The joint configuration
     # only becomes a pure function of the previous one from that point
     # on (the start action is driven by the start rule, not the step
-    # rule, and faults are external inputs), and the compiled backend's
-    # cycle detection anchors on the same round, keeping the two
-    # backends' verdicts aligned.
-    first_joint = max(a1.start_round, a2.start_round, plan.horizon) + 1
+    # rule, and faults are external inputs), and the compiled tier's
+    # cycle detection anchors on the same round, keeping the tiers'
+    # verdicts aligned.
+    certifiable = certify and all(
+        getattr(a.agent, "state", None) is not None for a in agents
+    )
+    first_joint = max(*delays, plan.horizon) + 1
+    config_key = _AgentState.config_key
     seen: set[tuple] = set()
-    crossings = 0
 
     for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
-        f1, f2 = 0 in frozen, 1 in frozen
+        active = [(i, a) for i, a in enumerate(agents) if i not in frozen]
+        for i in frozen:
+            acts[i] = STAY
         for rnd in rounds:
-            prev1, prev2 = a1.pos, a2.pos
-            if f1:
-                act1 = STAY
-            else:
-                act1 = _agent_action(cur, a1, rnd)
-                _execute(cur, a1, act1)
-            if f2:
-                act2 = STAY
-            else:
-                act2 = _agent_action(cur, a2, rnd)
-                _execute(cur, a2, act2)
+            # Each agent's action depends only on its own state, so moving
+            # agents one by one equals computing every action first.
+            for i, a in active:
+                act = _agent_action(cur, a, rnd)
+                _execute(cur, a, act)
+                pos[i] = a.pos
+                if trace is not None:
+                    acts[i] = act
             if trace is not None:
-                trace.append(RoundRecord(rnd, a1.pos, a2.pos, act1, act2))
-            if a1.pos == prev2 and a2.pos == prev1 and a1.pos != a2.pos:
-                crossings += 1
-            if a1.pos == a2.pos:
-                return RendezvousOutcome(
-                    True, rnd, a1.pos, rnd, False, crossings, trace,
-                    (a1.agent, a2.agent), plan.crashed_by(rnd),
+                trace.append(RoundRecord(rnd, pos[0], pos[1], acts[0], acts[1]))
+            if pair:
+                x, y = pos
+                if x == py and y == px and x != y:
+                    crossings += 1
+                px, py = x, y
+            if pos.count(pos[0]) == k:
+                return JointRun(
+                    True, rnd, rnd, tuple(pos), k, False, crossings,
+                    tuple(a.agent for a in agents),
                 )
+            # A cluster larger than ``largest`` leaves at most
+            # k - largest distinct nodes.
+            if largest < k - 1 and k - len(set(pos)) >= largest:
+                largest = max(map(pos.count, pos))
             if certifiable and rnd > first_joint:
-                key = (a1.config_key(), a2.config_key())
+                key = tuple(map(config_key, agents))
                 if key in seen:
-                    return RendezvousOutcome(
-                        False, None, None, rnd, True, crossings, trace,
-                        (a1.agent, a2.agent), plan.crashed_by(rnd),
+                    return JointRun(
+                        False, None, rnd, tuple(pos), largest, True, crossings,
+                        tuple(a.agent for a in agents),
                     )
                 seen.add(key)
 
-    return RendezvousOutcome(
-        False, None, None, max_rounds, False, crossings, trace,
-        (a1.agent, a2.agent), plan.crashed_by(max_rounds),
+    return JointRun(
+        False, None, max_rounds, tuple(pos), largest, False, crossings,
+        tuple(a.agent for a in agents),
     )
 
 

@@ -55,9 +55,9 @@ from ..agents.automaton import Automaton
 from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
 from ..trees.tree import Tree
-from .compiled import _make_stepper, compile_agent
+from .compiled import _make_stepper, _table_rounds, compile_agent
 from .faults import _NO_FAULTS, FaultPlan
-from .multi import _table_rounds, _validate
+from .multi import _validate
 
 __all__ = ["GatheringVerdict", "solve_gathering"]
 
@@ -305,8 +305,10 @@ def _replayed_prefix(events, compileds, starts: Sequence[int], horizon: int):
 
     def prefix(delays):
         last = max(max(delays), horizon) + 1
-        pos = st = ip = None
-        for rnd, pos, st, ip in _table_rounds(events, compileds, starts, delays, last):
+        pos = list(starts)
+        st = [c.initial_state for c in compileds]
+        ip = [0] * k
+        for rnd in _table_rounds(events, compileds, delays, last, pos, st, ip):
             if pos[0] == pos[-1] and pos.count(pos[0]) == k:
                 return rnd, None
         return last, tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))

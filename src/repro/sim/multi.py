@@ -30,19 +30,14 @@ parity suites in ``tests/sim/test_gathering_compiled.py`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..agents.observations import STAY, AgentBase
+from ..agents.observations import AgentBase
 from ..errors import SimulationError
 from ..trees.tree import Tree
-from .compiled import _INVALID, compile_agent, supports_compilation
-
-# The per-agent bookkeeping (and the certification key) is exactly the
-# two-agent engine's; reusing it keeps the joint-configuration semantics
-# defined in one place.
-from .engine import _agent_action, _execute
-from .engine import _AgentState as _State
-from .faults import _NO_FAULTS, FaultPlan, _segments
+from .compiled import _compiled_run, supports_compilation
+from .engine import _reference_run
+from .faults import _NO_FAULTS, FaultPlan
 
 __all__ = [
     "GatheringOutcome",
@@ -130,11 +125,31 @@ def run_gathering(
     )
 
 
-def _cluster_size(positions: Iterable[int]) -> int:
-    counts: dict[int, int] = {}
-    for p in positions:
-        counts[p] = counts.get(p, 0) + 1
-    return max(counts.values())
+def _gathering(
+    tree: Tree,
+    prototype: AgentBase,
+    starts: Sequence[int],
+    delays,
+    max_rounds: int,
+    certify: bool,
+    faults,
+    run,
+) -> GatheringOutcome:
+    """The gathering front end shared by every tier: ``run`` is the
+    tier's k-agent loop (:class:`~repro.sim.engine.JointRun`)."""
+    plan = FaultPlan.coerce(faults) or _NO_FAULTS
+    delay_list = _validate(tree, starts, delays)
+    plan.validate_for(len(starts))
+    starts = list(starts)
+    k = len(starts)
+    if starts.count(starts[0]) == k:
+        return GatheringOutcome(True, 0, starts[0], 0, tuple(starts), k)
+    out = run(tree, prototype, starts, delay_list, plan, max_rounds, certify, None)
+    return GatheringOutcome(
+        out.gathered, out.round, out.positions[0] if out.gathered else None,
+        out.rounds_executed, out.positions, out.largest, out.certified_never,
+        plan.crashed_by(out.rounds_executed),
+    )
 
 
 def run_gathering_reference(
@@ -148,57 +163,9 @@ def run_gathering_reference(
     faults=None,
 ) -> GatheringOutcome:
     """The oracle loop, forced for every agent type (parity testing)."""
-    plan = FaultPlan.coerce(faults) or _NO_FAULTS
-    delay_list = _validate(tree, starts, delays)
-    plan.validate_for(len(starts))
-    agents = [
-        _State(prototype.clone(), pos, delay)
-        for pos, delay in zip(starts, delay_list)
-    ]
-    k = len(agents)
-
-    largest = _cluster_size(a.pos for a in agents)
-    if largest == k:
-        return GatheringOutcome(
-            True, 0, agents[0].pos, 0, tuple(a.pos for a in agents), largest
-        )
-
-    # Certification mirrors the two-agent engine: once every agent has
-    # executed its start action (round max(delays) + 1) and the plan's
-    # horizon has passed, the joint configuration is a pure function of
-    # the previous one, so a recurrence with no gathering in between
-    # proves non-gathering.
-    certifiable = certify and all(
-        getattr(a.agent, "state", None) is not None for a in agents
-    )
-    first_joint = max(*delay_list, plan.horizon) + 1
-    seen: set[tuple] = set()
-
-    for rounds, cur, frozen in _segments(plan.events(tree), max_rounds):
-        active = [a for i, a in enumerate(agents) if i not in frozen]
-        for rnd in rounds:
-            # Each agent's action depends only on its own state, so moving
-            # agents one by one equals computing every action first.
-            for a in active:
-                _execute(cur, a, _agent_action(cur, a, rnd))
-            size = _cluster_size(a.pos for a in agents)
-            largest = max(largest, size)
-            if size == k:
-                return GatheringOutcome(
-                    True, rnd, agents[0].pos, rnd, tuple(a.pos for a in agents),
-                    largest, False, plan.crashed_by(rnd),
-                )
-            if certifiable and rnd > first_joint:
-                key = tuple(a.config_key() for a in agents)
-                if key in seen:
-                    return GatheringOutcome(
-                        False, None, None, rnd, tuple(a.pos for a in agents),
-                        largest, True, plan.crashed_by(rnd),
-                    )
-                seen.add(key)
-    return GatheringOutcome(
-        False, None, None, max_rounds, tuple(a.pos for a in agents),
-        largest, False, plan.crashed_by(max_rounds),
+    return _gathering(
+        tree, prototype, starts, delays, max_rounds, certify, faults,
+        _reference_run,
     )
 
 
@@ -216,115 +183,13 @@ def run_gathering_compiled(
 
     ``certify`` uses Brent cycle detection on the k-agent joint
     configuration — O(1) memory, same verdicts as the reference's
-    ``seen``-set (the round a certificate fires at may differ, as with
-    the two-agent backends).
+    ``seen``-set (the round a certificate fires at may differ).
     """
-    plan = FaultPlan.coerce(faults) or _NO_FAULTS
     if supports_compilation(prototype) != "native":
         raise SimulationError(
             "compiled gathering requires a finite-state Automaton"
         )
-    delay_list = _validate(tree, starts, delays)
-    plan.validate_for(len(starts))
-    k = len(starts)
-
-    largest = _cluster_size(starts)
-    if largest == k:
-        return GatheringOutcome(True, 0, starts[0], 0, tuple(starts), largest)
-
-    first_joint = max(*delay_list, plan.horizon) + 1
-    # Brent cycle detection state (see run_rendezvous_compiled).
-    anchor: Optional[tuple] = None
-    steps = 0
-    power = 1
-
-    pos = list(starts)
-    for rnd, pos, st, ip in _table_rounds(
-        plan.events(tree), [compile_agent(prototype, tree)] * k, starts,
-        delay_list, max_rounds,
-    ):
-        size = _cluster_size(pos)
-        largest = max(largest, size)
-        if size == k:
-            return GatheringOutcome(
-                True, rnd, pos[0], rnd, tuple(pos), largest, False,
-                plan.crashed_by(rnd),
-            )
-        if certify and rnd > first_joint:
-            config = tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
-            if config == anchor:
-                return GatheringOutcome(
-                    False, None, None, rnd, tuple(pos), largest, True,
-                    plan.crashed_by(rnd),
-                )
-            steps += 1
-            if steps == power:
-                anchor = config
-                steps = 0
-                power <<= 1
-    return GatheringOutcome(
-        False, None, None, max_rounds, tuple(pos), largest, False,
-        plan.crashed_by(max_rounds),
+    return _gathering(
+        tree, prototype, starts, delays, max_rounds, certify, faults,
+        _compiled_run,
     )
-
-
-def _table_rounds(
-    events: list,
-    compileds: list,
-    starts: Sequence[int],
-    start_rounds: Sequence[int],
-    max_rounds: int,
-):
-    """The k-agent table stepper: one yield per executed round,
-    ``(rnd, pos, st, ip)`` — live lists, mutated in place.  Agent i
-    runs ``compileds[i]`` and starts after round ``start_rounds[i]``.
-
-    ``events`` is :meth:`FaultPlan.events <repro.sim.faults.FaultPlan.events>`
-    of the run's plan.  At each event round the move tables switch to
-    the labeling in force (the transition tables are keyed on ``(stride,
-    degree set)``, both labeling-invariant, so one compilation serves
-    every labeling) and the frozen flags are re-read; a frozen agent
-    executes nothing and keeps its pending entry port.  Each agent's
-    action depends only on its own (position, state, entry port), so
-    per-agent sequential updates within a round equal the reference's
-    order.
-    """
-    k = len(starts)
-    nxts = [c.next_state for c in compileds]
-    acts = [c.action for c in compileds]
-    start_acts = [c.start_action for c in compileds]
-    s0s = [c.initial_state for c in compileds]
-    width = compileds[0].stride + 1
-
-    pos = list(starts)
-    st = [0] * k
-    ip = [0] * k  # entry-port indices (in_port + 1; 0 == NULL_PORT)
-    started = [False] * k
-
-    for rounds, cur, frozen in _segments(events, max_rounds):
-        stride, deg, move_to, move_in = cur.flat_move_tables()
-        active = [i for i in range(k) if i not in frozen]
-        for rnd in rounds:
-            for i in active:
-                if started[i]:
-                    d = deg[pos[i]]
-                    idx = (st[i] * width + ip[i]) * width + d
-                    s2 = nxts[i][idx]
-                    if s2 == _INVALID:
-                        compileds[i].automaton.transition(st[i], ip[i] - 1, d)
-                        raise SimulationError("invalid transition entry")  # pragma: no cover
-                    st[i] = s2
-                    a = acts[i][idx]
-                elif rnd > start_rounds[i]:
-                    started[i] = True
-                    st[i] = s0s[i]
-                    a = start_acts[i][deg[pos[i]]]
-                else:
-                    a = STAY
-                if a == STAY:
-                    ip[i] = 0
-                else:
-                    base = pos[i] * stride + a
-                    pos[i] = move_to[base]
-                    ip[i] = move_in[base] + 1
-            yield rnd, pos, st, ip

@@ -60,9 +60,10 @@ from ..errors import BudgetExceededError, LoweringError, SimulationError
 from ..trees.tree import Tree
 from .compiled import solve_all_delays
 from .delays import DelayVerdict, met_at_start, sweep_choices
-from .engine import RendezvousOutcome
+from .engine import JointRun, RendezvousOutcome, _rendezvous
+from .faults import _NO_FAULTS
 from .gathering_solver import GatheringVerdict, solve_gathering
-from .multi import GatheringOutcome, _validate
+from .multi import GatheringOutcome, _gathering
 from .numpy_probe import load_numpy
 from .trace import RoundRecord, Trace
 
@@ -709,21 +710,16 @@ def _first_meet(p1: list, p2: list, lo: int, hi: int) -> int:
     return lo + off if off >= 0 else -1
 
 
-def _run_delay0_fast(
-    prototype: AgentBase,
-    t1: SoloTrace,
-    t2: SoloTrace,
-    max_rounds: int,
-    certify: bool,
-) -> RendezvousOutcome:
-    """Simultaneous-start replay: chunked scan over raw trace regions.
+def _run_delay0_fast(t1: SoloTrace, t2: SoloTrace, max_rounds: int):
+    """Simultaneous-start pair scan over the raw trace regions.
 
     With delay 0 both agents' active-round indices equal the global
     round, so the first meeting is the first index where the position
-    lists coincide; crossings are recovered afterwards in one pass over
-    the executed prefix.  Once a trace lassos short of the budget, the
-    remainder falls back to the folded per-round loop (where
-    certification also lives — it needs both lassos anyway).
+    lists coincide.  Returns ``(first, crossings)``: the meeting round,
+    or the first round the raw regions leave unscanned once a trace
+    lassos short of the budget (``max_rounds + 1`` when the budget runs
+    out inside them), and the crossings of the rounds before it — the
+    round :func:`_traced_run`'s folded loop resumes from.
     """
     p1, p2 = t1.positions, t2.positions
     rnd = 1  # next round to examine
@@ -745,69 +741,12 @@ def _run_delay0_fast(
             hi = min(max_rounds, avail)
         scan_hi = min(hi, len(p1) - 1, len(p2) - 1)
         if scan_hi < rnd:
-            break  # a trace lassoed short of the chunk: folded tail
+            break  # a trace lassoed short of the chunk: folded loop
         met = _first_meet(p1, p2, rnd, scan_hi)
         if met >= 0:
-            return RendezvousOutcome(
-                True, met, p1[met], met, False,
-                _crossings_prefix(p1, p2, met), None,
-                _fresh_agents(prototype, 2),
-            )
+            return met, _crossings_prefix(p1, p2, met - 1)
         rnd = scan_hi + 1
-
-    if rnd > max_rounds:  # budget exhausted inside the raw regions
-        return RendezvousOutcome(
-            False, None, None, max_rounds, False,
-            _crossings_prefix(p1, p2, max_rounds), None,
-            _fresh_agents(prototype, 2),
-        )
-
-    # Folded tail: at least one trace is complete (finished or cycled).
-    crossings = _crossings_prefix(p1, p2, rnd - 1)
-    i1 = t1.fold(rnd - 1) if rnd > 1 else 0
-    i2 = t2.fold(rnd - 1) if rnd > 1 else 0
-    pos1, pos2 = p1[i1], p2[i2]
-    anchor = None
-    steps = 0
-    power = 1
-    for r in range(rnd, max_rounds + 1):
-        prev1, prev2 = pos1, pos2
-        i1 = r
-        if i1 > len(t1.actions):
-            if t1.status == ACTIVE:
-                t1.extend(i1)
-            if i1 > len(t1.actions):
-                i1 = t1.fold(i1)
-        i2 = r
-        if i2 > len(t2.actions):
-            if t2.status == ACTIVE:
-                t2.extend(i2)
-            if i2 > len(t2.actions):
-                i2 = t2.fold(i2)
-        pos1, pos2 = p1[i1], p2[i2]
-        if pos1 == prev2 and pos2 == prev1 and pos1 != pos2:
-            crossings += 1
-        if pos1 == pos2:
-            return RendezvousOutcome(
-                True, r, pos1, r, False, crossings, None,
-                _fresh_agents(prototype, 2),
-            )
-        if certify and t1.status != ACTIVE and t2.status != ACTIVE:
-            config = (i1, i2)
-            if config == anchor:
-                return RendezvousOutcome(
-                    False, None, None, r, True, crossings, None,
-                    _fresh_agents(prototype, 2),
-                )
-            steps += 1
-            if steps == power:
-                anchor = config
-                steps = 0
-                power <<= 1
-    return RendezvousOutcome(
-        False, None, None, max_rounds, False, crossings, None,
-        _fresh_agents(prototype, 2),
-    )
+    return rnd, _crossings_prefix(p1, p2, rnd - 1)
 
 
 def run_rendezvous_traced(
@@ -821,114 +760,21 @@ def run_rendezvous_traced(
     max_rounds: int = 1_000_000,
     certify: bool = False,
     record_trace: bool = False,
-    cache: bool = True,
 ) -> RendezvousOutcome:
-    """Replay the reference rendezvous semantics over solo traces.
+    """Replay the reference rendezvous semantics over solo traces: the
+    k=2 run of :func:`_traced_run`.
 
     Verdict parity follows the compiled backend's contract (``met`` /
     ``meeting_round`` / ``meeting_node`` / ``certified_never`` identical
     to the reference engine; ``rounds_executed`` of a certified run may
     differ).  A delay-0 symmetric instance is certified before round 1
     from its :class:`~repro.sim.certificates.SymmetryCertificate`, as on
-    every tier.  Otherwise certification compares folded trace indices
-    and therefore needs both traces lassoed; an unlassoed trace leaves
-    the run honestly undecided at the budget.  ``outcome.agents`` are
-    fresh clones (see the module docstring).
+    every tier.  ``outcome.agents`` are fresh clones (see the module
+    docstring).
     """
-    if not (0 <= start1 < tree.n and 0 <= start2 < tree.n):
-        raise SimulationError("start nodes outside the tree")
-    if delay < 0:
-        raise SimulationError("delay must be >= 0")
-    if delayed not in (1, 2):
-        raise SimulationError("'delayed' must be 1 or 2")
-
-    trace_log = Trace(start1, start2) if record_trace else None
-    if start1 == start2:
-        return RendezvousOutcome(
-            True, 0, start1, 0, False, 0, trace_log, _fresh_agents(prototype, 2)
-        )
-    if certify and delay == 0:
-        from .certificates import symmetry_certificate
-
-        if symmetry_certificate(tree, start1, start2) is not None:
-            return RendezvousOutcome(
-                False, None, None, 0, True, 0, trace_log,
-                _fresh_agents(prototype, 2),
-            )
-
-    t1 = solo_trace(tree, prototype, start1, cache=cache)
-    t2 = solo_trace(tree, prototype, start2, cache=cache)
-    sr1 = delay if delayed == 1 else 0
-    sr2 = delay if delayed == 2 else 0
-    first_joint = max(sr1, sr2) + 1
-
-    if delay == 0 and trace_log is None:
-        # The grid workloads' common case (simultaneous start, no trace
-        # recording): both active-round indices equal the global round,
-        # so the meeting search is a straight scan of the two position
-        # lists — done chunk-wise, with the crossing count recovered in
-        # one pass over the executed prefix.
-        return _run_delay0_fast(prototype, t1, t2, max_rounds, certify)
-
-    pos1, pos2 = start1, start2
-    # live lists: extend() appends in place, so these stay current
-    acts1, poss1 = t1.actions, t1.positions
-    acts2, poss2 = t2.actions, t2.positions
-    crossings = 0
-    anchor = None
-    steps = 0
-    power = 1
-
-    for rnd in range(1, max_rounds + 1):
-        prev1, prev2 = pos1, pos2
-        i1 = rnd - sr1  # the agents' active-round indices (<= 0: asleep)
-        i2 = rnd - sr2
-        if i1 >= 1:
-            if i1 > len(acts1):
-                if t1.status == ACTIVE:
-                    t1.extend(i1)
-                if i1 > len(acts1):  # lassoed short of i1: fold
-                    i1 = t1.fold(i1)
-            act1 = acts1[i1 - 1]
-            pos1 = poss1[i1]
-        else:
-            act1 = STAY
-        if i2 >= 1:
-            if i2 > len(acts2):
-                if t2.status == ACTIVE:
-                    t2.extend(i2)
-                if i2 > len(acts2):
-                    i2 = t2.fold(i2)
-            act2 = acts2[i2 - 1]
-            pos2 = poss2[i2]
-        else:
-            act2 = STAY
-
-        if trace_log is not None:
-            trace_log.append(RoundRecord(rnd, pos1, pos2, act1, act2))
-        if pos1 == prev2 and pos2 == prev1 and pos1 != pos2:
-            crossings += 1
-        if pos1 == pos2:
-            return RendezvousOutcome(
-                True, rnd, pos1, rnd, False, crossings, trace_log,
-                _fresh_agents(prototype, 2),
-            )
-        if certify and rnd > first_joint and t1.status != ACTIVE and t2.status != ACTIVE:
-            config = (i1, i2)
-            if config == anchor:
-                return RendezvousOutcome(
-                    False, None, None, rnd, True, crossings, trace_log,
-                    _fresh_agents(prototype, 2),
-                )
-            steps += 1
-            if steps == power:
-                anchor = config
-                steps = 0
-                power <<= 1
-
-    return RendezvousOutcome(
-        False, None, None, max_rounds, False, crossings, trace_log,
-        _fresh_agents(prototype, 2),
+    return _rendezvous(
+        tree, prototype, start1, start2, delay, delayed, max_rounds, certify,
+        record_trace, None, _traced_run,
     )
 
 
@@ -940,66 +786,112 @@ def run_gathering_traced(
     delays: Optional[Sequence[int]] = None,
     max_rounds: int = 1_000_000,
     certify: bool = False,
-    cache: bool = True,
 ) -> GatheringOutcome:
     """Replay the reference gathering semantics over k solo traces."""
-    starts = list(starts)
-    delay_list = _validate(tree, starts, delays)
+    return _gathering(
+        tree, prototype, starts, delays, max_rounds, certify, None, _traced_run
+    )
+
+
+def _traced_run(
+    tree: Tree,
+    prototype: AgentBase,
+    starts,
+    delays,
+    plan,
+    max_rounds: int,
+    certify: bool,
+    trace: Optional[Trace],
+) -> JointRun:
+    """The traced tier's k-agent loop (the :class:`JointRun` contract of
+    :func:`repro.sim.engine._reference_run`; fault-free, ``plan`` is
+    the empty plan) over the shared solo traces.
+
+    A simultaneous-start pair without a recorded trace is the grid
+    workloads' common case: :func:`_run_delay0_fast` first scans the two
+    position lists chunk-wise, and the loop resumes where it stops.
+
+    Certification compares folded trace indices, and only in rounds
+    where every agent's index lies past its trace's recorded prefix:
+    that round depends on the traces alone, not on how far earlier runs
+    already extended the shared traces, so the round a certificate
+    fires at is the same on every call.  An unlassoed trace leaves the
+    run honestly undecided at the budget.
+    """
     k = len(starts)
-    traces = [solo_trace(tree, prototype, s, cache=cache) for s in starts]
+    traces = [solo_trace(tree, prototype, s) for s in starts]
+    first, crossings = 1, 0
+    if trace is None and k == 2 and not any(delays):
+        first, crossings = _run_delay0_fast(*traces, max_rounds)
 
-    pos = list(starts)
-
-    def cluster_size() -> int:
-        counts: dict[int, int] = {}
-        for p in pos:
-            counts[p] = counts.get(p, 0) + 1
-        return max(counts.values())
-
-    largest = cluster_size()
-    if largest == k:
-        return GatheringOutcome(True, 0, pos[0], 0, tuple(pos), largest)
-
-    first_joint = max(delay_list) + 1
+    # the positions after round first - 1
+    pos = [
+        tr.positions[tr.fold(max(first - 1 - d, 0))]
+        for tr, d in zip(traces, delays)
+    ]
+    largest = max(map(pos.count, pos))
+    pair = k == 2
+    px, py = pos[0], pos[-1]  # the previous round's positions when k == 2
+    acts = [STAY] * k  # filled only while a trace is recorded
+    first_joint = max(*delays, plan.horizon) + 1
     anchor = None
     steps = 0
     power = 1
 
-    poss = [tr.positions for tr in traces]  # live lists (see rendezvous)
+    # live lists: extend() appends in place, so these stay current
+    actions = [tr.actions for tr in traces]
+    positions = [tr.positions for tr in traces]
     folded = [0] * k
-    for rnd in range(1, max_rounds + 1):
-        for i in range(k):
-            a = rnd - delay_list[i]
+    agents = range(k)
+    for rnd in range(first, max_rounds + 1):
+        past = 0  # agents whose index lies past their recorded prefix
+        for i in agents:
+            a = rnd - delays[i]  # the agent's active-round index (<= 0: asleep)
             if a >= 1:
-                tr = traces[i]
-                pi = poss[i]
-                if a >= len(pi):  # positions has rounds+1 entries
+                acts_i = actions[i]
+                if a > len(acts_i):
+                    tr = traces[i]
                     if tr.status == ACTIVE:
                         tr.extend(a)
-                    if a >= len(pi):
+                    if a > len(acts_i):  # lassoed short of a: fold
                         a = tr.fold(a)
+                        past += 1
                 folded[i] = a
-                pos[i] = pi[a]
-        size = cluster_size()
-        largest = max(largest, size)
-        if size == k:
-            return GatheringOutcome(True, rnd, pos[0], rnd, tuple(pos), largest)
-        if (
-            certify
-            and rnd > first_joint
-            and all(tr.status != ACTIVE for tr in traces)
-        ):
+                pos[i] = positions[i][a]
+                if trace is not None:
+                    acts[i] = acts_i[a - 1]
+        if trace is not None:
+            trace.append(RoundRecord(rnd, pos[0], pos[1], acts[0], acts[1]))
+        if pair:
+            x, y = pos
+            if x == py and y == px and x != y:
+                crossings += 1
+            px, py = x, y
+        if pos.count(pos[0]) == k:
+            return JointRun(
+                True, rnd, rnd, tuple(pos), k, False, crossings,
+                _fresh_agents(prototype, k),
+            )
+        # A cluster larger than ``largest`` leaves at most k - largest
+        # distinct nodes.
+        if largest < k - 1 and k - len(set(pos)) >= largest:
+            largest = max(map(pos.count, pos))
+        if certify and rnd > first_joint and past == k:
             config = tuple(folded)
             if config == anchor:
-                return GatheringOutcome(
-                    False, None, None, rnd, tuple(pos), largest, True
+                return JointRun(
+                    False, None, rnd, tuple(pos), largest, True, crossings,
+                    _fresh_agents(prototype, k),
                 )
             steps += 1
             if steps == power:
                 anchor = config
                 steps = 0
                 power <<= 1
-    return GatheringOutcome(False, None, None, max_rounds, tuple(pos), largest)
+    return JointRun(
+        False, None, max_rounds, tuple(pos), largest, False, crossings,
+        _fresh_agents(prototype, k),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1017,7 +909,6 @@ def sweep_delays_traced(
     sides: Sequence[int] = (1, 2),
     trace_budget: int = DEFAULT_TRACE_BUDGET,
     max_configs: int = 4_000_000,
-    cache: bool = True,
     solver=None,
 ) -> list[DelayVerdict]:
     """Decide a whole delay sweep for a register program, exactly.
@@ -1035,12 +926,8 @@ def sweep_delays_traced(
     choices = sweep_choices(max_delay, sides)  # validate before tracing
     if start1 == start2:  # met at round 0 under every adversary choice
         return met_at_start(choices)
-    a1 = lasso_automaton(
-        solo_trace(tree, prototype, start1, cache=cache), trace_budget
-    )
-    a2 = lasso_automaton(
-        solo_trace(tree, prototype, start2, cache=cache), trace_budget
-    )
+    a1 = lasso_automaton(solo_trace(tree, prototype, start1), trace_budget)
+    a2 = lasso_automaton(solo_trace(tree, prototype, start2), trace_budget)
     solve = solver if solver is not None else solve_all_delays
     return solve(
         tree, a1, start1, start2,
@@ -1057,7 +944,6 @@ def sweep_gathering_traced(
     *,
     trace_budget: int = DEFAULT_TRACE_BUDGET,
     max_configs: int = 4_000_000,
-    cache: bool = True,
     solver=None,
 ) -> list[GatheringVerdict]:
     """Decide a whole gathering grid for a register program, exactly
@@ -1065,7 +951,7 @@ def sweep_gathering_traced(
     :func:`~repro.sim.gathering_solver.solve_gathering` drop-in)."""
     starts = list(starts)
     automata = [
-        lasso_automaton(solo_trace(tree, prototype, s, cache=cache), trace_budget)
+        lasso_automaton(solo_trace(tree, prototype, s), trace_budget)
         for s in starts
     ]
     solve = solver if solver is not None else solve_gathering
@@ -1121,7 +1007,6 @@ def run_pairs_traced(
     pairs: Sequence[tuple[int, int]],
     *,
     max_rounds: int,
-    cache: bool = True,
 ):
     """Decide delay-0 rendezvous for many start pairs over shared traces.
 
@@ -1151,14 +1036,17 @@ def run_pairs_traced(
             continue
         for s in (u, v):
             if s not in traces:
-                traces[s] = solo_trace(tree, prototype, s, cache=cache)
+                traces[s] = solo_trace(tree, prototype, s)
         live.append((j, traces[u], traces[v]))
 
     _np = load_numpy() if live else None
     if _np is None:  # scalar fallback: same verdicts, pair at a time
         for j, t1, t2 in live:
-            out = _run_delay0_fast(prototype, t1, t2, max_rounds, True)
-            verdicts[j] = PairVerdict(out.met, out.meeting_round, out.certified_never)
+            out = _traced_run(
+                tree, prototype, (t1.start, t2.start), (0, 0), _NO_FAULTS,
+                max_rounds, True, None,
+            )
+            verdicts[j] = PairVerdict(out.gathered, out.round, out.certified_never)
         return verdicts
 
     lo = 1

@@ -30,7 +30,6 @@ the untraced call's).
 import random
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,11 +207,6 @@ def test_compiled_rendezvous_is_k2_gathering(instance, plan, theta, side):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the traced delay-0 scan anchors its recurrence check at a "
-    "different round than the traced gathering loop",
-)
 @settings(max_examples=60, deadline=None)
 @given(program_instances(), st.integers(0, 12), st.sampled_from([1, 2]))
 def test_traced_rendezvous_is_k2_gathering(instance, theta, side):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.agents import Automaton
-from repro.agents.library import counting_walker, pausing_walker
+from repro.agents.library import counting_program, counting_walker, pausing_walker
 from repro.agents.observations import STAY
 from repro.core import rendezvous_agent
 from repro.errors import BudgetExceededError
@@ -322,6 +322,22 @@ def test_run_pairs_traced_matches_traced_runs():
         for (u, v), verdict in zip(pairs, got):
             ref = run_rendezvous_traced(tree, proto, u, v, max_rounds=budget)
             assert (ref.met, ref.meeting_round) == (verdict.met, verdict.meeting_round)
+
+
+def test_run_pairs_traced_scalar_fallback_matches(monkeypatch):
+    """Without numpy, run_pairs_traced decides pair by pair through the
+    traced loop; its rows (certified-never included) stay the same."""
+    import repro.sim.traced as traced
+
+    tree = edge_colored_line(10)
+    pairs = _pairs_for(tree.n, 7, count=12) + [(0, 9), (1, 8)]
+    for proto in (rendezvous_agent(max_outer=5), counting_program(2)):
+        for budget in (2, 200, 100_000):
+            vectorized = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
+            with monkeypatch.context() as m:
+                m.setattr(traced, "load_numpy", lambda: None)
+                scalar = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
+            assert scalar == vectorized
 
 
 def test_run_pairs_kernel_budget_guard_unreachable():
