@@ -42,10 +42,11 @@ import pathlib
 import sqlite3
 from typing import Iterable, Optional, Union
 
+from ..durable import atomic_writer, quarantine
 from ..telemetry import current as _telemetry
 from .runner import ScenarioResult
 from .spec import ScenarioError
-from .store import comparable, validate_payload, write_atomic
+from .store import comparable, validate_payload
 
 __all__ = [
     "AtlasStore",
@@ -273,12 +274,11 @@ class AtlasStore:
             # edit): quarantine and rebuild — the atlas is a cache of
             # results that also live elsewhere, so self-healing beats
             # failing every later run.  Mirrors ResultStore.load.
-            quarantine = self.path.with_name(self.path.name + ".corrupt")
-            os.replace(self.path, quarantine)
+            moved = quarantine(self.path)
             t = _telemetry()
             if t.enabled:
                 t.event("atlas.quarantine", path=str(self.path),
-                        quarantine=str(quarantine), reason=str(exc))
+                        quarantine=moved and str(moved), reason=str(exc))
             conn = self._connect()
             tables = set()
         if not tables:
@@ -511,7 +511,8 @@ class AtlasStore:
             raise ScenarioError(f"no atlas result named {name!r} in {self.path}")
         out = pathlib.Path(out_dir) / f"{name}.json"
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(out, text)
+        with atomic_writer(out) as fh:
+            fh.write(text.encode())
         return out
 
     def export_all(self, out_dir: Union[str, pathlib.Path]) -> list[pathlib.Path]:

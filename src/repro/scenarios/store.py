@@ -35,34 +35,16 @@ image).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Union
 
+from ..durable import atomic_writer, quarantine
 from .runner import SCHEMA, ScenarioResult
 from .spec import ScenarioError
 
 __all__ = ["ResultStore", "validate_payload", "diff_payloads", "comparable"]
 
 _SCALAR = (str, int, float, bool, type(None))
-
-
-def write_atomic(path: pathlib.Path, text: str) -> None:
-    """Publish ``text`` at ``path`` atomically: a reader (or a kill)
-    mid-write sees either the old complete file or the new one.
-
-    The temp file sits next to the target, so ``os.replace`` stays on
-    one filesystem (rename atomicity), and its name is unique per call:
-    with a fixed name a second writer of the same path truncates the
-    first one's temp file, which then publishes a torn file while the
-    second one's ``os.replace`` finds no temp file at all.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _check(cond: bool, message: str) -> None:
@@ -173,14 +155,16 @@ class ResultStore:
         return self.root / f"{name}.json"
 
     def save(self, result: ScenarioResult) -> pathlib.Path:
-        """Write atomically (:func:`write_atomic`): a reader (or a kill)
-        mid-save must see either the old complete file or the new
-        complete file, never a torn one."""
+        """Write atomically (:func:`repro.durable.atomic_writer`): a
+        reader (or a kill) mid-save must see either the old complete
+        file or the new complete file, never a torn one."""
         payload = result.to_payload()
         validate_payload(payload)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(result.name)
-        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        with atomic_writer(path) as fh:
+            fh.write(text.encode())
         return path
 
     def load(self, name_or_path: Union[str, pathlib.Path]) -> dict:
@@ -218,12 +202,8 @@ class ResultStore:
             # trouble, manual edit): quarantine the file so the next
             # save/run is not poisoned by it, and say exactly where it
             # went.  Saves are atomic, so this should never be ours.
-            quarantine = path.with_name(path.name + ".corrupt")
-            try:
-                os.replace(path, quarantine)
-                where = f"; quarantined to {quarantine}"
-            except OSError:
-                where = ""
+            moved = quarantine(path)
+            where = f"; quarantined to {moved}" if moved else ""
             raise ScenarioError(
                 f"stored result at {path} is not valid JSON ({exc}){where}"
             ) from None

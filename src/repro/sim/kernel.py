@@ -66,6 +66,7 @@ from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY
+from ..durable import atomic_writer, quarantine
 from ..errors import BudgetExceededError, SimulationError
 from ..telemetry import current as _telemetry
 from ..trees.tree import Tree
@@ -222,15 +223,13 @@ def kernel_cache_dir() -> Optional[Path]:
 
 def _quarantine(path: Path) -> None:
     """Move a bad cache file aside (never delete evidence, never crash
-    the sweep) — mirrors ``ResultStore``'s corrupt-file handling."""
+    the sweep) — the same :func:`repro.durable.quarantine` as
+    ``ResultStore``'s corrupt-file handling."""
     t = _telemetry()
     if t.enabled:
         t.count("kernel.table.quarantine")
         t.event("kernel.table.quarantine", path=str(path))
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:  # pragma: no cover - racing cleaners are fine
-        pass
+    quarantine(path)
 
 
 def _load_table_file(path: Path, expected_size: int):
@@ -252,19 +251,14 @@ def _load_table_file(path: Path, expected_size: int):
 
 
 def _save_table_file(path: Path, succ) -> None:
-    """Atomic best-effort persist: tmp file + ``os.replace``."""
+    """Atomic best-effort persist (:func:`repro.durable.atomic_writer`)."""
     _np = load_numpy()
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as fh:
+        with atomic_writer(path) as fh:
             _np.save(fh, succ)
-        os.replace(tmp, path)
     except OSError:  # pragma: no cover - cache is an optimization only
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
+        pass
 
 
 def _build_succ(compiled, tree: Tree):
