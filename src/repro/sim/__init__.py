@@ -1,31 +1,35 @@
-"""Synchronous two-agent simulation: engine, traces, adversarial sweeps.
+"""Synchronous simulation: engine tiers, traces, adversarial sweeps.
 
-Interchangeable backends execute rendezvous runs:
+A rendezvous run is the k=2 gathering run (:mod:`repro.sim.delays` maps
+a ``(delay, delayed)`` choice to its delay vector), and each engine tier
+has one k-agent round loop behind both kinds of entry point:
 
-- :func:`run_rendezvous` — the readable reference engine (the oracle);
-- :func:`run_rendezvous_compiled` — the table-driven backend for
-  finite-state agents, with :func:`solve_all_delays` deciding a whole
-  delay sweep in one pass — and the vectorized frontier kernel
-  (:mod:`repro.sim.kernel`) advancing every undecided adversary choice
-  of a sweep or pair grid per numpy gather, dict solvers as oracle;
-- :func:`run_rendezvous_traced` — the lowering backend for register
-  programs (:mod:`repro.sim.traced`): shared per-(tree, start) solo
-  traces replayed against each other, with :func:`sweep_delays_traced`
-  / :func:`sweep_gathering_traced` rolling lassoed traces into the
-  exact product solvers;
-- :func:`run_rendezvous_fast` — dispatches automata to the compiled
-  backend, everything else to the reference engine (grid workloads
-  reach the traced backend through the scenario backends, where trace
-  sharing pays).
+- :func:`run_rendezvous` / :func:`run_gathering_reference` — the
+  readable reference engine (the oracle);
+- :func:`run_rendezvous_compiled` / :func:`run_gathering_compiled` — the
+  table-driven backend for finite-state agents, with
+  :func:`solve_all_delays` deciding a whole delay sweep in one pass —
+  and the vectorized frontier kernel (:mod:`repro.sim.kernel`)
+  advancing every undecided adversary choice of a sweep or pair grid
+  per numpy gather, dict solvers as oracle;
+- :func:`run_rendezvous_traced` / :func:`run_gathering_traced` — the
+  lowering backend for register programs (:mod:`repro.sim.traced`):
+  shared per-(tree, start) solo traces replayed against each other,
+  with :func:`sweep_delays_traced` / :func:`sweep_gathering_traced`
+  rolling lassoed traces into the exact product solvers;
+- :func:`run_rendezvous_fast` / :func:`run_gathering` — dispatch
+  automata to the compiled backend, everything else to the reference
+  engine (grid workloads reach the traced backend through the scenario
+  backends, where trace sharing pays).
 
 Every runner accepts ``faults=`` — a :class:`FaultPlan` of crash-stop,
-pause, and adversarial-relabel faults (:mod:`repro.sim.faults`).  Each
-engine tier has one rendezvous loop and one gathering loop: a fault-free
-run is the same loop with the empty plan, which the loop reads only at
-the plan's event rounds, and reference/compiled parity covers both.  Long
-grids run under the supervised pool (:mod:`repro.sim.supervise`):
-per-job timeouts, retry with backoff, worker respawn, structured
-:class:`JobFailure` rows, and checkpointed resume.
+pause, and adversarial-relabel faults (:mod:`repro.sim.faults`); the
+traced runs are fault-free.  A fault-free run is the same loop with the
+empty plan, which the loop reads only at the plan's event rounds, and
+reference/compiled parity covers both.  Long grids run under the
+supervised pool (:mod:`repro.sim.supervise`): per-job timeouts, retry
+with backoff, worker respawn, structured :class:`JobFailure` rows, and
+checkpointed resume.
 """
 
 from .adversary import (

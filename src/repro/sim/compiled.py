@@ -14,12 +14,14 @@ the joint configuration with array indexing only:
 - an :class:`~repro.agents.automaton.Automaton` is compiled into a flat
   ``(state, in_port, degree) -> (resolved action, next state)`` table by
   :func:`compile_agent` (memoized per automaton × tree shape);
-- :func:`run_rendezvous_compiled` replays the exact reference semantics
-  over those tables, replacing the ``seen``-set certificate with Brent
-  cycle detection on the deterministic joint successor — O(1) memory
-  instead of O(rounds).  Like the reference engine it has one loop: a
-  fault plan (:mod:`repro.sim.faults`) swaps move tables and frozen
-  flags at its event rounds, and a fault-free run is the empty plan;
+- :func:`_compiled_run` replays the exact reference semantics over
+  those tables for k agents (:func:`run_rendezvous_compiled` is its
+  k=2 run, :func:`repro.sim.multi.run_gathering_compiled` any k),
+  replacing the ``seen``-set certificate with Brent cycle detection on
+  the deterministic joint successor — O(1) memory instead of
+  O(rounds).  Like the reference engine it has one loop: a fault plan
+  (:mod:`repro.sim.faults`) swaps move tables and frozen flags at its
+  event rounds, and a fault-free run is the empty plan;
 - :func:`solve_all_delays` decides *every* delay θ ∈ [0, Θ] (and both
   delayed-agent choices) as the k=2 case of the exact gathering solver
   (:func:`repro.sim.gathering_solver.solve_gathering`): one shared
@@ -171,8 +173,8 @@ def _make_stepper(compiled: CompiledAgent, tree: Tree):
     ``(pos, state, ip-index) -> successor``.
 
     The exact solver (:func:`repro.sim.gathering_solver.solve_gathering`)
-    steps solo runs and joint configurations with it; the per-round
-    simulation loops keep their hand-inlined copies for speed.
+    steps solo runs and joint configurations with it; the k-agent table
+    stepper (:func:`_table_rounds`) keeps an inlined copy for speed.
     """
     stride, deg, move_to, move_in = tree.flat_move_tables()
     width = stride + 1

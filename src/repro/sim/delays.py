@@ -1,15 +1,17 @@
-"""The (θ, side) delay-sweep format: a delay sweep is a k=2 gathering grid.
+"""The (θ, side) delay format: a rendezvous is a k=2 gathering run.
 
 The paper's adversary starts one of two agents θ rounds late — the
 two-agent case of gathering with per-agent start delays (§1.3): delaying
 side 2 by θ is the delay vector ``(0, θ)``, delaying side 1 is
-``(θ, 0)``.  This module is the one owner of that format; every
-delay-sweep entry point (the scenario ``DelayPolicy``, the backends'
-per-run sweep, and the dict, faulted, kernel and traced solvers) takes
-its choice list from :func:`sweep_choices`: validated sides, θ-major,
-sides in request order, and θ = 0 once — both sides are the same
-adversary choice there, emitted as side 2 when requested, else as the
-single requested side.
+``(θ, 0)``.  This module is the one owner of that format, for single
+runs and sweeps alike.  Every rendezvous entry point runs its tier's
+k-agent loop on :func:`delay_vector` of its ``(delay, delayed)``
+arguments (:func:`repro.sim.engine._rendezvous`), and every delay-sweep
+entry point (the scenario ``DelayPolicy``, the backends' per-run sweep,
+and the dict, faulted, kernel and traced solvers) takes its choice list
+from :func:`sweep_choices`: validated sides, θ-major, sides in request
+order, and θ = 0 once — both sides are the same adversary choice there,
+emitted as side 2 when requested, else as the single requested side.
 
 Every exact delay solver is its tier's gathering solver over
 :func:`delay_vector`'s k=2 vectors, mapped back by

@@ -1,13 +1,13 @@
 """Multi-agent synchronous simulation: the gathering extension.
 
 The paper notes (§1.3) that gathering — more than two identical agents
-meeting at one node — is the natural extension of rendezvous.  This module
-generalizes the two-agent engine to k agents with per-agent start delays:
+meeting at one node — is the natural extension of rendezvous.  This
+module holds the k-agent entry points, with per-agent start delays:
 
 - *gathering* is achieved the first round at the end of which all agents
   occupy the same node;
-- the engine also reports the partial-meeting structure (which subsets
-  co-locate), which the gathering algorithm's analysis cares about.
+- the outcome also reports the largest cluster ever co-located, which
+  the gathering algorithm's analysis cares about.
 
 The feasible fragment implemented in :mod:`repro.core.gathering` covers the
 cases where all agents can agree on a single target node of the contraction
@@ -15,16 +15,18 @@ cases where all agents can agree on a single target node of the contraction
 k > 2 the paper makes no claim and neither do we (see the module docs
 there).
 
-Backend dispatch mirrors the two-agent engine: finite-state prototypes
-(:func:`repro.sim.compiled.supports_compilation`) run on flat transition
-tables (:func:`run_gathering_compiled`, driven by the k-agent table
-stepper :func:`_table_rounds` that the exact gathering solver also
-steps its prefixes with), arbitrary ``AgentBase`` programs on the
-readable reference loop (:func:`run_gathering_reference`, the oracle).
-Each tier has one loop: a fault plan (:mod:`repro.sim.faults`) is read
-at its event rounds only, and a fault-free run is the empty plan.  The
-parity suites in ``tests/sim/test_gathering_compiled.py`` and
-``tests/sim/test_faults.py`` assert identical outcomes.
+Each engine tier has one k-agent loop, shared with its rendezvous entry
+point (a rendezvous run is the k=2 run): :func:`run_gathering_reference`
+runs the reference loop (the oracle, any ``AgentBase``),
+:func:`run_gathering_compiled` the compiled tier's loop over the k-agent
+table stepper that the exact gathering solver's faulted prefixes also
+use, and :func:`run_gathering` dispatches finite-state prototypes
+(:func:`repro.sim.compiled.supports_compilation`) to the latter.
+:func:`_gathering` is their one front end.  A fault plan
+(:mod:`repro.sim.faults`) is read at its event rounds only, and a
+fault-free run is the empty plan.  The parity suites in
+``tests/sim/test_gathering_compiled.py`` and ``tests/sim/test_faults.py``
+assert identical outcomes.
 """
 
 from __future__ import annotations

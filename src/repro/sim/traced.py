@@ -20,9 +20,11 @@ that:
   interpreted run is paid once and every further pair replays integer
   tables;
 - :func:`run_rendezvous_traced` / :func:`run_gathering_traced` replay
-  the reference-engine semantics over traces (identical ``met`` /
+  the reference-engine semantics over traces, both through the one
+  k-agent loop :func:`_traced_run` (identical ``met`` /
   ``meeting_round`` / ``meeting_node`` verdicts; certification compares
-  folded trace indices once every trace has lassoed);
+  folded trace indices once every agent is past its trace's recorded
+  prefix);
 - :func:`traced_automaton` rolls a lassoed trace into a genuine
   :class:`~repro.agents.automaton.Automaton` (a chain with a back edge),
   and :func:`sweep_delays_traced` / :func:`sweep_gathering_traced` feed
