@@ -278,8 +278,8 @@ def _compiled_run(
                 True, rnd, rnd, tuple(pos), k, False, crossings,
                 _state_set(prototype, st),
             )
-        # A cluster larger than ``largest`` leaves at most k - largest
-        # distinct nodes.
+        # Short of gathering, only a cluster larger than ``largest``
+        # raises it, and that leaves at most k - largest distinct nodes.
         if largest < k - 1 and k - len(set(pos)) >= largest:
             largest = max(map(pos.count, pos))
         if certify and rnd > first_joint:

@@ -280,8 +280,8 @@ def _reference_run(
                     True, rnd, rnd, tuple(pos), k, False, crossings,
                     tuple(a.agent for a in agents),
                 )
-            # A cluster larger than ``largest`` leaves at most
-            # k - largest distinct nodes.
+            # Short of gathering, only a cluster larger than ``largest``
+            # raises it, and that leaves at most k - largest distinct nodes.
             if largest < k - 1 and k - len(set(pos)) >= largest:
                 largest = max(map(pos.count, pos))
             if certifiable and rnd > first_joint:

@@ -30,8 +30,8 @@ def test_failed_write_keeps_the_old_file(tmp_path):
 
 
 def test_nested_writers_of_one_path_do_not_share_a_temp_file(tmp_path):
-    # With a fixed temp name (the kernel cache's old ``.tmp{pid}``) the
-    # inner writer truncated and consumed the outer one's temp file.
+    # A temp name fixed per path (or per process) would let the inner
+    # writer truncate and consume the outer one's temp file.
     path = tmp_path / "table.npy"
     with atomic_writer(path) as outer:
         outer.write(b"outer")
