@@ -815,9 +815,9 @@ def _traced_run(
 
     Certification compares folded trace indices, and only in rounds
     where every agent's index lies past its trace's recorded prefix:
-    that round depends on the traces alone, not on how far earlier runs
-    already extended the shared traces, so the round a certificate
-    fires at is the same on every call.  An unlassoed trace leaves the
+    that round is fixed by the traces' lassos, not by how far earlier
+    runs happened to extend the shared traces, so the delay-0 scan and
+    this loop certify at the same round.  An unlassoed trace leaves the
     run honestly undecided at the budget.
     """
     k = len(starts)
