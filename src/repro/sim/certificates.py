@@ -40,7 +40,7 @@ from ..errors import SimulationError
 from ..trees.automorphism import port_preserving_automorphism
 from ..trees.tree import Tree
 from .delays import delay_vector
-from .engine import _agent_action, _AgentState, _execute
+from .engine import _AgentState, _step
 
 __all__ = [
     "JointConfig",
@@ -252,7 +252,7 @@ def build_certificate(
 
     for rnd in range(1, max_rounds + 1):
         for a in agents:
-            _execute(tree, a, _agent_action(tree, a, rnd))
+            _step(tree, a, rnd)
         if a1.pos == a2.pos:
             raise SimulationError(f"agents met at round {rnd}: no certificate")
         if a1.started and a2.started:

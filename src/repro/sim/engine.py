@@ -228,9 +228,10 @@ def _reference_run(
     """The reference k-agent loop (the oracle every tier is checked
     against): agent i starts at ``starts[i]`` after ``delays[i]``
     rounds, under ``plan``."""
+    clones = tuple(prototype.clone() for _ in starts)
     agents = [
-        _AgentState(prototype.clone(), pos, delay)
-        for pos, delay in zip(starts, delays)
+        _AgentState(clone, pos, delay)
+        for clone, pos, delay in zip(clones, starts, delays)
     ]
     k = len(agents)
     pos = list(starts)
@@ -249,7 +250,7 @@ def _reference_run(
     # cycle detection anchors on the same round, keeping the tiers'
     # verdicts aligned.
     certifiable = certify and all(
-        getattr(a.agent, "state", None) is not None for a in agents
+        getattr(clone, "state", None) is not None for clone in clones
     )
     first_joint = max(*delays, plan.horizon) + 1
     config_key = _AgentState.config_key
@@ -263,8 +264,7 @@ def _reference_run(
             # Each agent's action depends only on its own state, so moving
             # agents one by one equals computing every action first.
             for i, a in active:
-                act = _agent_action(cur, a, rnd)
-                _execute(cur, a, act)
+                act = _step(cur, a, rnd)
                 pos[i] = a.pos
                 if trace is not None:
                     acts[i] = act
@@ -278,42 +278,41 @@ def _reference_run(
             if pos.count(pos[0]) == k:
                 return JointRun(
                     True, rnd, rnd, tuple(pos), k, False, crossings,
-                    tuple(a.agent for a in agents),
+                    clones,
                 )
             # Short of gathering, only a cluster larger than ``largest``
             # raises it, and that leaves at most k - largest distinct nodes.
             if largest < k - 1 and k - len(set(pos)) >= largest:
                 largest = max(map(pos.count, pos))
             if certifiable and rnd > first_joint:
-                key = tuple(map(config_key, agents))
+                key = (*map(config_key, agents),)
                 if key in seen:
                     return JointRun(
                         False, None, rnd, tuple(pos), largest, True, crossings,
-                        tuple(a.agent for a in agents),
+                        clones,
                     )
                 seen.add(key)
 
     return JointRun(
         False, None, max_rounds, tuple(pos), largest, False, crossings,
-        tuple(a.agent for a in agents),
+        clones,
     )
 
 
-def _agent_action(tree: Tree, a: _AgentState, rnd: int) -> int:
-    """The resolved action of agent ``a`` at global round ``rnd`` (1-based)."""
+def _step(tree: Tree, a: _AgentState, rnd: int) -> int:
+    """Execute agent ``a``'s part of global round ``rnd`` (1-based) on
+    ``tree``; return its resolved action."""
     degree = tree.degree(a.pos)
-    if not a.started:
-        if rnd <= a.start_round:
-            return STAY
+    if a.started:
+        raw = a.agent.step(a.in_port, degree)
+    elif rnd > a.start_round:
         a.started = True
         raw = a.agent.start(degree)
     else:
-        raw = a.agent.step(a.in_port, degree)
-    return resolve_action(raw, degree)
-
-
-def _execute(tree: Tree, a: _AgentState, action: int) -> None:
+        return STAY  # asleep: it has not moved, so in_port is still NULL_PORT
+    action = resolve_action(raw, degree)
     if action == STAY:
         a.in_port = NULL_PORT
-        return
-    a.pos, a.in_port = tree.move(a.pos, action)
+    else:
+        a.pos, a.in_port = tree.move(a.pos, action)
+    return action
