@@ -249,9 +249,9 @@ def _compiled_run(
     """
     k = len(starts)
     compiled = compile_agent(prototype, tree)
+    width = compiled.stride + 1
     pos = list(starts)
-    st = [compiled.initial_state] * k
-    ip = [0] * k
+    rows = [compiled.initial_state * width] * k
     largest = max(map(pos.count, pos))
     pair = k == 2
     px, py = starts[0], starts[-1]  # the previous round's positions when k == 2
@@ -264,7 +264,7 @@ def _compiled_run(
     power = 1
 
     for rnd in _table_rounds(
-        plan.events(tree), [compiled] * k, delays, max_rounds, pos, st, ip, acts
+        plan.events(tree), [compiled] * k, delays, max_rounds, pos, rows, acts
     ):
         if pair:
             x, y = pos
@@ -276,18 +276,18 @@ def _compiled_run(
         if pos.count(pos[0]) == k:
             return JointRun(
                 True, rnd, rnd, tuple(pos), k, False, crossings,
-                _state_set(prototype, st),
+                _state_set(prototype, rows, width),
             )
         # Short of gathering, only a cluster larger than ``largest``
         # raises it, and that leaves at most k - largest distinct nodes.
         if largest < k - 1 and k - len(set(pos)) >= largest:
             largest = max(map(pos.count, pos))
         if certify and rnd > first_joint:
-            config = (*pos, *st, *ip)
+            config = (*pos, *rows)
             if config == anchor:
                 return JointRun(
                     False, None, rnd, tuple(pos), largest, True, crossings,
-                    _state_set(prototype, st),
+                    _state_set(prototype, rows, width),
                 )
             steps += 1
             if steps == power:
@@ -296,16 +296,16 @@ def _compiled_run(
                 power <<= 1
     return JointRun(
         False, None, max_rounds, tuple(pos), largest, False, crossings,
-        _state_set(prototype, st),
+        _state_set(prototype, rows, width),
     )
 
 
-def _state_set(prototype: Automaton, states) -> tuple:
-    """Clones carrying the final automaton states, like the reference
-    tier's executed agents."""
-    agents = tuple(prototype.clone() for _ in states)
-    for agent, state in zip(agents, states):
-        agent.state = state
+def _state_set(prototype: Automaton, rows, width: int) -> tuple:
+    """Clones carrying the final automaton states (of the table rows
+    ``rows``), like the reference tier's executed agents."""
+    agents = tuple(prototype.clone() for _ in rows)
+    for agent, row in zip(agents, rows):
+        agent.state = row // width
     return agents
 
 
@@ -315,20 +315,19 @@ def _table_rounds(
     start_rounds: Sequence[int],
     max_rounds: int,
     pos: list,
-    st: list,
-    ip: list,
+    rows: list,
     acts: Optional[list] = None,
 ):
     """The k-agent table stepper: steps the joint configuration ``pos``
-    / ``st`` / ``ip`` (the caller's lists, updated in place) and yields
-    each executed round's index.
+    / ``rows`` (the caller's lists, updated in place) and yields each
+    executed round's index.
 
-    Agent i runs ``compileds[i]`` from node ``pos[i]``, in state
-    ``st[i]`` (its automaton's initial state until it starts) with
-    entry-port index ``ip[i]`` (in_port + 1; 0 == NULL_PORT), and
-    starts after round ``start_rounds[i]``.  ``acts`` (when given)
-    receives each agent's resolved action of the round, ``STAY`` while
-    frozen.
+    Agent i runs ``compileds[i]`` from node ``pos[i]`` and starts after
+    round ``start_rounds[i]``.  ``rows[i]`` is its transition-table row,
+    ``state * (stride + 1) + entry-port index`` (in_port + 1; 0 ==
+    NULL_PORT), with its automaton's initial state until it starts.
+    ``acts`` (when given) receives each agent's resolved action of the
+    round, ``STAY`` while asleep or frozen.
 
     ``events`` is :meth:`FaultPlan.events <repro.sim.faults.FaultPlan.events>`
     of the run's plan.  At each event round the move tables switch to
@@ -357,24 +356,25 @@ def _table_rounds(
             for i, nxt, act, start_act, start_round in active:
                 p = pos[i]
                 if started[i]:
-                    idx = (st[i] * width + ip[i]) * width + deg[p]
+                    idx = rows[i] * width + deg[p]
                     s2 = nxt[idx]
                     if s2 == _INVALID:
-                        compileds[i].automaton.transition(st[i], ip[i] - 1, deg[p])
+                        st, ip = divmod(rows[i], width)
+                        compileds[i].automaton.transition(st, ip - 1, deg[p])
                         raise SimulationError("invalid transition entry")  # pragma: no cover
-                    st[i] = s2
                     a = act[idx]
                 elif rnd > start_round:
                     started[i] = True
+                    s2 = rows[i] // width
                     a = start_act[deg[p]]
                 else:
-                    a = STAY
+                    continue  # asleep: it has not moved, no entry port
                 if a == STAY:
-                    ip[i] = 0
+                    rows[i] = s2 * width
                 else:
                     base = p * stride + a
                     pos[i] = move_to[base]
-                    ip[i] = move_in[base] + 1
+                    rows[i] = s2 * width + move_in[base] + 1
                 if acts is not None:
                     acts[i] = a
             yield rnd

@@ -302,16 +302,18 @@ def _replayed_prefix(events, compileds, starts: Sequence[int], horizon: int):
     vector replays rounds ``1 .. max(max(delays), horizon) + 1`` with the
     k-agent table stepper (same contract as :func:`_shared_prefix`)."""
     k = len(starts)
+    width = compileds[0].stride + 1
 
     def prefix(delays):
         last = max(max(delays), horizon) + 1
         pos = list(starts)
-        st = [c.initial_state for c in compileds]
-        ip = [0] * k
-        for rnd in _table_rounds(events, compileds, delays, last, pos, st, ip):
+        rows = [c.initial_state * width for c in compileds]
+        for rnd in _table_rounds(events, compileds, delays, last, pos, rows):
             if pos[0] == pos[-1] and pos.count(pos[0]) == k:
                 return rnd, None
-        return last, tuple(x for i in range(k) for x in (pos[i], st[i], ip[i]))
+        return last, tuple(
+            x for p, row in zip(pos, rows) for x in (p, *divmod(row, width))
+        )
 
     return prefix
 
