@@ -10,7 +10,10 @@ than the tolerance factor:
 
 The floor guards the sub-hundredth-second micro-timings (the batch-solver
 best-of runs take a few milliseconds; scheduler jitter alone can triple
-them) — a timing only gates once its baseline is measurable.  Paths
+them) — a timing only gates at its own scale once its baseline is
+measurable.  A timing whose baseline is under the floor is reported as
+``under floor, gated at <limit> s``: it fails only past that absolute
+limit, so a slowdown of its own size never trips the gate.  Paths
 present on one side only are reported but never fail the gate: quick-mode
 refreshes legitimately carry different instance sizes than a full run,
 but their section structure is identical.
@@ -85,6 +88,8 @@ def compare(
         limit = tolerance * max(base, floor)
         ratio = cur / base if base > 0 else float("inf")
         line = f"{path}: {base:.4f}s -> {cur:.4f}s ({ratio:.2f}x)"
+        if base < floor:
+            line += f", under floor, gated at {limit:.4f} s"
         if cur > limit:
             regressions.append(f"  ! {line} exceeds {tolerance}x tolerance")
         else:

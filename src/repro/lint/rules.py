@@ -558,12 +558,12 @@ class PicklabilityRule(FileRule):
 
 
 class KernelDtypeRule(FileRule):
-    """RPR005: numpy allocations in the kernel layers pass an explicit
+    """RPR005: numpy allocations in the kernel pass an explicit
     ``dtype=``.
 
     numpy is recognised by ``import numpy [as x]`` and by a name bound
     from the lazy probe (``x = load_numpy()``, see
-    :mod:`repro.sim.numpy_probe`), which is how both kernel files get it.
+    :mod:`repro.sim.numpy_probe`), which is how the kernel gets it.
 
     The successor tables are content-addressed (cache keys hash the raw
     bytes) and cross the memmap boundary; a platform-default dtype makes
@@ -574,12 +574,12 @@ class KernelDtypeRule(FileRule):
     code = "RPR005"
     name = "kernel-dtype"
     contract = (
-        "np.zeros/empty/full/arange/asarray in sim/kernel.py and "
-        "sim/traced.py pass explicit dtype="
+        "np.zeros/empty/full/arange/asarray in sim/kernel.py pass "
+        "explicit dtype="
     )
 
     #: The files whose arrays are content-addressed / memmapped.
-    KERNEL_PATHS = ("sim/kernel.py", "sim/traced.py")
+    KERNEL_PATHS = ("sim/kernel.py",)
     #: Allocation entry points that take a dtype.
     ALLOC_FUNCS = frozenset({"zeros", "empty", "full", "arange", "asarray"})
     #: Calls that return the numpy module (the lazy probe and the

@@ -127,7 +127,7 @@ def _note_dispatch(method: str, tier: str) -> None:
 
     Dispatch decisions were previously invisible: ``--backend auto``
     told you nothing about whether a sweep rode the kernel, the traced
-    windows, or degraded to per-run execution.  One counter per
+    tier, or degraded to per-run execution.  One counter per
     (method, tier) makes the tier auditable after the fact.
     """
     t = _telemetry()
@@ -319,8 +319,9 @@ class Backend(abc.ABC):
         this instead of per-pair :meth:`run` calls.  The default
         implementation *is* that per-pair loop — verdict parity by
         construction; the compiled/auto backends override it with the
-        batched frontier paths (the vectorized successor-table kernel
-        for automata, shared-trace windows for register programs).
+        batched paths (the vectorized successor-table kernel for
+        automata, certified traced runs over shared solo traces for
+        register programs).
         """
         out = []
         for u, v in pairs:
@@ -398,9 +399,10 @@ def _run_pairs_fast(
 
     Automata ride the vectorized successor-table kernel (falling back to
     the per-pair compiled loop when the kernel is unavailable or punts);
-    register programs ride the shared-trace window scan; anything else
-    gets the base per-pair loop, whose honesty is the backend's own
-    ``run`` dispatch.
+    register programs are per-pair certified traced runs over the
+    shared trace cache (:func:`~repro.sim.traced.run_pairs_traced`);
+    anything else gets the base per-pair loop, whose honesty is the
+    backend's own ``run`` dispatch.
     """
     kind = supports_compilation(prototype)
     if kind == "lowerable":

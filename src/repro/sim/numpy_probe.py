@@ -1,15 +1,15 @@
 """The one numpy probe: imported on first use, cached, never fatal.
 
-numpy is the substrate of the vector paths only (the frontier kernel in
-:mod:`repro.sim.kernel`, the chunked scans in :mod:`repro.sim.traced`);
-every other path is pure Python.  Importing numpy costs a fresh process
-about as much as importing the rest of :mod:`repro`, so nothing imports
-it at module level: a vector path calls :func:`load_numpy` right before
-it needs an array, and a process that never takes one never loads it.
+numpy is the substrate of the one vector path, the frontier kernel in
+:mod:`repro.sim.kernel`; every other path, the traced tier included, is
+pure Python.  Importing numpy costs a fresh process about as much as
+importing the rest of :mod:`repro`, so nothing imports it at module
+level: the kernel calls :func:`load_numpy` right before it needs an
+array, and a process that never runs it never loads numpy.
 
 A missing or broken numpy means "no vector path", never a crash:
-:func:`load_numpy` returns ``None`` and the callers fall back to their
-scalar paths.
+:func:`load_numpy` returns ``None`` and the kernel's callers fall back
+to their scalar paths.
 """
 
 from __future__ import annotations

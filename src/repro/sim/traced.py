@@ -24,7 +24,8 @@ that:
   k-agent loop :func:`_traced_run` (identical ``met`` /
   ``meeting_round`` / ``meeting_node`` verdicts; certification compares
   folded trace indices once every agent is past its trace's recorded
-  prefix);
+  prefix), and :func:`run_pairs_traced` decides a delay-0 pair grid as
+  one certified rendezvous run per pair;
 - :func:`traced_automaton` rolls a lassoed trace into a genuine
   :class:`~repro.agents.automaton.Automaton` (a chain with a back edge),
   and :func:`sweep_delays_traced` / :func:`sweep_gathering_traced` feed
@@ -51,7 +52,6 @@ same solo-determinism argument.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
@@ -63,10 +63,8 @@ from ..trees.tree import Tree
 from .compiled import solve_all_delays
 from .delays import DelayVerdict, met_at_start, sweep_choices
 from .engine import JointRun, RendezvousOutcome, _rendezvous
-from .faults import _NO_FAULTS
 from .gathering_solver import GatheringVerdict, solve_gathering
 from .multi import GatheringOutcome, _gathering
-from .numpy_probe import load_numpy
 from .trace import RoundRecord, Trace
 
 __all__ = [
@@ -125,7 +123,6 @@ class SoloTrace:
         prototype: AgentBase,
         start: int,
         *,
-        use_keys: bool = True,
         merge_registry: Optional[dict] = None,
     ) -> None:
         if not (0 <= start < tree.n):
@@ -140,7 +137,7 @@ class SoloTrace:
         self._pos = start
         self._in_port = NULL_PORT
         self._started = False
-        self._use_keys = use_keys and isinstance(self.agent, AgentProgram)
+        self._use_keys = isinstance(self.agent, AgentProgram)
         self._stride, self._deg, self._move_to, self._move_in = (
             tree.flat_move_tables()
         )
@@ -501,9 +498,7 @@ class TraceCache:
             self._automorphisms[tree] = hit
         return hit
 
-    def get(
-        self, tree: Tree, prototype: AgentBase, start: int, *, use_keys: bool = True
-    ) -> SoloTrace:
+    def get(self, tree: Tree, prototype: AgentBase, start: int) -> SoloTrace:
         import weakref
 
         from ..telemetry import current as _telemetry
@@ -517,7 +512,7 @@ class TraceCache:
         except TypeError:  # prototype not weak-referenceable
             if t.enabled:
                 t.count("trace.cache.uncacheable")
-            return SoloTrace(tree, prototype, start, use_keys=use_keys)
+            return SoloTrace(tree, prototype, start)
         entry = per_tree.get(tree)
         if entry is None:
             entry = ({}, {})  # (traces by start, distinguished-state registry)
@@ -534,8 +529,7 @@ class TraceCache:
                         t.count("trace.cache.mirror")
             if trace is None:
                 trace = SoloTrace(
-                    tree, prototype, start,
-                    use_keys=use_keys, merge_registry=registry,
+                    tree, prototype, start, merge_registry=registry
                 )
                 if t.enabled:
                     t.count("trace.cache.miss")
@@ -553,18 +547,9 @@ class TraceCache:
 GLOBAL_TRACE_CACHE = TraceCache()
 
 
-def solo_trace(
-    tree: Tree,
-    prototype: AgentBase,
-    start: int,
-    *,
-    cache: bool = True,
-    use_keys: bool = True,
-) -> SoloTrace:
-    """The (possibly cached) solo trace of ``prototype`` from ``start``."""
-    if cache:
-        return GLOBAL_TRACE_CACHE.get(tree, prototype, start, use_keys=use_keys)
-    return SoloTrace(tree, prototype, start, use_keys=use_keys)
+def solo_trace(tree: Tree, prototype: AgentBase, start: int) -> SoloTrace:
+    """The cached solo trace of ``prototype`` from ``start``."""
+    return GLOBAL_TRACE_CACHE.get(tree, prototype, start)
 
 
 def ensure_lasso(trace: SoloTrace, budget: int = DEFAULT_TRACE_BUDGET) -> SoloTrace:
@@ -671,86 +656,6 @@ def _fresh_agents(prototype: AgentBase, count: int) -> tuple:
     return tuple(prototype.clone() for _ in range(count))
 
 
-_CHUNK = 4096
-
-
-def _crossings_prefix(p1: list, p2: list, upto: int) -> int:
-    """Edge crossings over rounds 1..upto of two raw position lists."""
-    if upto <= 0:
-        return 0
-    _np = load_numpy() if upto >= 64 else None
-    if _np is not None:
-        a = _np.array(p1[:upto + 1])
-        b = _np.array(p2[:upto + 1])
-        ap, ac = a[:-1], a[1:]
-        bp, bc = b[:-1], b[1:]
-        return int(((ac == bp) & (bc == ap) & (ac != bc)).sum())
-    return sum(
-        1
-        for ap, ac, bp, bc in zip(
-            p1[:upto], p1[1:upto + 1], p2[:upto], p2[1:upto + 1]
-        )
-        if ac == bp and bc == ap and ac != bc
-    )
-
-
-def _first_meet(p1: list, p2: list, lo: int, hi: int) -> int:
-    """First index in [lo, hi] where the position lists coincide, or -1."""
-    _np = load_numpy() if hi - lo >= 64 else None
-    if _np is not None:
-        eq = _np.array(p1[lo:hi + 1]) == _np.array(p2[lo:hi + 1])
-        k = int(eq.argmax())
-        return lo + k if eq[k] else -1
-    off = next(
-        (
-            k
-            for k, (a, b) in enumerate(zip(p1[lo:hi + 1], p2[lo:hi + 1]))
-            if a == b
-        ),
-        -1,
-    )
-    return lo + off if off >= 0 else -1
-
-
-def _run_delay0_fast(t1: SoloTrace, t2: SoloTrace, max_rounds: int):
-    """Simultaneous-start pair scan over the raw trace regions.
-
-    With delay 0 both agents' active-round indices equal the global
-    round, so the first meeting is the first index where the position
-    lists coincide.  Returns ``(first, crossings)``: the meeting round,
-    or the first round the raw regions leave unscanned once a trace
-    lassos short of the budget (``max_rounds + 1`` when the budget runs
-    out inside them), and the crossings of the rounds before it — the
-    round :func:`_traced_run`'s folded loop resumes from.
-    """
-    p1, p2 = t1.positions, t2.positions
-    rnd = 1  # next round to examine
-    # Doubling chunks from a small start: short meetings over-extend the
-    # traces by at most one chunk, long co-extensions amortize the
-    # per-extend setup; whatever earlier pairs already recorded scans
-    # for free before any extension happens.
-    chunk = 64
-    while rnd <= max_rounds:
-        avail = min(len(p1), len(p2)) - 1
-        if avail < rnd:
-            hi = min(max_rounds, rnd + chunk - 1)
-            chunk = min(chunk << 1, _CHUNK)
-            if t1.status == ACTIVE and len(p1) <= hi:
-                t1.extend(hi)
-            if t2.status == ACTIVE and len(p2) <= hi:
-                t2.extend(hi)
-        else:
-            hi = min(max_rounds, avail)
-        scan_hi = min(hi, len(p1) - 1, len(p2) - 1)
-        if scan_hi < rnd:
-            break  # a trace lassoed short of the chunk: folded loop
-        met = _first_meet(p1, p2, rnd, scan_hi)
-        if met >= 0:
-            return met, _crossings_prefix(p1, p2, met - 1)
-        rnd = scan_hi + 1
-    return rnd, _crossings_prefix(p1, p2, rnd - 1)
-
-
 def run_rendezvous_traced(
     tree: Tree,
     prototype: AgentBase,
@@ -795,6 +700,34 @@ def run_gathering_traced(
     )
 
 
+def run_pairs_traced(
+    tree: Tree,
+    prototype: AgentBase,
+    pairs: Sequence[tuple[int, int]],
+    *,
+    max_rounds: int,
+):
+    """Decide delay-0 rendezvous for many start pairs over shared traces.
+
+    Each pair is one certified :func:`run_rendezvous_traced` run, so a
+    row equals that run's ``met`` / ``meeting_round`` /
+    ``certified_never`` field for field, symmetric pairs included.  The
+    grid workloads (success sweeps, exhaustive verification) re-use few
+    distinct starts across many pairs: the trace cache records each
+    start's solo run once and further pairs replay it.  Returns
+    :class:`~repro.sim.kernel.PairVerdict` rows.
+    """
+    from .kernel import PairVerdict
+
+    rows = []
+    for u, v in pairs:
+        out = run_rendezvous_traced(
+            tree, prototype, u, v, max_rounds=max_rounds, certify=True
+        )
+        rows.append(PairVerdict(out.met, out.meeting_round, out.certified_never))
+    return rows
+
+
 def _traced_run(
     tree: Tree,
     prototype: AgentBase,
@@ -807,33 +740,23 @@ def _traced_run(
 ) -> JointRun:
     """The traced tier's k-agent loop (the :class:`JointRun` contract of
     :func:`repro.sim.engine._reference_run`; fault-free, ``plan`` is
-    the empty plan) over the shared solo traces.
-
-    A simultaneous-start pair without a recorded trace is the grid
-    workloads' common case: :func:`_run_delay0_fast` first scans the two
-    position lists chunk-wise, and the loop resumes where it stops.
+    the empty plan) over the shared solo traces, from round 1 at the
+    start nodes.
 
     Certification compares folded trace indices, and only in rounds
     where every agent's index lies past its trace's recorded prefix:
     that round is fixed by the traces' lassos, not by how far earlier
-    runs happened to extend the shared traces, so the delay-0 scan and
-    this loop certify at the same round.  An unlassoed trace leaves the
-    run honestly undecided at the budget.
+    runs happened to extend the shared traces, so a run certifies at
+    the same round whatever the cache held before it.  An unlassoed
+    trace leaves the run honestly undecided at the budget.
     """
     k = len(starts)
     traces = [solo_trace(tree, prototype, s) for s in starts]
-    first, crossings = 1, 0
-    if trace is None and k == 2 and not any(delays):
-        first, crossings = _run_delay0_fast(*traces, max_rounds)
-
-    # the positions after round first - 1
-    pos = [
-        tr.positions[tr.fold(max(first - 1 - d, 0))]
-        for tr, d in zip(traces, delays)
-    ]
+    pos = list(starts)
     largest = max(map(pos.count, pos))
     pair = k == 2
     px, py = pos[0], pos[-1]  # the previous round's positions when k == 2
+    crossings = 0
     acts = [STAY] * k  # filled only while a trace is recorded
     first_joint = max(*delays, plan.horizon) + 1
     anchor = None
@@ -845,7 +768,7 @@ def _traced_run(
     positions = [tr.positions for tr in traces]
     folded = [0] * k
     agents = range(k)
-    for rnd in range(first, max_rounds + 1):
+    for rnd in range(1, max_rounds + 1):
         past = 0  # agents whose index lies past their recorded prefix
         for i in agents:
             a = rnd - delays[i]  # the agent's active-round index (<= 0: asleep)
@@ -854,7 +777,9 @@ def _traced_run(
                 if a > len(acts_i):
                     tr = traces[i]
                     if tr.status == ACTIVE:
-                        tr.extend(a)
+                        # 64 rounds a call: extend's setup is paid per
+                        # call, and rounds recorded ahead change no verdict
+                        tr.extend(a + 63)
                     if a > len(acts_i):  # lassoed short of a: fold
                         a = tr.fold(a)
                         past += 1
@@ -963,131 +888,3 @@ def sweep_gathering_traced(
     )
 
 
-# ----------------------------------------------------------------------
-# Batched delay-0 pairs over shared traces
-# ----------------------------------------------------------------------
-
-
-def _trace_window(trace: SoloTrace, lo: int, hi: int):
-    """Positions after rounds ``lo..hi`` as a numpy column (raw recorded
-    slice while available, folded fancy-index once the trace lassos)."""
-    _np = load_numpy()
-    if trace.status == ACTIVE and len(trace.actions) < hi:
-        trace.extend(hi)
-    m = len(trace.actions)
-    if m >= hi:
-        return _np.asarray(trace.positions[lo:hi + 1], dtype=_np.int64)
-    t_idx = _np.arange(lo, hi + 1, dtype=_np.int64)
-    if trace.status == FINISHED:
-        idx = _np.minimum(t_idx, m)
-    else:  # CYCLED: SoloTrace.fold, vectorized
-        c, lam = trace.cycle_start, trace.cycle_len
-        idx = _np.where(t_idx <= m, t_idx, c + ((t_idx - c - 1) % lam) + 1)
-    return _np.asarray(trace.positions, dtype=_np.int64)[idx]
-
-
-def _never_horizon(t1: SoloTrace, t2: SoloTrace) -> Optional[int]:
-    """Round past which a meeting can no longer first occur, or ``None``
-    while either trace is still active.
-
-    Both position sequences are eventually periodic (constant for a
-    finished trace), so the joint sequence repeats with period
-    ``lcm(λ1, λ2)`` beyond both recorded prefixes: scanning one full
-    joint period past them without a meeting certifies *never*.
-    """
-    if t1.status == ACTIVE or t2.status == ACTIVE:
-        return None
-    periods = [
-        1 if tr.status == FINISHED else tr.cycle_len for tr in (t1, t2)
-    ]
-    return max(len(t1.actions), len(t2.actions)) + lcm(*periods)
-
-
-def run_pairs_traced(
-    tree: Tree,
-    prototype: AgentBase,
-    pairs: Sequence[tuple[int, int]],
-    *,
-    max_rounds: int,
-):
-    """Decide delay-0 rendezvous for many start pairs over shared traces.
-
-    The grid workloads (success sweeps, exhaustive verification) re-use
-    few distinct starts across many pairs, so each distinct start's solo
-    trace is recorded once and all pairs compare position *columns* of a
-    shared window matrix per chunk — the meeting scan for the whole
-    batch is one vectorized equality per window.  Returns
-    :class:`~repro.sim.kernel.PairVerdict` rows with the engines' parity
-    contract (``met`` iff the first meeting round is ``<= max_rounds``;
-    a pair whose traces both lassoed is certified *never* once a full
-    joint period beyond their prefixes has been scanned without a
-    meeting).
-    """
-    from .kernel import PairVerdict
-
-    for u, v in pairs:
-        if not (0 <= u < tree.n and 0 <= v < tree.n):
-            raise SimulationError("start nodes outside the tree")
-
-    verdicts: list[Optional[PairVerdict]] = [None] * len(pairs)
-    traces: dict[int, SoloTrace] = {}
-    live: list[tuple[int, SoloTrace, SoloTrace]] = []
-    for j, (u, v) in enumerate(pairs):
-        if u == v:
-            verdicts[j] = PairVerdict(True, 0, False)
-            continue
-        for s in (u, v):
-            if s not in traces:
-                traces[s] = solo_trace(tree, prototype, s)
-        live.append((j, traces[u], traces[v]))
-
-    _np = load_numpy() if live else None
-    if _np is None:  # scalar fallback: same verdicts, pair at a time
-        for j, t1, t2 in live:
-            out = _traced_run(
-                tree, prototype, (t1.start, t2.start), (0, 0), _NO_FAULTS,
-                max_rounds, True, None,
-            )
-            verdicts[j] = PairVerdict(out.gathered, out.round, out.certified_never)
-        return verdicts
-
-    lo = 1
-    chunk = 256
-    while live and lo <= max_rounds:
-        hi = min(max_rounds, lo + chunk - 1)
-        chunk = min(chunk << 1, 65536)
-        row_of: dict[int, int] = {}
-        cols = []
-        for _j, t1, t2 in live:
-            for tr in (t1, t2):
-                if id(tr) not in row_of:
-                    row_of[id(tr)] = len(cols)
-                    cols.append(_trace_window(tr, lo, hi))
-        colmat = _np.stack(cols)
-        i1 = _np.fromiter(
-            (row_of[id(t1)] for _j, t1, _t2 in live),
-            dtype=_np.int64, count=len(live),
-        )
-        i2 = _np.fromiter(
-            (row_of[id(t2)] for _j, _t1, t2 in live),
-            dtype=_np.int64, count=len(live),
-        )
-        eq = colmat[i1] == colmat[i2]
-        met_row = eq.any(axis=1)
-        first = eq.argmax(axis=1)
-        still: list[tuple[int, SoloTrace, SoloTrace]] = []
-        for r, (j, t1, t2) in enumerate(live):
-            if met_row[r]:
-                verdicts[j] = PairVerdict(True, lo + int(first[r]), False)
-                continue
-            horizon = _never_horizon(t1, t2)
-            if horizon is not None and hi >= horizon:
-                verdicts[j] = PairVerdict(False, None, True)
-            else:
-                still.append((j, t1, t2))
-        live = still
-        lo = hi + 1
-
-    for j, _t1, _t2 in live:  # budget exhausted, nothing certified
-        verdicts[j] = PairVerdict(False, None, False)
-    return verdicts

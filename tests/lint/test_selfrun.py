@@ -67,26 +67,25 @@ def test_unthreading_in_the_kernel_layer_fails_the_gate(tmp_path):
 
 
 def test_dropping_a_kernel_dtype_fails_the_gate(tmp_path):
-    # Both kernel files bind numpy through the lazy probe
+    # The kernel binds numpy through the lazy probe
     # (`_np = load_numpy()`), not a module-level import; RPR005 must
-    # still see their allocations.  Drop ONE `dtype=` in traced.py.
+    # still see its allocations.  Drop ONE `dtype=` in kernel.py.
     sim = tmp_path / "sim"
     sim.mkdir()
-    for name in ("kernel.py", "traced.py"):
-        shutil.copy(SRC / "repro" / "sim" / name, sim / name)
+    shutil.copy(SRC / "repro" / "sim" / "kernel.py", sim / "kernel.py")
 
     findings, _ = run_on(tmp_path)
     assert [f for f in findings if f.code == "RPR005"] == []
 
-    text = (sim / "traced.py").read_text()
-    needle = "_np.arange(lo, hi + 1, dtype=_np.int64)"
-    assert needle in text
-    (sim / "traced.py").write_text(
-        text.replace(needle, "_np.arange(lo, hi + 1)", 1)
+    text = (sim / "kernel.py").read_text()
+    needle = "lanes = _np.arange(m, dtype=_np.int64)"
+    assert text.count(needle) == 1
+    (sim / "kernel.py").write_text(
+        text.replace(needle, "lanes = _np.arange(m)", 1)
     )
 
     findings, _ = run_on(tmp_path)
     dropped = [f for f in findings if f.code == "RPR005"]
     assert len(dropped) == 1
-    assert dropped[0].path.endswith("sim/traced.py")
+    assert dropped[0].path.endswith("sim/kernel.py")
     assert "np.arange" in dropped[0].message

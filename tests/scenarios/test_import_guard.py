@@ -1,9 +1,9 @@
 """Fresh-process guards on what a scenario run imports.
 
-numpy is loaded only where a vector path runs (kernel sweeps above the
-auto lane gate, traced vector scans), networkx is never loaded by a
-scenario (it is optional interop only), and the result provenance never
-spawns a process.  ``sys.modules`` is process-wide, so each case runs
+numpy is loaded only where the kernel runs (sweeps above the auto lane
+gate; the traced tier's pair grids stay pure Python), networkx is never
+loaded by a scenario (it is optional interop only), and the result
+provenance never spawns a process.  ``sys.modules`` is process-wide, so each case runs
 in its own interpreter.
 """
 
@@ -143,6 +143,32 @@ def test_missing_numpy_degrades_to_the_dict_solver():
     assert out["rows"] == 1025
     assert out["environment"]["numpy"] is None
     assert out["environment"]["kernel"]["enabled"] is False
+
+
+PAIR_GRID_SCENARIOS = """
+import json, sys
+from repro.scenarios import Runner
+from repro.telemetry import Telemetry
+
+telem = Telemetry()
+rows = {
+    name: len(Runner().run(name, telemetry=telem).rows)
+    for name in ("success-families", "verify-small")
+}
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "rows": rows,
+    "counters": telem.counters,
+}))
+"""
+
+
+def test_traced_pair_grids_do_not_load_numpy():
+    # the Theorem 4.1 pair grids ride the traced tier, which is pure Python
+    out = run_fresh(PAIR_GRID_SCENARIOS)
+    assert out["counters"]["backend.dispatch.run_pairs.traced"] > 0
+    assert all(out["rows"].values())
+    assert not out["numpy"]
 
 
 EXHAUSTIVE_SCENARIOS = """

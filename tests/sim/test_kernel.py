@@ -314,30 +314,20 @@ def test_backend_run_pairs_parity(backend_cls, proto_factory, kind):
 
 
 def test_run_pairs_traced_matches_traced_runs():
-    tree = edge_colored_line(10)
-    proto = rendezvous_agent(max_outer=5)
-    pairs = _pairs_for(tree.n, 7, count=12)
-    for budget in (2, 200, 100_000):
-        got = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
-        for (u, v), verdict in zip(pairs, got):
-            ref = run_rendezvous_traced(tree, proto, u, v, max_rounds=budget)
-            assert (ref.met, ref.meeting_round) == (verdict.met, verdict.meeting_round)
-
-
-def test_run_pairs_traced_scalar_fallback_matches(monkeypatch):
-    """Without numpy, run_pairs_traced decides pair by pair through the
-    traced loop; its rows (certified-never included) stay the same."""
-    import repro.sim.traced as traced
-
+    """Each run_pairs_traced row is the certified traced run of its pair,
+    field for field: symmetric pairs take the same Fact 1.1 exit."""
     tree = edge_colored_line(10)
     pairs = _pairs_for(tree.n, 7, count=12) + [(0, 9), (1, 8)]
     for proto in (rendezvous_agent(max_outer=5), counting_program(2)):
         for budget in (2, 200, 100_000):
-            vectorized = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
-            with monkeypatch.context() as m:
-                m.setattr(traced, "load_numpy", lambda: None)
-                scalar = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
-            assert scalar == vectorized
+            got = run_pairs_traced(tree, proto, pairs, max_rounds=budget)
+            for (u, v), verdict in zip(pairs, got):
+                ref = run_rendezvous_traced(
+                    tree, proto, u, v, max_rounds=budget, certify=True
+                )
+                assert (ref.met, ref.meeting_round, ref.certified_never) == (
+                    verdict.met, verdict.meeting_round, verdict.certified_never
+                ), (proto, budget, u, v)
 
 
 def test_run_pairs_kernel_budget_guard_unreachable():

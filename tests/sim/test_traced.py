@@ -397,7 +397,8 @@ class TestCacheSharing:
         assert a is b
         assert solo_trace(t, proto, 3) is not a
         assert solo_trace(t, baseline_agent(), 2) is not a  # other prototype
-        assert solo_trace(t, proto, 2, cache=False) is not a
+        fresh = SoloTrace(t, proto, 2)  # built outside the cache
+        assert fresh is not a and solo_trace(t, proto, 2) is a
 
     def test_global_cache_clear(self):
         t = line(5)

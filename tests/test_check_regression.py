@@ -77,6 +77,32 @@ class TestRegressionGate:
         proc = run_gate(base, cur)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_sub_floor_timings_name_their_absolute_gate(self, tmp_path):
+        # a timing under the floor gates at tolerance * floor, not at its
+        # own scale, and the report says so; measurable ones say nothing
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(
+            {"micro": {"x_seconds": 0.002}, "macro": {"y_seconds": 1.0}}
+        ))
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(
+            {"micro": {"x_seconds": 0.006}, "macro": {"y_seconds": 1.0}}
+        ))
+        proc = run_gate(base, cur)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        micro = [line for line in lines if "micro.x_seconds" in line]
+        macro = [line for line in lines if "macro.y_seconds" in line]
+        assert micro and "under floor, gated at 0.0500 s" in micro[0]
+        assert macro and "under floor" not in macro[0]
+
+        cur.write_text(json.dumps(
+            {"micro": {"x_seconds": 0.06}, "macro": {"y_seconds": 1.0}}
+        ))
+        proc = run_gate(base, cur)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "under floor, gated at 0.0500 s" in proc.stdout
+
     def test_structural_drift_is_reported_not_fatal(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"a": {"x_seconds": 1.0}}))
