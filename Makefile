@@ -21,10 +21,11 @@ TELEMETRY_TMP := $(RESULTS_TMP)/repro-telemetry-smoke
 ATLAS_TMP := $(RESULTS_TMP)/repro-atlas-smoke
 ATLAS_FIXTURE := tests/scenarios/fixtures/atlas-v0.sqlite
 KERNEL_CHECK_TMP := $(RESULTS_TMP)/repro-kernel-cache-check
+IMPORT_TIME_CACHE := $(RESULTS_TMP)/repro-import-time-pycache
 
 .PHONY: test lint lint-invariants bench-smoke bench-engine scenarios-smoke \
         bench-scenarios check-regression golden-diff fault-smoke \
-        telemetry-smoke atlas-smoke kernel-cache-check
+        telemetry-smoke atlas-smoke kernel-cache-check import-time
 
 test:
 	$(PY) -m pytest -x -q
@@ -189,6 +190,13 @@ endif
 	    --out $(KERNEL_CHECK_TMP) > /dev/null
 	$(PY) benchmarks/check_telemetry.py $(KERNEL_CHECK_TMP)/delays-line-long.json \
 	    --expect-disk-hits --expect-events $(KERNEL_CHECK_TMP)/warm.jsonl
+
+# Import cost of a fresh scenario process: the perfbench worker's setup
+# imports under `python -X importtime`, the 20 costliest modules by self
+# time.  Informational (gates nothing); the bytecode cache under
+# $(IMPORT_TIME_CACHE) is warmed first, whatever PYTHONDONTWRITEBYTECODE says.
+import-time:
+	python benchmarks/import_time.py --top 20 --cache $(IMPORT_TIME_CACHE)
 
 # Quick pass over the scenario registry (the experiment tables, small grids).
 scenarios-smoke:

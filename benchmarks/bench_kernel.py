@@ -225,11 +225,12 @@ def _table_cache(quick: bool) -> dict:
 
     from repro.sim import kernel as kernel_mod
     from repro.sim.kernel import agent_table
+    from repro.sim.numpy_probe import _ENV_CACHE
 
     work = [(tree, agent) for _f, tree, agent, _p in _grid(quick)]
-    saved = os.environ.get(kernel_mod._ENV_CACHE)
+    saved = os.environ.get(_ENV_CACHE)
     with tempfile.TemporaryDirectory(prefix="repro-kernel-bench-") as tmp:
-        os.environ[kernel_mod._ENV_CACHE] = tmp
+        os.environ[_ENV_CACHE] = tmp
         try:
             kernel_mod._TABLE_CACHE.clear()
             t0 = time.perf_counter()
@@ -244,9 +245,9 @@ def _table_cache(quick: bool) -> dict:
         finally:
             kernel_mod._TABLE_CACHE.clear()
             if saved is None:
-                os.environ.pop(kernel_mod._ENV_CACHE, None)
+                os.environ.pop(_ENV_CACHE, None)
             else:
-                os.environ[kernel_mod._ENV_CACHE] = saved
+                os.environ[_ENV_CACHE] = saved
     return {
         "tables": len(work),
         "entries": int(entries),

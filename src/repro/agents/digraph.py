@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "FunctionalDigraph",
@@ -35,8 +35,7 @@ def lcm_of(values: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FunctionalDigraph:
+class FunctionalDigraph(NamedTuple):
     """Decomposition of a functional graph ``f : S -> S``.
 
     Attributes
@@ -135,8 +134,7 @@ def analyze_functional(f: Sequence[int]) -> FunctionalDigraph:
     )
 
 
-@dataclass(frozen=True)
-class CircuitProfile:
+class CircuitProfile(NamedTuple):
     """Circuit structure of an automaton, per observation of an alphabet.
 
     The paper's γ analysis fixes *one* observation (degree 2 on the line:

@@ -41,7 +41,6 @@ engine — never a crash, never a silent wrong answer.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from collections import deque
 from collections.abc import Iterable
@@ -88,6 +87,18 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
         return ("Tree", id(value))
     if isinstance(value, range):
         return ("range", value.start, value.stop, value.step)
+    names = getattr(type(value), "_fields", None)
+    if names is not None:
+        # a record (NamedTuple or repro.records.Record): tagged with its
+        # type, so records of different types never share a key
+        if id(value) in stack:
+            raise LoweringError("cyclic object state cannot be frozen")
+        inner = stack + (id(value),)
+        fields = tuple(
+            (name, _freeze(getattr(value, name), inner, depth + 1))
+            for name in names
+        )
+        return (type(value).__qualname__, fields)
     if isinstance(value, tuple):
         return tuple(_freeze(v, stack, depth + 1) for v in value)
     if isinstance(value, list):
@@ -105,15 +116,6 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
         ]
         items.sort(key=lambda kv: kv[0])
         return ("dict", tuple((k, v) for _r, k, v in items))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if id(value) in stack:
-            raise LoweringError("cyclic object state cannot be frozen")
-        inner = stack + (id(value),)
-        fields = tuple(
-            (f.name, _freeze(getattr(value, f.name), inner, depth + 1))
-            for f in dataclasses.fields(value)
-        )
-        return (type(value).__qualname__, fields)
     if callable(value) and hasattr(value, "__qualname__"):
         frozen_self = getattr(value, "__self__", None)
         if frozen_self is not None:

@@ -37,8 +37,7 @@ granularities:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import Automaton, LineAutomaton
 
@@ -104,8 +103,7 @@ def _moore_blocks(
         block_of = new_block_of
 
 
-@dataclass(frozen=True)
-class AutomatonMinimization:
+class AutomatonMinimization(NamedTuple):
     """Outcome of general-alphabet minimization.
 
     ``state_map[s]`` gives the minimal automaton's state representing the
@@ -192,8 +190,7 @@ def minimize_automaton(
 # Historical entry points (line / bounded-degree tree automata)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Outcome of line-automaton minimization.
 
     ``state_map[s]`` gives the minimal automaton's state representing the
@@ -306,8 +303,7 @@ def minimize_tree_automaton(
 # Traced-lasso families (route B of the lowering subsystem)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LassoFamilyMinimization:
+class LassoFamilyMinimization(NamedTuple):
     """The joint minimal automaton of a family of lassoed action chains.
 
     The input chains (one per start node of a tree, from

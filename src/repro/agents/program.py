@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from ..errors import AgentProtocolError
+from ..records import Record
 from ..telemetry import current as _telemetry
 from .observations import NULL_PORT, STAY
 
@@ -62,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Walk:
+class Walk(Record, frozen=True):
     """One basic-walk instruction: ``bw``/``cbw`` until ``arrivals``
     arrivals at nodes of degree != 2, at speed ``1/speed``.
 
@@ -78,20 +77,28 @@ class Walk:
     :func:`drive` share one hop table across both directions.
     """
 
-    port: int
-    delta: int
-    arrivals: int
-    speed: int = 1
-    counter: Optional[str] = None
+    __slots__ = ("port", "delta", "arrivals", "speed", "counter")
 
-    def __post_init__(self) -> None:
-        if self.delta not in (1, -1):
-            raise AgentProtocolError(f"walk delta must be +1 or -1, got {self.delta}")
-        if self.arrivals < 1 or self.speed < 1:
+    def __init__(
+        self,
+        port: int,
+        delta: int,
+        arrivals: int,
+        speed: int = 1,
+        counter: Optional[str] = None,
+    ) -> None:
+        if delta not in (1, -1):
+            raise AgentProtocolError(f"walk delta must be +1 or -1, got {delta}")
+        if arrivals < 1 or speed < 1:
             raise AgentProtocolError(
-                f"walk needs arrivals >= 1 and speed >= 1, got {self.arrivals} "
-                f"and {self.speed}"
+                f"walk needs arrivals >= 1 and speed >= 1, got {arrivals} "
+                f"and {speed}"
             )
+        self.port = port
+        self.delta = delta
+        self.arrivals = arrivals
+        self.speed = speed
+        self.counter = counter
 
 
 class Block:
@@ -252,13 +259,15 @@ class Registers:
         return {k: (self._bounds[k], self._peaks[k]) for k in sorted(self._bounds)}
 
 
-@dataclass
-class Ctx:
+class Ctx(Record):
     """The walker's current observation, shared across subroutines."""
 
-    in_port: int
-    degree: int
-    rounds: int = 0
+    __slots__ = ("in_port", "degree", "rounds")
+
+    def __init__(self, in_port: int, degree: int, rounds: int = 0) -> None:
+        self.in_port = in_port
+        self.degree = degree
+        self.rounds = rounds
 
 
 def move(ctx: Ctx, port: int) -> Routine:
@@ -432,8 +441,7 @@ class AgentProgram:
         return f"AgentProgram({name})"
 
 
-@dataclass(frozen=True)
-class Drive:
+class Drive(NamedTuple):
     """Outcome of :func:`drive`: the routine's return value (``None``
     unless it finished), the rounds driven, the final node, and whether
     the routine returned within the round budget."""

@@ -23,9 +23,10 @@ exhaustive check at larger sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import Optional
 
 from ..core.rendezvous import solve
+from ..records import Record
 from ..sim.compiled import run_rendezvous_fast
 from ..trees.automorphism import (
     are_symmetric_for_labeling,
@@ -37,13 +38,20 @@ from ..trees.labelings import random_relabel
 __all__ = ["ExhaustiveReport", "verify_theorem_41", "verify_fact_11_impossibility"]
 
 
-@dataclass
-class ExhaustiveReport:
+class ExhaustiveReport(Record):
     """Aggregate verdict of an exhaustive sweep."""
 
-    trees_checked: int = 0
-    instances: int = 0
-    failures: list[tuple] = field(default_factory=list)
+    __slots__ = ("trees_checked", "instances", "failures")
+
+    def __init__(
+        self,
+        trees_checked: int = 0,
+        instances: int = 0,
+        failures: Optional[list[tuple]] = None,
+    ) -> None:
+        self.trees_checked = trees_checked
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

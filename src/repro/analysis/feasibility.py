@@ -15,8 +15,7 @@ examples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..trees.automorphism import (
     CodeInterner,
@@ -42,8 +41,7 @@ SYMMETRIC_FEASIBLE = "topologically_symmetric_feasible"
 ASYMMETRIC = "asymmetric"
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     """Classification of one start pair."""
 
     u: int
@@ -106,8 +104,7 @@ def classify_all_pairs(tree: Tree) -> Iterator[PairClass]:
             yield PairClass(u, v, ASYMMETRIC)
 
 
-@dataclass(frozen=True)
-class FeasibilitySummary:
+class FeasibilitySummary(NamedTuple):
     """Counts of pair classes plus structural facts for one tree."""
 
     n: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.memory import log_bits, loglog_bits
 from ..core.rendezvous import solve, solve_with_delay
@@ -28,8 +28,7 @@ from ..trees.labelings import random_relabel
 __all__ = ["GapRow", "gap_table", "format_gap_table"]
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     """One tree family member's measurements under both scenarios."""
 
     n: int

@@ -11,16 +11,14 @@ desynchronization behave as the proofs prescribe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..sim.instrument import SoloRun
 
 __all__ = ["Phase", "stage_timeline", "format_timeline"]
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """One contiguous phase of the agent's execution."""
 
     name: str

@@ -42,8 +42,7 @@ lowering + one refinement per distinct machine and runs in seconds.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.automaton import Automaton, LineAutomaton
 from ..agents.digraph import analyze_functional, circuit_profile, lcm_of
@@ -75,8 +74,7 @@ def _bits(states: int) -> int:
     return max(1, (states - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class ProgramAtlasRow:
+class ProgramAtlasRow(NamedTuple):
     """One (program, tree) cell of the atlas."""
 
     program: str

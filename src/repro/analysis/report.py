@@ -8,7 +8,7 @@ code change, without the pytest-benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gap import format_gap_table, gap_table
 from .program_atlas import DEFAULT_ATLAS_GRID, program_atlas_rows
@@ -23,8 +23,7 @@ from .sweep import (
 __all__ = ["ReportScale", "generate_report"]
 
 
-@dataclass(frozen=True)
-class ReportScale:
+class ReportScale(NamedTuple):
     """Knobs for report size vs runtime.
 
     ``quick`` keeps everything under ~half a minute; ``full`` matches the

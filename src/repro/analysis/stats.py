@@ -9,23 +9,24 @@ the asymptotic form, not absolute constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ..records import Record
 
 __all__ = ["Series", "growth_ratios", "fit_loglog_slope", "geometric_mean"]
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record, frozen=True):
     """A named (x, y) series with convenience statistics."""
 
-    name: str
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    __slots__ = ("name", "xs", "ys")
 
-    def __post_init__(self) -> None:
-        if len(self.xs) != len(self.ys):
+    def __init__(self, name: str, xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
+        if len(xs) != len(ys):
             raise ValueError("xs and ys must align")
+        self.name = name
+        self.xs = xs
+        self.ys = ys
 
     def __len__(self) -> int:
         return len(self.xs)

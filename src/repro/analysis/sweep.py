@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..agents.automaton import LineAutomaton
 from ..agents.library import counting_walker
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One measured instance in a sweep."""
 
     n: int

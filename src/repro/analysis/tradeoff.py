@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.algorithm import rendezvous_agent
 from ..sim.compiled import run_rendezvous_fast
@@ -30,8 +30,7 @@ from ..trees.tree import Tree
 __all__ = ["TradeoffRow", "reps_factor_tradeoff", "stress_instances"]
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
+class TradeoffRow(NamedTuple):
     """Aggregate meeting statistics for one knob setting."""
 
     knob: int

@@ -28,8 +28,7 @@ function of (tree, start) identical for both agents — holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.program import Ctx, Registers, Routine, move, walk
 from ..errors import SimulationError
@@ -54,8 +53,7 @@ CENTRAL_EDGE_ASYMMETRIC = "central_edge_asymmetric"
 CENTRAL_EDGE_SYMMETRIC = "central_edge_symmetric"
 
 
-@dataclass(frozen=True)
-class ExploResult:
+class ExploResult(NamedTuple):
     """Everything Fact 2.1 grants the agent after Explo(-bis).
 
     All node indices refer to the agent's own reconstruction, in which the

@@ -21,8 +21,7 @@ public entry point reports which regime an instance falls in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..agents.program import AgentProgram
 from ..sim.multi import GatheringOutcome, run_gathering
@@ -35,8 +34,7 @@ from .algorithm import rendezvous_agent
 __all__ = ["GatheringRegime", "classify_gathering", "gather"]
 
 
-@dataclass(frozen=True)
-class GatheringRegime:
+class GatheringRegime(NamedTuple):
     """Which fragment of the gathering problem an instance belongs to."""
 
     kind: str  # "central_node" | "central_edge_asymmetric" | "symmetric"

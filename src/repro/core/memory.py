@@ -12,7 +12,7 @@ bound) the measured values are compared against in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..agents.program import AgentProgram, drive
 
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MemoryReport:
+class MemoryReport(NamedTuple):
     """Bits used by one agent in one execution.
 
     ``declared`` sums the declared register widths (the analytic cost);

@@ -13,8 +13,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..agents.program import AgentProgram
 from ..errors import InfeasibleRendezvousError
@@ -32,8 +31,7 @@ from .rendezvous_path import rendezvous_path_num_edges
 __all__ = ["SolveResult", "solve", "solve_with_delay", "estimate_round_budget"]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a rendezvous run plus the agent's memory account.
 
     The two agents are identical; ``memory`` reports the registers of the

@@ -32,8 +32,7 @@ non-meeting by configuration recurrence before the instance is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.automaton import LineAutomaton
 from ..errors import ConstructionError
@@ -48,8 +47,7 @@ from .infinite_line import InfiniteLineRun, simulate_infinite_line
 __all__ = ["Thm31Instance", "build_thm31_instance", "find_state_repetition"]
 
 
-@dataclass(frozen=True)
-class Thm31Instance:
+class Thm31Instance(NamedTuple):
     """A defeating instance for one concrete agent under arbitrary delay."""
 
     tree: Tree

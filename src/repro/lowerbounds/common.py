@@ -18,7 +18,7 @@ lower-bound floor:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.memory import log_bits, loglog_bits
 from ..trees.labelings import edge_colored_line
@@ -46,8 +46,7 @@ def arbitrary_delay_bound_bits(n: int) -> int:
     return log_bits(max(n, 2))
 
 
-@dataclass(frozen=True)
-class BoundedPlacement:
+class BoundedPlacement(NamedTuple):
     """Disjoint-ranges placement defeating a radius-``radius`` agent."""
 
     tree: Tree

@@ -14,7 +14,7 @@ is the state in which the agent leaves ``v``) are derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..agents.automaton import LineAutomaton
 from ..agents.observations import NULL_PORT, STAY
@@ -22,8 +22,7 @@ from ..agents.observations import NULL_PORT, STAY
 __all__ = ["InfiniteLineRun", "LeaveEvent", "simulate_infinite_line"]
 
 
-@dataclass(frozen=True)
-class LeaveEvent:
+class LeaveEvent(NamedTuple):
     """The agent left ``position`` at (1-based) round ``round_index`` while
     in state ``state`` (the state that emitted the move)."""
 
@@ -33,8 +32,7 @@ class LeaveEvent:
     direction: int  # +1 or -1
 
 
-@dataclass
-class InfiniteLineRun:
+class InfiniteLineRun(NamedTuple):
     """Round-by-round record of an infinite-line execution from position 0."""
 
     positions: list[int]  # positions[t] = position after round t (t >= 1); [0] = 0

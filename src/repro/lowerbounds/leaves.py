@@ -24,8 +24,7 @@ non-meeting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.automaton import Automaton
 from ..agents.observations import NULL_PORT, STAY
@@ -114,8 +113,7 @@ def find_colliding_side_trees(
     return None
 
 
-@dataclass(frozen=True)
-class Thm43Instance:
+class Thm43Instance(NamedTuple):
     """A defeating two-sided tree for one concrete agent, delay 0."""
 
     two_sided: TwoSided

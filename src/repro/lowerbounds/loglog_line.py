@@ -33,8 +33,7 @@ The returned instance is machine-certified by configuration recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.automaton import LineAutomaton
 from ..agents.digraph import analyze_functional
@@ -50,8 +49,7 @@ from .infinite_line import simulate_infinite_line
 __all__ = ["Thm42Instance", "build_thm42_instance"]
 
 
-@dataclass(frozen=True)
-class Thm42Instance:
+class Thm42Instance(NamedTuple):
     """A defeating simultaneous-start instance for one concrete agent."""
 
     tree: Tree

@@ -317,15 +317,18 @@ class Backend(abc.ABC):
 
         The grid executors (success sweeps, exhaustive verification) use
         this instead of per-pair :meth:`run` calls.  The default
-        implementation *is* that per-pair loop — verdict parity by
-        construction; the compiled/auto backends override it with the
-        batched paths (the vectorized successor-table kernel for
-        automata, certified traced runs over shared solo traces for
-        register programs).
+        implementation *is* that per-pair loop, with ``certify=True``
+        like every batched path — verdict parity by construction; the
+        compiled/auto backends override it with the batched paths (the
+        vectorized successor-table kernel for automata, certified traced
+        runs over shared solo traces for register programs).
         """
         out = []
         for u, v in pairs:
-            o = self.run(tree, prototype, u, v, delay=0, max_rounds=max_rounds)
+            o = self.run(
+                tree, prototype, u, v, delay=0, max_rounds=max_rounds,
+                certify=True,
+            )
             out.append(PairVerdict(o.met, o.meeting_round, bool(o.certified_never)))
         return out
 

@@ -18,9 +18,9 @@ import platform
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
+from ..records import Record
 from ..telemetry import use as use_telemetry
 from .backends import Backend, select_backend
 from .executors import BACKEND_AGNOSTIC_KINDS, execute
@@ -73,7 +73,7 @@ def _environment_provenance() -> dict:
     spec lookup; ``platform`` is ``system-release-machine`` (the parts
     of :func:`platform.platform` that need no ``uname -p`` process).
     """
-    from ..sim.kernel import kernel_cache_dir, kernel_enabled
+    from ..sim.numpy_probe import kernel_cache_dir, kernel_enabled
 
     return {
         "python": platform.python_version(),
@@ -89,8 +89,7 @@ def _environment_provenance() -> dict:
     }
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record):
     """A completed scenario run: the spec, its outcome table, aggregates.
 
     ``telemetry`` is the optional :mod:`repro.telemetry` snapshot of the
@@ -105,14 +104,30 @@ class ScenarioResult:
     through any store is byte-identical to the original export.
     """
 
-    spec: ScenarioSpec
-    backend: str
-    rows: list[dict]
-    summary: dict
-    elapsed_seconds: float
-    telemetry: Optional[dict] = field(default=None)
-    created_unix: Optional[float] = field(default=None)
-    cached_payload: Optional[dict] = field(default=None)
+    __slots__ = (
+        "spec", "backend", "rows", "summary", "elapsed_seconds", "telemetry",
+        "created_unix", "cached_payload",
+    )
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        backend: str,
+        rows: list[dict],
+        summary: dict,
+        elapsed_seconds: float,
+        telemetry: Optional[dict] = None,
+        created_unix: Optional[float] = None,
+        cached_payload: Optional[dict] = None,
+    ) -> None:
+        self.spec = spec
+        self.backend = backend
+        self.rows = rows
+        self.summary = summary
+        self.elapsed_seconds = elapsed_seconds
+        self.telemetry = telemetry
+        self.created_unix = created_unix
+        self.cached_payload = cached_payload
 
     @property
     def name(self) -> str:

@@ -16,14 +16,13 @@ and :func:`build_agent` are their single authoritative parsers.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..errors import ReproError
+from ..records import Record
 from ..sim.delays import check_sides, delay_choices
 from ..trees.tree import Tree
 
@@ -120,8 +119,7 @@ def build_agent(spec: str, seed: int = 0):
     raise ScenarioError(f"unknown agent spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class DelayPolicy:
+class DelayPolicy(Record, frozen=True):
     """How the adversary's start delay is chosen for a scenario.
 
     - ``none`` — simultaneous start only (θ = 0);
@@ -135,18 +133,23 @@ class DelayPolicy:
     :class:`ScenarioError` here, before any backend sees it.
     """
 
-    kind: str = "none"  # "none" | "fixed" | "sweep"
-    delays: tuple[int, ...] = ()
-    max_delay: int = 0
-    sides: tuple[int, ...] = (1, 2)
+    __slots__ = ("kind", "delays", "max_delay", "sides")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "fixed", "sweep"):
-            raise ScenarioError(f"unknown delay policy kind {self.kind!r}")
-        object.__setattr__(self, "delays", tuple(self.delays))
-        object.__setattr__(self, "sides", check_sides(self.sides, ScenarioError))
-        if self.max_delay < 0:
+    def __init__(
+        self,
+        kind: str = "none",  # "none" | "fixed" | "sweep"
+        delays: tuple[int, ...] = (),
+        max_delay: int = 0,
+        sides: tuple[int, ...] = (1, 2),
+    ) -> None:
+        if kind not in ("none", "fixed", "sweep"):
+            raise ScenarioError(f"unknown delay policy kind {kind!r}")
+        self.sides = check_sides(sides, ScenarioError)
+        if max_delay < 0:
             raise ScenarioError("max_delay must be >= 0")
+        self.kind = kind
+        self.delays = tuple(delays)
+        self.max_delay = max_delay
 
     @classmethod
     def none(cls) -> "DelayPolicy":
@@ -180,8 +183,7 @@ def _canon(value: Any) -> Any:
     raise ScenarioError(f"spec field is not JSON-serializable: {value!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record, frozen=True):
     """One declarative experiment: all inputs, no code.
 
     ``kind`` selects the executor; ``params`` carries the kind-specific
@@ -189,27 +191,42 @@ class ScenarioSpec:
     ``auto`` lets the runner pick per agent via ``supports_compilation``.
     """
 
-    name: str
-    kind: str
-    description: str = ""
-    tree: Optional[str] = None
-    agent: Optional[str] = None
-    pairs: tuple[tuple[int, int], ...] = ()
-    delays: DelayPolicy = field(default_factory=DelayPolicy)
-    repetitions: int = 1
-    seed: int = 0
-    backend: str = "auto"
-    params: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "name", "kind", "description", "tree", "agent", "pairs", "delays",
+        "repetitions", "seed", "backend", "params",
+    )
 
-    def __post_init__(self) -> None:
-        if self.backend not in BACKEND_HINTS:
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        description: str = "",
+        tree: Optional[str] = None,
+        agent: Optional[str] = None,
+        pairs: tuple[tuple[int, int], ...] = (),
+        delays: Optional[DelayPolicy] = None,
+        repetitions: int = 1,
+        seed: int = 0,
+        backend: str = "auto",
+        params: Optional[Mapping[str, Any]] = None,
+    ) -> None:
+        if backend not in BACKEND_HINTS:
             raise ScenarioError(
-                f"unknown backend hint {self.backend!r}; expected one of {BACKEND_HINTS}"
+                f"unknown backend hint {backend!r}; expected one of {BACKEND_HINTS}"
             )
-        if self.repetitions < 1:
+        if repetitions < 1:
             raise ScenarioError("repetitions must be >= 1")
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        object.__setattr__(self, "params", dict(self.params))
+        self.name = name
+        self.kind = kind
+        self.description = description
+        self.tree = tree
+        self.agent = agent
+        self.pairs = tuple(tuple(p) for p in pairs)
+        self.delays = DelayPolicy() if delays is None else delays
+        self.repetitions = repetitions
+        self.seed = seed
+        self.backend = backend
+        self.params = {} if params is None else dict(params)
 
     def param(self, key: str, default: Any = None) -> Any:
         return self.params.get(key, default)
@@ -230,7 +247,7 @@ class ScenarioSpec:
             fields_["backend"] = backend
         if seed is not None:
             fields_["seed"] = seed
-        return dataclasses.replace(self, params=merged, **fields_)
+        return self._replace(params=merged, **fields_)
 
     def to_json(self) -> dict:
         """Canonical JSON form (the hashing / persistence representation)."""

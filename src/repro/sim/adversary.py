@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.observations import AgentBase
 from ..errors import SimulationError
+from ..records import Record
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.labelings import all_labelings, random_relabel
 from ..trees.tree import Tree
@@ -64,8 +64,7 @@ def labelings_for(
     return out
 
 
-@dataclass(frozen=True)
-class FailedInstance:
+class FailedInstance(NamedTuple):
     """One instance on which the agent failed to rendezvous."""
 
     tree: Tree
@@ -76,15 +75,27 @@ class FailedInstance:
     outcome: RendezvousOutcome
 
 
-@dataclass
-class AdversaryReport:
+class AdversaryReport(Record):
     """Aggregate result of an adversarial sweep."""
 
-    instances_run: int = 0
-    successes: int = 0
-    failures: list[FailedInstance] = field(default_factory=list)
-    undecided: int = 0
-    max_meeting_round: int = 0
+    __slots__ = (
+        "instances_run", "successes", "failures", "undecided",
+        "max_meeting_round",
+    )
+
+    def __init__(
+        self,
+        instances_run: int = 0,
+        successes: int = 0,
+        failures: Optional[list[FailedInstance]] = None,
+        undecided: int = 0,
+        max_meeting_round: int = 0,
+    ) -> None:
+        self.instances_run = instances_run
+        self.successes = successes
+        self.failures = [] if failures is None else failures
+        self.undecided = undecided
+        self.max_meeting_round = max_meeting_round
 
     @property
     def all_succeeded(self) -> bool:

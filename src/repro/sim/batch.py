@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from ..agents.observations import AgentBase
 from ..trees.tree import Tree
@@ -50,8 +49,7 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-@dataclass(frozen=True, slots=True)
-class BatchJob:
+class BatchJob(NamedTuple):
     """One independent rendezvous run.
 
     ``seed`` (optional) re-seeds the worker's global :mod:`random` state
@@ -96,8 +94,7 @@ class BatchJob:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class GatheringJob:
+class GatheringJob(NamedTuple):
     """One independent k-agent gathering run (``BatchJob``'s k-agent twin).
 
     ``delays`` aligns with ``starts`` (``None`` means all zero); ``seed``

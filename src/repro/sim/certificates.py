@@ -31,7 +31,6 @@ delay 0, identical agents and no faults.  Every engine tier's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..agents.automaton import Automaton
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JointConfig:
+class JointConfig(NamedTuple):
     """One joint configuration: everything that determines the future."""
 
     pos1: int
@@ -81,8 +79,7 @@ def _advance_one(tree: Tree, automaton: Automaton, pos: int, state: int, in_port
     return nxt_pos, nxt_state, nxt_in
 
 
-@dataclass(frozen=True)
-class NonMeetingCertificate:
+class NonMeetingCertificate(NamedTuple):
     """A lasso of joint configurations proving eternal non-meeting.
 
     ``prefix`` runs from the first both-started configuration to the cycle
@@ -167,10 +164,6 @@ class SymmetryCertificate(NamedTuple):
     identical-agent, fault-free instance only: a delay or a fault breaks
     the lockstep, and two different agents need not act alike.
     """
-
-    # A NamedTuple rather than a frozen dataclass: this module is
-    # imported with repro.sim, and a dataclass costs every process about
-    # 2.5 ms to create.
 
     tree: Tree
     start1: int

@@ -46,11 +46,11 @@ the frozen agents change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..errors import SimulationError
+from ..records import Record
 from ..trees.tree import Tree
 from .delays import delay_vector
 from .faults import _NO_FAULTS, FaultPlan, _segments
@@ -59,13 +59,15 @@ from .trace import RoundRecord, Trace
 __all__ = ["RendezvousOutcome", "run_rendezvous"]
 
 
-@dataclass(slots=True)
-class _AgentState:
-    agent: AgentBase
-    pos: int
-    start_round: int
-    started: bool = False
-    in_port: int = NULL_PORT  # pending observation for the next step
+class _AgentState(Record):
+    __slots__ = ("agent", "pos", "start_round", "started", "in_port")
+
+    def __init__(self, agent: AgentBase, pos: int, start_round: int) -> None:
+        self.agent = agent
+        self.pos = pos
+        self.start_round = start_round
+        self.started = False
+        self.in_port = NULL_PORT  # pending observation for the next step
 
     def config_key(self) -> tuple:
         # Certification keys are only formed once both agents have started,
@@ -74,8 +76,7 @@ class _AgentState:
         return (self.pos, state, self.in_port)
 
 
-@dataclass(frozen=True)
-class RendezvousOutcome:
+class RendezvousOutcome(NamedTuple):
     """Result of a simulated execution.
 
     Exactly one of three verdicts holds:

@@ -64,11 +64,11 @@ from healthy never-meeting all the way up to the scenario rows
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..errors import SimulationError
+from ..records import Record
 from ..trees.automorphism import is_symmetric_labeling
 from ..trees.labelings import random_relabel
 from ..trees.tree import Tree
@@ -89,8 +89,7 @@ __all__ = [
 _RELABEL_ATTEMPTS = 32
 
 
-@dataclass(frozen=True, slots=True)
-class CrashFault:
+class CrashFault(NamedTuple):
     """Agent ``agent`` (0-based) crash-stops at round ``round`` (1-based):
     that round and every later one it executes nothing, but keeps
     occupying its node."""
@@ -99,8 +98,7 @@ class CrashFault:
     round: int
 
 
-@dataclass(frozen=True, slots=True)
-class PauseFault:
+class PauseFault(NamedTuple):
     """Agent ``agent`` freezes for rounds ``round .. round+duration-1``:
     no automaton step, no move, pending entry port preserved."""
 
@@ -109,8 +107,7 @@ class PauseFault:
     duration: int = 1
 
 
-@dataclass(frozen=True, slots=True)
-class RelabelFault:
+class RelabelFault(NamedTuple):
     """Before round ``round``'s actions the ports are re-drawn with
     ``random.Random(seed)`` (automorphism-respecting; node ids fixed)."""
 
@@ -118,8 +115,7 @@ class RelabelFault:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record, frozen=True):
     """One adversary's complete fault schedule for a run or sweep.
 
     Plans are immutable, picklable (they ride inside batch jobs and
@@ -127,24 +123,17 @@ class FaultPlan:
     so ``faults=FaultPlan()`` and ``faults=None`` give identical runs.
     """
 
-    crashes: tuple[CrashFault, ...] = ()
-    pauses: tuple[PauseFault, ...] = ()
-    relabels: tuple[RelabelFault, ...] = ()
+    __slots__ = ("crashes", "pauses", "relabels")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "crashes",
-            tuple(sorted(self.crashes, key=lambda c: (c.round, c.agent))),
-        )
-        object.__setattr__(
-            self,
-            "pauses",
-            tuple(sorted(self.pauses, key=lambda p: (p.round, p.agent))),
-        )
-        object.__setattr__(
-            self, "relabels", tuple(sorted(self.relabels, key=lambda r: r.round))
-        )
+    def __init__(
+        self,
+        crashes: Sequence[CrashFault] = (),
+        pauses: Sequence[PauseFault] = (),
+        relabels: Sequence[RelabelFault] = (),
+    ) -> None:
+        self.crashes = tuple(sorted(crashes, key=lambda c: (c.round, c.agent)))
+        self.pauses = tuple(sorted(pauses, key=lambda p: (p.round, p.agent)))
+        self.relabels = tuple(sorted(relabels, key=lambda r: r.round))
         for c in self.crashes:
             if c.agent < 0 or c.round < 1:
                 raise SimulationError(

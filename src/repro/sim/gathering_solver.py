@@ -73,10 +73,6 @@ class GatheringVerdict(NamedTuple):
     (``Backend.sweep_gathering`` over per-run engines) may return a
     verdict with *neither* flag set — an undecided round-budget
     exhaustion, which callers must never treat as a non-gathering proof.
-
-    A NamedTuple rather than a frozen dataclass: a grid builds one per
-    delay vector, and a dataclass's ``__init__`` costs about four times
-    as much.
     """
 
     delays: tuple[int, ...]

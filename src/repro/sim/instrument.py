@@ -18,19 +18,18 @@ round r" checkable in tests, and powers the memory experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..agents.program import AgentProgram
 from ..errors import SimulationError
+from ..records import Record
 from ..trees.tree import Tree
 
 __all__ = ["RegisterEvent", "SoloRun", "run_solo"]
 
 
-@dataclass(frozen=True)
-class RegisterEvent:
+class RegisterEvent(NamedTuple):
     """A register changed value at the end of ``round_index``."""
 
     round_index: int
@@ -38,14 +37,23 @@ class RegisterEvent:
     value: int
 
 
-@dataclass
-class SoloRun:
-    """Recorded single-agent execution."""
+class SoloRun(Record):
+    """Recorded single-agent execution: ``positions`` after each round,
+    and ``finished`` once the program returned (it waits forever)."""
 
-    start: int
-    positions: list[int] = field(default_factory=list)  # after each round
-    register_events: list[RegisterEvent] = field(default_factory=list)
-    finished: bool = False  # the program returned (waits forever)
+    __slots__ = ("start", "positions", "register_events", "finished")
+
+    def __init__(
+        self,
+        start: int,
+        positions: Optional[list[int]] = None,
+        register_events: Optional[list[RegisterEvent]] = None,
+        finished: bool = False,
+    ) -> None:
+        self.start = start
+        self.positions = [] if positions is None else positions
+        self.register_events = [] if register_events is None else register_events
+        self.finished = finished
 
     @property
     def rounds(self) -> int:

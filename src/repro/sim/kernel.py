@@ -60,9 +60,8 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY
@@ -78,7 +77,12 @@ from .gathering_solver import (
     _start_config,
     solve_gathering,
 )
-from .numpy_probe import load_numpy, numpy_importable
+from .numpy_probe import (
+    _ENV_DISABLE,
+    kernel_cache_dir,
+    kernel_enabled,
+    load_numpy,
+)
 
 __all__ = [
     "KernelUnsupported",
@@ -96,9 +100,6 @@ __all__ = [
     "solve_all_delays_auto",
     "solve_gathering_auto",
 ]
-
-_ENV_DISABLE = "REPRO_KERNEL"
-_ENV_CACHE = "REPRO_KERNEL_CACHE"
 
 # Successor tables above this entry count (int32 -> ~256 MB) stay on the
 # dict solver: the kernel must never surprise-allocate its way into an
@@ -123,8 +124,7 @@ class KernelUnsupported(Exception):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Delay-0 fate of one start pair from a batched pairs decision.
 
     ``met``/``meeting_round`` follow the engines' parity contract; a
@@ -142,12 +142,6 @@ def kernel_available() -> bool:
     ``REPRO_KERNEL=0``, numpy importable)?  Imports numpy on the first
     call unless the kill switch is set."""
     return os.environ.get(_ENV_DISABLE, "") != "0" and load_numpy() is not None
-
-
-def kernel_enabled() -> bool:
-    """:func:`kernel_available`, answered without importing numpy (the
-    provenance question: could the kernel have run in this process?)."""
-    return os.environ.get(_ENV_DISABLE, "") != "0" and numpy_importable()
 
 
 def _require_kernel():
@@ -211,14 +205,6 @@ def table_cache_key(automaton: Automaton, tree: Tree) -> str:
         h.update(_np.asarray(seq, dtype=_np.int64).tobytes())
         h.update(b"|")
     return h.hexdigest()
-
-
-def kernel_cache_dir() -> Optional[Path]:
-    """Directory of the on-disk table cache (``REPRO_KERNEL_CACHE``),
-    or ``None`` when persistence is disabled (the default — the
-    in-process memo still applies)."""
-    path = os.environ.get(_ENV_CACHE)
-    return Path(path) if path else None
 
 
 def _quarantine(path: Path) -> None:

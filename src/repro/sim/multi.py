@@ -31,8 +31,7 @@ assert identical outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..agents.observations import AgentBase
 from ..errors import SimulationError
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GatheringOutcome:
+class GatheringOutcome(NamedTuple):
     """Result of a k-agent gathering run.
 
     Exactly one of three verdicts holds (mirroring

@@ -53,9 +53,8 @@ import os
 import pickle
 import random
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ..telemetry import (
     Telemetry,
@@ -82,8 +81,7 @@ __all__ = [
 _POLL_INTERVAL = 0.05
 
 
-@dataclass(frozen=True, slots=True)
-class JobFailure:
+class JobFailure(NamedTuple):
     """A job slot that produced no outcome.
 
     ``kind`` is one of ``"timeout"`` (the job exceeded its wall-clock
@@ -168,7 +166,7 @@ def job_fingerprint(index: int, job: Union[BatchJob, GatheringJob]) -> str:
 
     Pickle gives a canonical byte encoding of the full job (tree,
     prototype, parameters); unpicklable jobs fall back to ``repr``,
-    which is stable for the dataclass fields that matter.  The index is
+    which is stable for the record fields that matter.  The index is
     mixed in so identical jobs at different grid positions checkpoint
     independently (results are positional).
     """

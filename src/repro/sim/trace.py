@@ -9,15 +9,15 @@ the other does not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from ..agents.observations import STAY
+from ..records import Record
 
 __all__ = ["RoundRecord", "Trace"]
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """State of the world after one synchronous round.
 
     ``action1``/``action2`` are the *resolved* actions (an actual port or
@@ -40,13 +40,17 @@ class RoundRecord:
         return self.action2 != STAY
 
 
-@dataclass(slots=True)
-class Trace:
+class Trace(Record):
     """A full execution trace: initial positions plus one record per round."""
 
-    start1: int
-    start2: int
-    records: list[RoundRecord] = field(default_factory=list)
+    __slots__ = ("start1", "start2", "records")
+
+    def __init__(
+        self, start1: int, start2: int, records: Optional[list[RoundRecord]] = None
+    ) -> None:
+        self.start1 = start1
+        self.start2 = start2
+        self.records = [] if records is None else records
 
     def append(self, record: RoundRecord) -> None:
         self.records.append(record)

@@ -23,8 +23,7 @@ Two structural facts this module exploits (and the tests verify):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import SimulationError
 from .tree import Tree
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WalkStep:
+class WalkStep(NamedTuple):
     """One step of a walk: the edge taken and the arrival observation."""
 
     from_node: int

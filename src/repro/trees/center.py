@@ -7,16 +7,14 @@ edge*).  This is the classical 1- or 2-center of a tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .tree import Tree
 
 __all__ = ["Center", "find_center"]
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(NamedTuple):
     """The result of leaf stripping.
 
     Exactly one of ``node`` / ``edge`` is set.  ``layers[u]`` is the round at

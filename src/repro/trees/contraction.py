@@ -14,7 +14,7 @@ T'-node -> T-node, and each T'-edge -> the full T-path it contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import InvalidTreeError
 from .tree import Tree
@@ -22,8 +22,7 @@ from .tree import Tree
 __all__ = ["Contraction", "contract"]
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     """The contraction T' of a tree T together with the node/edge maps.
 
     Attributes

@@ -9,8 +9,7 @@ deliberately dumb: the full ``port_to_nbr`` table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import InvalidTreeError
 from .tree import Tree
@@ -42,8 +41,7 @@ def tree_from_json(text: str) -> Tree:
     return Tree(rows)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A rendezvous instance: tree + starts + delay regime."""
 
     tree: Tree

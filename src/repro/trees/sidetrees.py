@@ -22,7 +22,7 @@ the ``m`` joining nodes follow, ordered from side 1 to side 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConstructionError
 from .tree import Tree
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SideTree:
+class SideTree(NamedTuple):
     """A rooted, port-labeled side tree.
 
     ``tree`` is the standalone side tree (root = node 0); ``root_port_up``
@@ -122,8 +121,7 @@ def all_side_trees(i: int, root_port_up: int = 1) -> list[SideTree]:
     return out
 
 
-@dataclass(frozen=True)
-class TwoSided:
+class TwoSided(NamedTuple):
     """A two-sided tree with the paper's start positions.
 
     ``u`` and ``v`` are the joining-path nodes adjacent to the two roots

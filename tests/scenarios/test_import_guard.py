@@ -2,9 +2,10 @@
 
 numpy is loaded only where the kernel runs (sweeps above the auto lane
 gate; the traced tier's pair grids stay pure Python), networkx is never
-loaded by a scenario (it is optional interop only), and the result
-provenance never spawns a process.  ``sys.modules`` is process-wide, so each case runs
-in its own interpreter.
+loaded by a scenario (it is optional interop only), the result
+provenance never spawns a process, and neither setup nor an atlas
+round trip imports ``dataclasses``.  ``sys.modules`` is process-wide,
+so each case runs in its own interpreter.
 """
 
 import importlib.util
@@ -33,12 +34,13 @@ def run_fresh(code: str, *args: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+# The perfbench worker's setup sequence, then a thm43 atlas miss and hit.
 ATLAS_MISS_THEN_HIT = """
 import json, sys
 import repro
 from repro.scenarios import Runner
-from repro.scenarios.atlas import AtlasStore
 from repro.scenarios.registry import get_scenario
+from repro.scenarios.atlas import AtlasStore
 
 get_scenario("thm43")
 atlas = AtlasStore(sys.argv[1])
@@ -49,11 +51,13 @@ hit = runner.run("thm43")
 hit.to_payload()
 atlas.close()
 after_thm43 = "numpy" in sys.modules
+codegen = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 Runner(backend="auto").run("delays-line").to_payload()  # below the lane gate
 print(json.dumps({
     "miss": miss.cached_payload is None,
     "hit": hit.cached_payload is not None,
     "numpy_after_thm43": after_thm43,
+    "codegen_after_thm43": codegen,
     "numpy": "numpy" in sys.modules,
     "subprocess": "subprocess" in sys.modules,
     "environment": payload["environment"],
@@ -61,15 +65,28 @@ print(json.dumps({
 """
 
 
-def test_scalar_scenario_loads_neither_numpy_nor_subprocess(tmp_path):
-    out = run_fresh(ATLAS_MISS_THEN_HIT, str(tmp_path / "atlas.sqlite"))
+@pytest.fixture(scope="module")
+def atlas_round_trip(tmp_path_factory):
+    atlas = tmp_path_factory.mktemp("atlas") / "atlas.sqlite"
+    out = run_fresh(ATLAS_MISS_THEN_HIT, str(atlas))
     assert out["miss"] and out["hit"]
+    return out
+
+
+def test_scalar_scenario_loads_neither_numpy_nor_subprocess(atlas_round_trip):
+    out = atlas_round_trip
     assert not out["numpy_after_thm43"]
     assert not out["numpy"]  # a sweep under the kernel lane gate neither
     assert not out["subprocess"]
     env = out["environment"]
     assert env["numpy"] is None  # this process never loaded it
     assert env["platform"].count("-") >= 2  # system-release-machine
+
+
+def test_setup_and_atlas_round_trip_import_no_dataclasses(atlas_round_trip):
+    # record types are NamedTuples and __slots__ classes: nothing on this
+    # path imports dataclasses, nor inspect, which dataclasses pulls in
+    assert atlas_round_trip["codegen_after_thm43"] == []
 
 
 ABOVE_GATE_SWEEP = """

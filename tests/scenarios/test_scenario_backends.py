@@ -149,6 +149,22 @@ class TestBackendProtocol:
             (o.met, o.meeting_round, o.certified_never) for o in bat
         ]
 
+    @pytest.mark.parametrize(
+        "agent", [counting_walker(2), rendezvous_agent(max_outer=2)],
+        ids=["native", "lowerable"],
+    )
+    def test_run_pairs_rows_identical_across_backends(self, agent):
+        # the pairs are mirror images on the colored line: every backend
+        # certifies them never-meeting (Fact 1.1), the reference oracle too
+        tree = edge_colored_line(10)
+        pairs = [(0, 9), (1, 8), (2, 7)]
+        rows = {
+            backend.name: backend.run_pairs(tree, agent, pairs, max_rounds=20_000)
+            for backend in (ReferenceBackend(), CompiledBackend(), AutoBackend())
+        }
+        assert rows["reference"] == rows["compiled"] == rows["auto"]
+        assert all(v.certified_never and not v.met for v in rows["reference"])
+
     def test_select_backend_names(self):
         for hint in ("auto", "reference", "compiled", "batched"):
             assert select_backend(hint).name == hint

@@ -43,11 +43,9 @@ class TestStoreRoundtrip:
         # Regression: load() used to misroute any name whose final dot
         # segment looked like a suffix to the filesystem instead of the
         # store.  Dotted names (e.g. versioned results) must round-trip.
-        import dataclasses
-
         store = ResultStore(tmp_path)
-        spec = dataclasses.replace(result.spec, name="thm31.v2")
-        renamed = dataclasses.replace(result, spec=spec)
+        spec = result.spec._replace(name="thm31.v2")
+        renamed = result._replace(spec=spec)
         path = store.save(renamed)
         assert path == tmp_path / "thm31.v2.json"
         payload = store.load("thm31.v2")
@@ -144,11 +142,10 @@ class TestRobustPersistence:
         # os.replace.  With a shared temp name the second save truncated
         # and consumed the first one's temp file, so the first replace
         # raised FileNotFoundError.
-        import dataclasses
         import os
 
         store = ResultStore(tmp_path)
-        other = dataclasses.replace(result, rows=result.rows[:1])
+        other = result._replace(rows=result.rows[:1])
         real_replace = os.replace
         racing = []
 

@@ -61,23 +61,17 @@ class TestVerifyRejectsTampering:
     def test_tampered_cycle_fails(self):
         cert = self._cert()
         bad_cfg = JointConfig(0, 0, -1, 0, 0, -1)  # a meeting configuration
-        from dataclasses import replace
-
-        bad = replace(cert, cycle=(bad_cfg,) + cert.cycle[1:])
+        bad = cert._replace(cycle=(bad_cfg,) + cert.cycle[1:])
         assert not bad.verify()
 
     def test_truncated_cycle_fails(self):
         cert = self._cert()
         if len(cert.cycle) < 2:
             pytest.skip("cycle too short to truncate")
-        from dataclasses import replace
-
-        bad = replace(cert, cycle=cert.cycle[:-1])
+        bad = cert._replace(cycle=cert.cycle[:-1])
         assert not bad.verify()
 
     def test_empty_cycle_rejected(self):
         cert = self._cert()
-        from dataclasses import replace
-
         with pytest.raises(SimulationError):
-            replace(cert, cycle=()).verify()
+            cert._replace(cycle=()).verify()
