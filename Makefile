@@ -196,7 +196,7 @@ endif
 # time.  Informational (gates nothing); the bytecode cache under
 # $(IMPORT_TIME_CACHE) is warmed first, whatever PYTHONDONTWRITEBYTECODE says.
 import-time:
-	python benchmarks/import_time.py --top 20 --cache $(IMPORT_TIME_CACHE)
+	python benchmarks/import_time.py --cache $(IMPORT_TIME_CACHE)
 
 # Quick pass over the scenario registry (the experiment tables, small grids).
 scenarios-smoke:

@@ -9,7 +9,7 @@ unset for both runs, because compiling from source would roughly double
 every figure.  ``make import-time`` runs it; the numbers are
 informational and gate nothing.
 
-    python benchmarks/import_time.py [--top 20] [--cache DIR]
+    python benchmarks/import_time.py [--cache DIR]
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import sys
 import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: How many of the costliest modules to print.
+TOP = 20
 
 SETUP = (
     "import repro\n"
@@ -55,7 +58,6 @@ def parse(stderr: str) -> list[tuple[int, int, str]]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--top", type=int, default=20)
     p.add_argument("--cache", type=pathlib.Path,
                    default=pathlib.Path(tempfile.gettempdir()) / "repro-import-time-pycache")
     args = p.parse_args(argv)
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
     rows = parse(_run(["-X", "importtime"], args.cache).stderr)
     total = sum(r[0] for r in rows)
     print(f"{'self ms':>8} {'cumul ms':>9}  module")
-    for self_us, cumulative_us, name in sorted(rows, reverse=True)[: args.top]:
+    for self_us, cumulative_us, name in sorted(rows, reverse=True)[:TOP]:
         print(f"{self_us / 1000:8.2f} {cumulative_us / 1000:9.2f}  {name}")
     print(f"{total / 1000:8.2f} {'':>9}  total over {len(rows)} modules")
     for self_us, cumulative_us, name in rows:

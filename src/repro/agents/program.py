@@ -94,11 +94,12 @@ class Walk(Record, frozen=True):
                 f"walk needs arrivals >= 1 and speed >= 1, got {arrivals} "
                 f"and {speed}"
             )
-        self.port = port
-        self.delta = delta
-        self.arrivals = arrivals
-        self.speed = speed
-        self.counter = counter
+        set_ = object.__setattr__
+        set_(self, "port", port)
+        set_(self, "delta", delta)
+        set_(self, "arrivals", arrivals)
+        set_(self, "speed", speed)
+        set_(self, "counter", counter)
 
 
 class Block:

@@ -24,9 +24,10 @@ class Series(Record, frozen=True):
     def __init__(self, name: str, xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
         if len(xs) != len(ys):
             raise ValueError("xs and ys must align")
-        self.name = name
-        self.xs = xs
-        self.ys = ys
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "xs", xs)
+        set_(self, "ys", ys)
 
     def __len__(self) -> int:
         return len(self.xs)

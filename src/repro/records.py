@@ -14,13 +14,20 @@ a 5-field NamedTuple costs about 0.2 ms, a ``__slots__`` class 0.02 ms.)
 :class:`Record` gives the second form field-wise ``==``, the
 ``Name(a=1, b=2)`` repr, and the NamedTuple-style ``_fields`` and
 ``_replace``.  Records are unhashable unless declared ``frozen=True``,
-which hashes the field values; a frozen record never assigns a slot
-after ``__init__``.
+which hashes the field values and makes assignment and deletion raise
+:class:`FrozenRecordError`: a frozen record's ``__init__`` sets its
+slots with ``object.__setattr__``, and it pickles (and copies) by
+calling ``__init__`` again with the fields in slot order, so the
+``__init__`` takes them positionally in that order.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+__all__ = ["FrozenRecordError", "Record"]
+
+
+class FrozenRecordError(AttributeError):
+    """A field of a ``frozen=True`` record was assigned or deleted."""
 
 
 class Record:
@@ -36,6 +43,8 @@ class Record:
         cls._fields = tuple(cls.__dict__["__slots__"])
         if frozen:
             cls.__hash__ = Record._hash
+            cls.__setattr__ = cls.__delattr__ = Record._read_only
+            cls.__reduce__ = Record._reduce
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -49,6 +58,14 @@ class Record:
 
     def _hash(self) -> int:
         return hash(self._astuple())
+
+    def _read_only(self, name: str, *value) -> None:
+        raise FrozenRecordError(
+            f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}"
+        )
+
+    def _reduce(self):
+        return type(self), self._astuple()
 
     def __repr__(self) -> str:
         inner = ", ".join(

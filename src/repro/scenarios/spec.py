@@ -144,12 +144,14 @@ class DelayPolicy(Record, frozen=True):
     ) -> None:
         if kind not in ("none", "fixed", "sweep"):
             raise ScenarioError(f"unknown delay policy kind {kind!r}")
-        self.sides = check_sides(sides, ScenarioError)
+        sides = check_sides(sides, ScenarioError)
         if max_delay < 0:
             raise ScenarioError("max_delay must be >= 0")
-        self.kind = kind
-        self.delays = tuple(delays)
-        self.max_delay = max_delay
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "delays", tuple(delays))
+        set_(self, "max_delay", max_delay)
+        set_(self, "sides", sides)
 
     @classmethod
     def none(cls) -> "DelayPolicy":
@@ -173,10 +175,13 @@ class DelayPolicy(Record, frozen=True):
 
 
 def _canon(value: Any) -> Any:
-    """JSON-stable canonical form (tuples -> lists, sorted dict keys)."""
+    """JSON-stable canonical form (tuples -> lists, sorted dict keys).
+
+    A NamedTuple record is refused like any other record type: as a
+    list it would lose its type and read back as a plain list."""
     if isinstance(value, dict):
         return {str(k): _canon(value[k]) for k in sorted(value)}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
         return [_canon(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -216,17 +221,18 @@ class ScenarioSpec(Record, frozen=True):
             )
         if repetitions < 1:
             raise ScenarioError("repetitions must be >= 1")
-        self.name = name
-        self.kind = kind
-        self.description = description
-        self.tree = tree
-        self.agent = agent
-        self.pairs = tuple(tuple(p) for p in pairs)
-        self.delays = DelayPolicy() if delays is None else delays
-        self.repetitions = repetitions
-        self.seed = seed
-        self.backend = backend
-        self.params = {} if params is None else dict(params)
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "kind", kind)
+        set_(self, "description", description)
+        set_(self, "tree", tree)
+        set_(self, "agent", agent)
+        set_(self, "pairs", tuple(tuple(p) for p in pairs))
+        set_(self, "delays", DelayPolicy() if delays is None else delays)
+        set_(self, "repetitions", repetitions)
+        set_(self, "seed", seed)
+        set_(self, "backend", backend)
+        set_(self, "params", {} if params is None else dict(params))
 
     def param(self, key: str, default: Any = None) -> Any:
         return self.params.get(key, default)

@@ -118,8 +118,8 @@ class RelabelFault(NamedTuple):
 class FaultPlan(Record, frozen=True):
     """One adversary's complete fault schedule for a run or sweep.
 
-    Plans are immutable, picklable (they ride inside batch jobs and
-    scenario params) and JSON round-trippable.  An empty plan is falsy,
+    Plans are frozen (assigning a field raises), picklable (they ride
+    inside batch jobs and scenario params) and JSON round-trippable.  An empty plan is falsy,
     so ``faults=FaultPlan()`` and ``faults=None`` give identical runs.
     """
 
@@ -131,10 +131,14 @@ class FaultPlan(Record, frozen=True):
         pauses: Sequence[PauseFault] = (),
         relabels: Sequence[RelabelFault] = (),
     ) -> None:
-        self.crashes = tuple(sorted(crashes, key=lambda c: (c.round, c.agent)))
-        self.pauses = tuple(sorted(pauses, key=lambda p: (p.round, p.agent)))
-        self.relabels = tuple(sorted(relabels, key=lambda r: r.round))
-        for c in self.crashes:
+        crashes = tuple(sorted(crashes, key=lambda c: (c.round, c.agent)))
+        pauses = tuple(sorted(pauses, key=lambda p: (p.round, p.agent)))
+        relabels = tuple(sorted(relabels, key=lambda r: r.round))
+        set_ = object.__setattr__
+        set_(self, "crashes", crashes)
+        set_(self, "pauses", pauses)
+        set_(self, "relabels", relabels)
+        for c in crashes:
             if c.agent < 0 or c.round < 1:
                 raise SimulationError(
                     "crash faults need agent >= 0 and round >= 1"

@@ -4,6 +4,7 @@ ones.  These pin what callers rely on: equality, hashing, repr, the
 types' own ``_replace``, pickling across the process pool, spec hashes,
 payload round trips and the lowering key's type tag."""
 
+import copy
 import json
 import pathlib
 import pickle
@@ -14,7 +15,8 @@ from repro.agents import Ctx, Walk, alternator
 from repro.agents.lowering import _freeze
 from repro.agents.program import Drive
 from repro.errors import AgentProtocolError
-from repro.records import Record
+from repro.analysis.stats import Series
+from repro.records import FrozenRecordError, Record
 from repro.scenarios import ScenarioResult
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import DelayPolicy, ScenarioError, ScenarioSpec
@@ -65,6 +67,38 @@ class TestRecordBase:
             walk._replace(nope=1)
         with pytest.raises(ScenarioError):
             DelayPolicy.sweep(3)._replace(max_delay=-1)
+
+    def test_frozen_records_refuse_assignment(self):
+        frozen = [
+            Walk(0, 1, 2),
+            FaultPlan(crashes=(CrashFault(0, 3),)),
+            DelayPolicy.sweep(3),
+            get_scenario("thm43"),
+            Series("s", (1.0,), (2.0,)),
+        ]
+        for record in frozen:
+            name = record._fields[0]
+            before = getattr(record, name)
+            with pytest.raises(FrozenRecordError, match="frozen"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) == before
+        ctx = Ctx(1, 2)
+        ctx.rounds = 4  # a mutable record still assigns
+        assert ctx.rounds == 4
+
+    def test_frozen_records_pickle_and_copy_through_init(self):
+        for record in (
+            Walk(0, -1, 2, speed=3, counter="c"),
+            FaultPlan(pauses=(PauseFault(0, 2, 3),)),
+            DelayPolicy.fixed(1, 4),
+            get_scenario("memory-vs-n"),
+            Series("s", (1.0, 2.0), (3.0, 4.0)),
+        ):
+            for back in (pickle.loads(pickle.dumps(record)),
+                         copy.copy(record), copy.deepcopy(record)):
+                assert type(back) is type(record) and back == record
 
     def test_subclass_without_slots_is_refused(self):
         with pytest.raises(TypeError, match="__slots__"):
@@ -117,6 +151,11 @@ class TestScenarioRecords:
         assert spec.with_overrides(backend="reference").spec_hash() == spec.spec_hash()
         assert spec.with_overrides(seed=spec.seed + 1).spec_hash() != spec.spec_hash()
         assert spec.with_overrides() == spec
+
+    def test_params_refuse_namedtuple_records(self):
+        spec = ScenarioSpec("x", "thm43", params={"crash": CrashFault(0, 3)})
+        with pytest.raises(ScenarioError, match="not JSON-serializable"):
+            spec.to_json()
 
     def test_registered_spec_hashes_match_the_goldens(self):
         for path in sorted(GOLDEN_DIR.glob("*.json")):
