@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
+
+from ..records import TupleRecord, tuple_new
 
 __all__ = [
     "FunctionalDigraph",
@@ -35,7 +36,7 @@ def lcm_of(values: Sequence[int]) -> int:
     return out
 
 
-class FunctionalDigraph(NamedTuple):
+class FunctionalDigraph(TupleRecord):
     """Decomposition of a functional graph ``f : S -> S``.
 
     Attributes
@@ -54,11 +55,17 @@ class FunctionalDigraph(NamedTuple):
         ``lcm`` of all circuit lengths — the paper's γ.
     """
 
-    f: tuple[int, ...]
-    circuits: tuple[tuple[int, ...], ...]
-    circuit_of: tuple[int, ...]
-    tail_length: tuple[int, ...]
-    gamma: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        f: tuple[int, ...],
+        circuits: tuple[tuple[int, ...], ...],
+        circuit_of: tuple[int, ...],
+        tail_length: tuple[int, ...],
+        gamma: int,
+    ):
+        return tuple_new(cls, (f, circuits, circuit_of, tail_length, gamma))
 
     @property
     def num_states(self) -> int:
@@ -134,7 +141,7 @@ def analyze_functional(f: Sequence[int]) -> FunctionalDigraph:
     )
 
 
-class CircuitProfile(NamedTuple):
+class CircuitProfile(TupleRecord):
     """Circuit structure of an automaton, per observation of an alphabet.
 
     The paper's γ analysis fixes *one* observation (degree 2 on the line:
@@ -150,8 +157,14 @@ class CircuitProfile(NamedTuple):
       single observation reaches its circuit.
     """
 
-    alphabet: tuple[tuple[int, int], ...]
-    per_observation: tuple[FunctionalDigraph, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        alphabet: tuple[tuple[int, int], ...],
+        per_observation: tuple[FunctionalDigraph, ...],
+    ):
+        return tuple_new(cls, (alphabet, per_observation))
 
     @property
     def gamma(self) -> int:

@@ -89,8 +89,8 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
         return ("range", value.start, value.stop, value.step)
     names = getattr(type(value), "_fields", None)
     if names is not None:
-        # a record (NamedTuple or repro.records.Record): tagged with its
-        # type, so records of different types never share a key
+        # a record (repro.records.TupleRecord or Record): tagged with
+        # its type, so records of different types never share a key
         if id(value) in stack:
             raise LoweringError("cyclic object state cannot be frozen")
         inner = stack + (id(value),)

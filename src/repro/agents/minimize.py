@@ -37,8 +37,9 @@ granularities:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from ..records import TupleRecord, tuple_new
 from .automaton import Automaton, LineAutomaton
 
 __all__ = [
@@ -103,17 +104,23 @@ def _moore_blocks(
         block_of = new_block_of
 
 
-class AutomatonMinimization(NamedTuple):
+class AutomatonMinimization(TupleRecord):
     """Outcome of general-alphabet minimization.
 
     ``state_map[s]`` gives the minimal automaton's state representing the
     original state ``s`` (only defined for reachable states).
     """
 
-    original: Automaton
-    minimized: Automaton
-    state_map: dict[int, int]
-    alphabet: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        original: Automaton,
+        minimized: Automaton,
+        state_map: dict[int, int],
+        alphabet: tuple[tuple[int, int], ...],
+    ):
+        return tuple_new(cls, (original, minimized, state_map, alphabet))
 
     @property
     def original_states(self) -> int:
@@ -190,16 +197,22 @@ def minimize_automaton(
 # Historical entry points (line / bounded-degree tree automata)
 # ----------------------------------------------------------------------
 
-class MinimizationResult(NamedTuple):
+class MinimizationResult(TupleRecord):
     """Outcome of line-automaton minimization.
 
     ``state_map[s]`` gives the minimal automaton's state representing the
     original state ``s`` (only defined for reachable states).
     """
 
-    original: LineAutomaton
-    minimized: LineAutomaton
-    state_map: dict[int, int]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        original: LineAutomaton,
+        minimized: LineAutomaton,
+        state_map: dict[int, int],
+    ):
+        return tuple_new(cls, (original, minimized, state_map))
 
     @property
     def original_states(self) -> int:
@@ -303,7 +316,7 @@ def minimize_tree_automaton(
 # Traced-lasso families (route B of the lowering subsystem)
 # ----------------------------------------------------------------------
 
-class LassoFamilyMinimization(NamedTuple):
+class LassoFamilyMinimization(TupleRecord):
     """The joint minimal automaton of a family of lassoed action chains.
 
     The input chains (one per start node of a tree, from
@@ -318,10 +331,16 @@ class LassoFamilyMinimization(NamedTuple):
     ``entries[c]`` is the class of chain ``c``'s initial state.
     """
 
-    raw_states: int
-    successor: tuple[int, ...]
-    output: tuple[int, ...]
-    entries: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        raw_states: int,
+        successor: tuple[int, ...],
+        output: tuple[int, ...],
+        entries: tuple[int, ...],
+    ):
+        return tuple_new(cls, (raw_states, successor, output, entries))
 
     @property
     def minimal_states(self) -> int:

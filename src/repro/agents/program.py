@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Generator
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, Optional, Union
 
 from ..errors import AgentProtocolError
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 from ..telemetry import current as _telemetry
 from .observations import NULL_PORT, STAY
 
@@ -442,15 +442,15 @@ class AgentProgram:
         return f"AgentProgram({name})"
 
 
-class Drive(NamedTuple):
+class Drive(TupleRecord):
     """Outcome of :func:`drive`: the routine's return value (``None``
     unless it finished), the rounds driven, the final node, and whether
     the routine returned within the round budget."""
 
-    value: Any
-    rounds: int
-    node: int
-    finished: bool
+    __slots__ = ()
+
+    def __new__(cls, value: Any, rounds: int, node: int, finished: bool):
+        return tuple_new(cls, (value, rounds, node, finished))
 
 
 _DRIVE_COUNTERS = (

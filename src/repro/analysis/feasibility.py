@@ -15,8 +15,9 @@ examples.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
+from ..records import TupleRecord, tuple_new
 from ..trees.automorphism import (
     CodeInterner,
     are_topologically_symmetric,
@@ -41,12 +42,13 @@ SYMMETRIC_FEASIBLE = "topologically_symmetric_feasible"
 ASYMMETRIC = "asymmetric"
 
 
-class PairClass(NamedTuple):
+class PairClass(TupleRecord):
     """Classification of one start pair."""
 
-    u: int
-    v: int
-    kind: str
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int, kind: str):
+        return tuple_new(cls, (u, v, kind))
 
     @property
     def feasible(self) -> bool:
@@ -104,17 +106,26 @@ def classify_all_pairs(tree: Tree) -> Iterator[PairClass]:
             yield PairClass(u, v, ASYMMETRIC)
 
 
-class FeasibilitySummary(NamedTuple):
+class FeasibilitySummary(TupleRecord):
     """Counts of pair classes plus structural facts for one tree."""
 
-    n: int
-    leaves: int
-    center_kind: str  # "node" or "edge"
-    symmetrizable_tree: bool  # some labeling admits a nontrivial automorphism
-    pairs_total: int
-    pairs_perfectly_symmetrizable: int
-    pairs_symmetric_feasible: int
-    pairs_asymmetric: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        leaves: int,
+        center_kind: str,  # "node" or "edge"
+        symmetrizable_tree: bool,  # some labeling admits a nontrivial automorphism
+        pairs_total: int,
+        pairs_perfectly_symmetrizable: int,
+        pairs_symmetric_feasible: int,
+        pairs_asymmetric: int,
+    ):
+        return tuple_new(cls, (
+            n, leaves, center_kind, symmetrizable_tree, pairs_total,
+            pairs_perfectly_symmetrizable, pairs_symmetric_feasible, pairs_asymmetric,
+        ))
 
     @property
     def pairs_feasible(self) -> int:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from ..core.memory import log_bits, loglog_bits
 from ..core.rendezvous import solve, solve_with_delay
+from ..records import TupleRecord, tuple_new
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.builders import complete_binary_tree, subdivide
 from ..trees.labelings import random_relabel
@@ -28,17 +28,26 @@ from ..trees.labelings import random_relabel
 __all__ = ["GapRow", "gap_table", "format_gap_table"]
 
 
-class GapRow(NamedTuple):
+class GapRow(TupleRecord):
     """One tree family member's measurements under both scenarios."""
 
-    n: int
-    leaves: int
-    delay0_bits: int
-    delay0_met: bool
-    arbitrary_bits: int
-    arbitrary_met: bool
-    reference_loglog: int  # the Θ(log ℓ + log log n) reference value
-    reference_log: int  # the Θ(log n) reference value
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        leaves: int,
+        delay0_bits: int,
+        delay0_met: bool,
+        arbitrary_bits: int,
+        arbitrary_met: bool,
+        reference_loglog: int,  # the Θ(log ℓ + log log n) reference value
+        reference_log: int,  # the Θ(log n) reference value
+    ):
+        return tuple_new(cls, (
+            n, leaves, delay0_bits, delay0_met, arbitrary_bits, arbitrary_met,
+            reference_loglog, reference_log,
+        ))
 
     @property
     def gap_factor(self) -> float:

@@ -11,19 +11,26 @@ desynchronization behave as the proofs prescribe.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from ..records import TupleRecord, tuple_new
 from ..sim.instrument import SoloRun
 
 __all__ = ["Phase", "stage_timeline", "format_timeline"]
 
 
-class Phase(NamedTuple):
+class Phase(TupleRecord):
     """One contiguous phase of the agent's execution."""
 
-    name: str
-    start_round: int
-    end_round: Optional[int]  # None = still running at the end of the record
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        start_round: int,
+        end_round: Optional[int],  # None = still running at the end of the record
+    ):
+        return tuple_new(cls, (name, start_round, end_round))
 
     @property
     def duration(self) -> Optional[int]:

@@ -42,7 +42,7 @@ lowering + one refinement per distinct machine and runs in seconds.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.automaton import Automaton, LineAutomaton
 from ..agents.digraph import analyze_functional, circuit_profile, lcm_of
@@ -53,6 +53,7 @@ from ..agents.minimize import (
     minimize_lassos,
 )
 from ..errors import BudgetExceededError, ConstructionError, LoweringError
+from ..records import TupleRecord, tuple_new
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.tree import Tree
 
@@ -74,26 +75,35 @@ def _bits(states: int) -> int:
     return max(1, (states - 1).bit_length())
 
 
-class ProgramAtlasRow(NamedTuple):
+class ProgramAtlasRow(TupleRecord):
     """One (program, tree) cell of the atlas."""
 
-    program: str
-    tree: str
-    route: str  # "A" (explicit automaton) | "B" (traced lassos)
-    alphabet: str  # the degree alphabet the machine was lowered over
-    raw_states: int
-    min_states: int
-    bits_raw: int
-    bits_min: int
-    circuits: int
-    gamma: int
-    tail: int
-    lb_bits: int
-    gap: float
-    defeat_edges: Optional[int]
-    equiv: bool
-    verdict: str
-    round: Optional[int]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        program: str,
+        tree: str,
+        route: str,  # "A" (explicit automaton) | "B" (traced lassos)
+        alphabet: str,  # the degree alphabet the machine was lowered over
+        raw_states: int,
+        min_states: int,
+        bits_raw: int,
+        bits_min: int,
+        circuits: int,
+        gamma: int,
+        tail: int,
+        lb_bits: int,
+        gap: float,
+        defeat_edges: Optional[int],
+        equiv: bool,
+        verdict: str,
+        round: Optional[int],
+    ):
+        return tuple_new(cls, (
+            program, tree, route, alphabet, raw_states, min_states, bits_raw, bits_min,
+            circuits, gamma, tail, lb_bits, gap, defeat_edges, equiv, verdict, round,
+        ))
 
     def to_dict(self) -> dict:
         return {

@@ -8,8 +8,7 @@ code change, without the pytest-benchmark harness.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ..records import TupleRecord, tuple_new
 from .gap import format_gap_table, gap_table
 from .program_atlas import DEFAULT_ATLAS_GRID, program_atlas_rows
 from .stats import fit_loglog_slope, growth_ratios
@@ -23,19 +22,28 @@ from .sweep import (
 __all__ = ["ReportScale", "generate_report"]
 
 
-class ReportScale(NamedTuple):
+class ReportScale(TupleRecord):
     """Knobs for report size vs runtime.
 
     ``quick`` keeps everything under ~half a minute; ``full`` matches the
     recorded EXPERIMENTS.md run.
     """
 
-    subdivisions: tuple[int, ...]
-    leaf_counts: tuple[int, ...]
-    leaf_total_nodes: int
-    prime_lengths: tuple[int, ...]
-    thm31_ks: tuple[int, ...]
-    atlas_programs: int = 2  # how many atlas grid programs to include
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        subdivisions: tuple[int, ...],
+        leaf_counts: tuple[int, ...],
+        leaf_total_nodes: int,
+        prime_lengths: tuple[int, ...],
+        thm31_ks: tuple[int, ...],
+        atlas_programs: int = 2,  # how many atlas grid programs to include
+    ):
+        return tuple_new(cls, (
+            subdivisions, leaf_counts, leaf_total_nodes, prime_lengths, thm31_ks,
+            atlas_programs,
+        ))
 
     @classmethod
     def quick(cls) -> "ReportScale":

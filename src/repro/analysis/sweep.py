@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from ..agents.automaton import LineAutomaton
 from ..agents.library import counting_walker
@@ -18,6 +17,7 @@ from ..core.prime_walk import prime_line_agent
 from ..core.rendezvous import solve
 from ..lowerbounds.arbitrary_delay import build_thm31_instance
 from ..lowerbounds.loglog_line import build_thm42_instance
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.builders import complete_binary_tree, double_broom, line, subdivide
@@ -36,15 +36,21 @@ __all__ = [
 ]
 
 
-class SweepPoint(NamedTuple):
+class SweepPoint(TupleRecord):
     """One measured instance in a sweep."""
 
-    n: int
-    leaves: int
-    met: bool
-    meeting_round: int
-    bits_declared: int
-    bits_used: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        leaves: int,
+        met: bool,
+        meeting_round: int,
+        bits_declared: int,
+        bits_used: int,
+    ):
+        return tuple_new(cls, (n, leaves, met, meeting_round, bits_declared, bits_used))
 
 
 def _solve_point(

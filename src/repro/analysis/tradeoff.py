@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from ..core.algorithm import rendezvous_agent
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.builders import line
@@ -30,14 +30,20 @@ from ..trees.tree import Tree
 __all__ = ["TradeoffRow", "reps_factor_tradeoff", "stress_instances"]
 
 
-class TradeoffRow(NamedTuple):
+class TradeoffRow(TupleRecord):
     """Aggregate meeting statistics for one knob setting."""
 
-    knob: int
-    runs: int
-    met: int
-    worst_round: int
-    mean_round: float
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        knob: int,
+        runs: int,
+        met: int,
+        worst_round: int,
+        mean_round: float,
+    ):
+        return tuple_new(cls, (knob, runs, met, worst_round, mean_round))
 
     @property
     def success_rate(self) -> float:

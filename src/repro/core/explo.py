@@ -28,10 +28,11 @@ function of (tree, start) identical for both agents — holds exactly.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.program import Ctx, Registers, Routine, move, walk
 from ..errors import SimulationError
+from ..records import TupleRecord, tuple_new
 from ..trees.automorphism import port_labeled_nested_code, port_preserving_automorphism
 from ..trees.basic_walk import TranscriptReconstructor, basic_walk_first_hit
 from ..trees.center import find_center
@@ -53,7 +54,7 @@ CENTRAL_EDGE_ASYMMETRIC = "central_edge_asymmetric"
 CENTRAL_EDGE_SYMMETRIC = "central_edge_symmetric"
 
 
-class ExploResult(NamedTuple):
+class ExploResult(TupleRecord):
     """Everything Fact 2.1 grants the agent after Explo(-bis).
 
     All node indices refer to the agent's own reconstruction, in which the
@@ -61,12 +62,20 @@ class ExploResult(NamedTuple):
     (``v̂`` has degree != 2, so it survives contraction).
     """
 
-    tree: Tree  # the reconstructed T (node 0 = v̂)
-    contraction: Contraction  # T' with maps back to the reconstruction
-    kind: str  # one of the three CENTRAL_* constants
-    steps_to_target: int  # T'-basic-walk steps from v̂ to the target node
-    target: int  # T'-index of the target (central node or chosen extremity)
-    central_port: Optional[int]  # port of the central edge at the target
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,  # the reconstructed T (node 0 = v̂)
+        contraction: Contraction,  # T' with maps back to the reconstruction
+        kind: str,  # one of the three CENTRAL_* constants
+        steps_to_target: int,  # T'-basic-walk steps from v̂ to the target node
+        target: int,  # T'-index of the target (central node or chosen extremity)
+        central_port: Optional[int],  # port of the central edge at the target
+    ):
+        return tuple_new(cls, (
+            tree, contraction, kind, steps_to_target, target, central_port,
+        ))
 
     @property
     def n(self) -> int:

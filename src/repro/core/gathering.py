@@ -21,9 +21,10 @@ public entry point reports which regime an instance falls in.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..agents.program import AgentProgram
+from ..records import TupleRecord, tuple_new
 from ..sim.multi import GatheringOutcome, run_gathering
 from ..trees.automorphism import port_preserving_automorphism
 from ..trees.center import find_center
@@ -34,11 +35,17 @@ from .algorithm import rendezvous_agent
 __all__ = ["GatheringRegime", "classify_gathering", "gather"]
 
 
-class GatheringRegime(NamedTuple):
+class GatheringRegime(TupleRecord):
     """Which fragment of the gathering problem an instance belongs to."""
 
-    kind: str  # "central_node" | "central_edge_asymmetric" | "symmetric"
-    guaranteed: bool  # gathering provably achieved by the provided agent
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,  # "central_node" | "central_edge_asymmetric" | "symmetric"
+        guaranteed: bool,  # gathering provably achieved by the provided agent
+    ):
+        return tuple_new(cls, (kind, guaranteed))
 
     @property
     def easy(self) -> bool:

@@ -12,9 +12,8 @@ bound) the measured values are compared against in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..agents.program import AgentProgram, drive
+from ..records import TupleRecord, tuple_new
 
 __all__ = [
     "MemoryReport",
@@ -26,7 +25,7 @@ __all__ = [
 ]
 
 
-class MemoryReport(NamedTuple):
+class MemoryReport(TupleRecord):
     """Bits used by one agent in one execution.
 
     ``declared`` sums the declared register widths (the analytic cost);
@@ -35,9 +34,10 @@ class MemoryReport(NamedTuple):
     ``(declared bound, peak value)``.
     """
 
-    declared: int
-    used: int
-    registers: dict[str, tuple[int, int]]
+    __slots__ = ()
+
+    def __new__(cls, declared: int, used: int, registers: dict[str, tuple[int, int]]):
+        return tuple_new(cls, (declared, used, registers))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         rows = "\n".join(

@@ -13,10 +13,11 @@ True
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from ..agents.program import AgentProgram
 from ..errors import InfeasibleRendezvousError
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..sim.engine import RendezvousOutcome
 from ..trees.automorphism import perfectly_symmetrizable
@@ -31,7 +32,7 @@ from .rendezvous_path import rendezvous_path_num_edges
 __all__ = ["SolveResult", "solve", "solve_with_delay", "estimate_round_budget"]
 
 
-class SolveResult(NamedTuple):
+class SolveResult(TupleRecord):
     """Outcome of a rendezvous run plus the agent's memory account.
 
     The two agents are identical; ``memory`` reports the registers of the
@@ -39,9 +40,15 @@ class SolveResult(NamedTuple):
     a meeting run, so either is representative).
     """
 
-    outcome: RendezvousOutcome
-    memory: Optional[MemoryReport]
-    feasible: bool
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        outcome: RendezvousOutcome,
+        memory: Optional[MemoryReport],
+        feasible: bool,
+    ):
+        return tuple_new(cls, (outcome, memory, feasible))
 
     @property
     def met(self) -> bool:

@@ -32,10 +32,11 @@ non-meeting by configuration recurrence before the instance is returned.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.automaton import LineAutomaton
 from ..errors import ConstructionError
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..sim.engine import RendezvousOutcome
 from ..trees.automorphism import perfectly_symmetrizable
@@ -47,17 +48,25 @@ from .infinite_line import InfiniteLineRun, simulate_infinite_line
 __all__ = ["Thm31Instance", "build_thm31_instance", "find_state_repetition"]
 
 
-class Thm31Instance(NamedTuple):
+class Thm31Instance(TupleRecord):
     """A defeating instance for one concrete agent under arbitrary delay."""
 
-    tree: Tree
-    start1: int
-    start2: int
-    delay: int
-    delayed: int
-    kind: str  # "drifting" or "bounded"
-    memory_bits: int
-    outcome: Optional[RendezvousOutcome]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        start1: int,
+        start2: int,
+        delay: int,
+        delayed: int,
+        kind: str,  # "drifting" or "bounded"
+        memory_bits: int,
+        outcome: Optional[RendezvousOutcome],
+    ):
+        return tuple_new(cls, (
+            tree, start1, start2, delay, delayed, kind, memory_bits, outcome,
+        ))
 
     @property
     def line_edges(self) -> int:

@@ -18,9 +18,8 @@ lower-bound floor:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..core.memory import log_bits, loglog_bits
+from ..records import TupleRecord, tuple_new
 from ..trees.labelings import edge_colored_line
 from ..trees.tree import Tree
 
@@ -46,13 +45,13 @@ def arbitrary_delay_bound_bits(n: int) -> int:
     return log_bits(max(n, 2))
 
 
-class BoundedPlacement(NamedTuple):
+class BoundedPlacement(TupleRecord):
     """Disjoint-ranges placement defeating a radius-``radius`` agent."""
 
-    tree: Tree
-    start1: int
-    start2: int
-    radius: int
+    __slots__ = ()
+
+    def __new__(cls, tree: Tree, start1: int, start2: int, radius: int):
+        return tuple_new(cls, (tree, start1, start2, radius))
 
     @property
     def line_edges(self) -> int:

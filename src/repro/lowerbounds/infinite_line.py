@@ -14,30 +14,41 @@ is the state in which the agent leaves ``v``) are derived from it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..agents.automaton import LineAutomaton
 from ..agents.observations import NULL_PORT, STAY
+from ..records import TupleRecord, tuple_new
 
 __all__ = ["InfiniteLineRun", "LeaveEvent", "simulate_infinite_line"]
 
 
-class LeaveEvent(NamedTuple):
+class LeaveEvent(TupleRecord):
     """The agent left ``position`` at (1-based) round ``round_index`` while
     in state ``state`` (the state that emitted the move)."""
 
-    round_index: int
-    position: int
-    state: int
-    direction: int  # +1 or -1
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        round_index: int,
+        position: int,
+        state: int,
+        direction: int,  # +1 or -1
+    ):
+        return tuple_new(cls, (round_index, position, state, direction))
 
 
-class InfiniteLineRun(NamedTuple):
+class InfiniteLineRun(TupleRecord):
     """Round-by-round record of an infinite-line execution from position 0."""
 
-    positions: list[int]  # positions[t] = position after round t (t >= 1); [0] = 0
-    states: list[int]  # states[t] = state whose action was executed in round t
-    leave_events: list[LeaveEvent]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        positions: list[int],  # positions[t] = position after round t (t >= 1); [0] = 0
+        states: list[int],  # states[t] = state whose action was executed in round t
+        leave_events: list[LeaveEvent],
+    ):
+        return tuple_new(cls, (positions, states, leave_events))
 
     @property
     def rounds(self) -> int:

@@ -24,11 +24,12 @@ non-meeting.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.automaton import Automaton
 from ..agents.observations import NULL_PORT, STAY
 from ..errors import ConstructionError
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..sim.engine import RendezvousOutcome
 from ..trees.automorphism import perfectly_symmetrizable
@@ -113,16 +114,24 @@ def find_colliding_side_trees(
     return None
 
 
-class Thm43Instance(NamedTuple):
+class Thm43Instance(TupleRecord):
     """A defeating two-sided tree for one concrete agent, delay 0."""
 
-    two_sided: TwoSided
-    side1: SideTree
-    side2: SideTree
-    behavior: BehaviorFunction
-    ell: int
-    memory_bits: int
-    outcome: Optional[RendezvousOutcome]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        two_sided: TwoSided,
+        side1: SideTree,
+        side2: SideTree,
+        behavior: BehaviorFunction,
+        ell: int,
+        memory_bits: int,
+        outcome: Optional[RendezvousOutcome],
+    ):
+        return tuple_new(cls, (
+            two_sided, side1, side2, behavior, ell, memory_bits, outcome,
+        ))
 
     @property
     def tree(self) -> Tree:

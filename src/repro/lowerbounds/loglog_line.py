@@ -33,11 +33,12 @@ The returned instance is machine-certified by configuration recurrence.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.automaton import LineAutomaton
 from ..agents.digraph import analyze_functional
 from ..errors import ConstructionError
+from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..sim.engine import RendezvousOutcome
 from ..trees.automorphism import perfectly_symmetrizable
@@ -49,18 +50,26 @@ from .infinite_line import simulate_infinite_line
 __all__ = ["Thm42Instance", "build_thm42_instance"]
 
 
-class Thm42Instance(NamedTuple):
+class Thm42Instance(TupleRecord):
     """A defeating simultaneous-start instance for one concrete agent."""
 
-    tree: Tree
-    start1: int
-    start2: int
-    kind: str  # "drifting" or "bounded"
-    gamma: int
-    x: int
-    x_prime: int
-    memory_bits: int
-    outcome: Optional[RendezvousOutcome]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        start1: int,
+        start2: int,
+        kind: str,  # "drifting" or "bounded"
+        gamma: int,
+        x: int,
+        x_prime: int,
+        memory_bits: int,
+        outcome: Optional[RendezvousOutcome],
+    ):
+        return tuple_new(cls, (
+            tree, start1, start2, kind, gamma, x, x_prime, memory_bits, outcome,
+        ))
 
     @property
     def line_edges(self) -> int:

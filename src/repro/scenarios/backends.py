@@ -86,11 +86,6 @@ from ..sim.multi import (
     run_gathering_compiled,
     run_gathering_reference,
 )
-from ..sim.supervise import (
-    JobFailure,
-    run_batch_supervised,
-    run_gathering_batch_supervised,
-)
 from ..sim.kernel import (
     KernelUnsupported,
     PairVerdict,
@@ -575,6 +570,8 @@ class BatchedBackend(AutoBackend):
     carry no trace and no agents.  A job that still fails after its
     retries raises :class:`~repro.scenarios.spec.ScenarioError` naming
     every failed slot — a grid result must never silently hold holes.
+    The pool module is imported where a grid is dispatched, so a process
+    that never fans out never loads it (nor :mod:`pickle`).
     """
 
     name = "batched"
@@ -594,12 +591,16 @@ class BatchedBackend(AutoBackend):
 
     @staticmethod
     def _settled(results):
+        from ..sim.supervise import JobFailure
+
         failures = [r for r in results if isinstance(r, JobFailure)]
         if failures:
             raise ScenarioError(JobFailure.summarize(failures))
         return results
 
     def run_many(self, jobs: Sequence[BatchJob]) -> list[RendezvousOutcome]:
+        from ..sim.supervise import run_batch_supervised
+
         return self._settled(run_batch_supervised(
             jobs, processes=self.processes, timeout=self.timeout,
             retries=self.retries, checkpoint=self.checkpoint,
@@ -608,6 +609,8 @@ class BatchedBackend(AutoBackend):
     def run_gathering_many(
         self, jobs: Sequence[GatheringJob]
     ) -> list[GatheringOutcome]:
+        from ..sim.supervise import run_gathering_batch_supervised
+
         return self._settled(run_gathering_batch_supervised(
             jobs, processes=self.processes, timeout=self.timeout,
             retries=self.retries, checkpoint=self.checkpoint,

@@ -14,7 +14,7 @@ no vector path never loads numpy at all (see
 
 from __future__ import annotations
 
-import platform
+import os
 import random
 import sys
 import time
@@ -70,17 +70,18 @@ def _environment_provenance() -> dict:
     loaded — ``None`` when no vector path ran (or numpy is absent), so a
     reader can tell which tier even could have run.
     ``kernel.enabled`` is "not disabled and numpy importable", from a
-    spec lookup; ``platform`` is ``system-release-machine`` (the parts
-    of :func:`platform.platform` that need no ``uname -p`` process).
+    spec lookup; ``platform`` is ``system-release-machine`` from
+    :func:`os.uname` and ``python`` the first word of :data:`sys.version`,
+    the strings :mod:`platform` returns on POSIX without the cost of
+    importing it.
     """
     from ..sim.numpy_probe import kernel_cache_dir, kernel_enabled
 
+    uname = os.uname()
     return {
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "implementation": sys.implementation.name,
-        "platform": "-".join(
-            (platform.system(), platform.release(), platform.machine())
-        ),
+        "platform": f"{uname.sysname}-{uname.release}-{uname.machine}",
         "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "kernel": {
             "enabled": kernel_enabled(),

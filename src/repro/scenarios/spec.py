@@ -177,8 +177,9 @@ class DelayPolicy(Record, frozen=True):
 def _canon(value: Any) -> Any:
     """JSON-stable canonical form (tuples -> lists, sorted dict keys).
 
-    A NamedTuple record is refused like any other record type: as a
-    list it would lose its type and read back as a plain list."""
+    A tuple record (:class:`~repro.records.TupleRecord`) is refused
+    like any other record type: as a list it would lose its type and
+    read back as a plain list."""
     if isinstance(value, dict):
         return {str(k): _canon(value[k]) for k in sorted(value)}
     if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):

@@ -29,7 +29,8 @@ empty plan, which the loop reads only at the plan's event rounds, and
 reference/compiled parity covers both.  Long grids run under the
 supervised pool (:mod:`repro.sim.supervise`): per-job timeouts, retry
 with backoff, worker respawn, structured :class:`JobFailure` rows, and
-checkpointed resume.
+checkpointed resume.  Its names load on first access (PEP 562), so a
+process that never starts a pool never imports it.
 """
 
 from .adversary import (
@@ -78,13 +79,6 @@ from .kernel import (
     solve_delay_grid_kernel,
     solve_gathering_auto,
     solve_gathering_kernel,
-)
-from .supervise import (
-    JobFailure,
-    SweepCheckpoint,
-    job_fingerprint,
-    run_batch_supervised,
-    run_gathering_batch_supervised,
 )
 from .instrument import RegisterEvent, SoloRun, run_solo
 from .traced import (
@@ -176,3 +170,19 @@ __all__ = [
     "feasible_start_pairs",
     "labelings_for",
 ]
+
+_SUPERVISE_NAMES = frozenset({
+    "JobFailure",
+    "SweepCheckpoint",
+    "job_fingerprint",
+    "run_batch_supervised",
+    "run_gathering_batch_supervised",
+})
+
+
+def __getattr__(name: str):
+    if name in _SUPERVISE_NAMES:
+        from . import supervise
+
+        return getattr(supervise, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

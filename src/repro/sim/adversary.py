@@ -11,18 +11,17 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.observations import AgentBase
 from ..errors import SimulationError
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 from ..trees.automorphism import perfectly_symmetrizable
 from ..trees.labelings import all_labelings, random_relabel
 from ..trees.tree import Tree
 from .batch import BatchJob, derive_seed
 from .compiled import run_rendezvous_fast
 from .engine import RendezvousOutcome
-from .supervise import JobFailure, run_batch_supervised
 
 __all__ = [
     "all_start_pairs",
@@ -64,15 +63,21 @@ def labelings_for(
     return out
 
 
-class FailedInstance(NamedTuple):
+class FailedInstance(TupleRecord):
     """One instance on which the agent failed to rendezvous."""
 
-    tree: Tree
-    start1: int
-    start2: int
-    delay: int
-    delayed: int
-    outcome: RendezvousOutcome
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        start1: int,
+        start2: int,
+        delay: int,
+        delayed: int,
+        outcome: RendezvousOutcome,
+    ):
+        return tuple_new(cls, (tree, start1, start2, delay, delayed, outcome))
 
 
 class AdversaryReport(Record):
@@ -160,6 +165,8 @@ def adversarial_search(
         (lambda idx: derive_seed(seed, idx)) if seed is not None else (lambda idx: None)
     )
     if processes is not None and processes > 1 and not stop_at_first_failure:
+        from .supervise import JobFailure, run_batch_supervised
+
         jobs = [
             BatchJob(t, prototype, u, v, delay=d, delayed=side,
                      max_rounds=max_rounds, certify=certify, seed=job_seed(idx))

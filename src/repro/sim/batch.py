@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from ..agents.observations import AgentBase
+from ..records import TupleRecord, tuple_new
 from ..trees.tree import Tree
 from .compiled import run_rendezvous_fast
 from .engine import RendezvousOutcome
@@ -49,7 +50,7 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class BatchJob(NamedTuple):
+class BatchJob(TupleRecord):
     """One independent rendezvous run.
 
     ``seed`` (optional) re-seeds the worker's global :mod:`random` state
@@ -62,16 +63,25 @@ class BatchJob(NamedTuple):
     jobs keep working against runners without a ``faults`` parameter.
     """
 
-    tree: Tree
-    prototype: AgentBase
-    start1: int
-    start2: int
-    delay: int = 0
-    delayed: int = 2
-    max_rounds: int = 1_000_000
-    certify: bool = False
-    seed: Optional[int] = None
-    faults: Optional[object] = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        prototype: AgentBase,
+        start1: int,
+        start2: int,
+        delay: int = 0,
+        delayed: int = 2,
+        max_rounds: int = 1_000_000,
+        certify: bool = False,
+        seed: Optional[int] = None,
+        faults: Optional[object] = None,
+    ):
+        return tuple_new(cls, (
+            tree, prototype, start1, start2, delay, delayed, max_rounds, certify, seed,
+            faults,
+        ))
 
     def apply(self, run: Callable[..., _O]) -> _O:
         """Invoke a ``run_rendezvous``-shaped callable on this job — the
@@ -94,21 +104,29 @@ class BatchJob(NamedTuple):
         )
 
 
-class GatheringJob(NamedTuple):
+class GatheringJob(TupleRecord):
     """One independent k-agent gathering run (``BatchJob``'s k-agent twin).
 
     ``delays`` aligns with ``starts`` (``None`` means all zero); ``seed``
     and ``faults`` behave exactly as on :class:`BatchJob`.
     """
 
-    tree: Tree
-    prototype: AgentBase
-    starts: tuple[int, ...]
-    delays: Optional[tuple[int, ...]] = None
-    max_rounds: int = 1_000_000
-    certify: bool = False
-    seed: Optional[int] = None
-    faults: Optional[object] = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        prototype: AgentBase,
+        starts: tuple[int, ...],
+        delays: Optional[tuple[int, ...]] = None,
+        max_rounds: int = 1_000_000,
+        certify: bool = False,
+        seed: Optional[int] = None,
+        faults: Optional[object] = None,
+    ):
+        return tuple_new(cls, (
+            tree, prototype, starts, delays, max_rounds, certify, seed, faults,
+        ))
 
     def apply(self, run: Callable[..., _O]) -> _O:
         """Invoke a ``run_gathering``-shaped callable on this job (see

@@ -31,11 +31,12 @@ delay 0, identical agents and no faults.  Every engine tier's
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.automaton import Automaton
 from ..agents.observations import NULL_PORT, STAY, resolve_action
 from ..errors import SimulationError
+from ..records import TupleRecord, tuple_new
 from ..trees.automorphism import port_preserving_automorphism
 from ..trees.tree import Tree
 from .delays import delay_vector
@@ -50,15 +51,21 @@ __all__ = [
 ]
 
 
-class JointConfig(NamedTuple):
+class JointConfig(TupleRecord):
     """One joint configuration: everything that determines the future."""
 
-    pos1: int
-    state1: int
-    in1: int
-    pos2: int
-    state2: int
-    in2: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pos1: int,
+        state1: int,
+        in1: int,
+        pos2: int,
+        state2: int,
+        in2: int,
+    ):
+        return tuple_new(cls, (pos1, state1, in1, pos2, state2, in2))
 
     @property
     def meeting(self) -> bool:
@@ -79,7 +86,7 @@ def _advance_one(tree: Tree, automaton: Automaton, pos: int, state: int, in_port
     return nxt_pos, nxt_state, nxt_in
 
 
-class NonMeetingCertificate(NamedTuple):
+class NonMeetingCertificate(TupleRecord):
     """A lasso of joint configurations proving eternal non-meeting.
 
     ``prefix`` runs from the first both-started configuration to the cycle
@@ -89,14 +96,22 @@ class NonMeetingCertificate(NamedTuple):
     begins (finitely many rounds).
     """
 
-    tree: Tree
-    automaton: Automaton
-    start1: int
-    start2: int
-    delay: int
-    delayed: int
-    prefix: tuple[JointConfig, ...]
-    cycle: tuple[JointConfig, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        automaton: Automaton,
+        start1: int,
+        start2: int,
+        delay: int,
+        delayed: int,
+        prefix: tuple[JointConfig, ...],
+        cycle: tuple[JointConfig, ...],
+    ):
+        return tuple_new(cls, (
+            tree, automaton, start1, start2, delay, delayed, prefix, cycle,
+        ))
 
     @property
     def lasso_length(self) -> int:
@@ -155,7 +170,7 @@ class NonMeetingCertificate(NamedTuple):
         )
 
 
-class SymmetryCertificate(NamedTuple):
+class SymmetryCertificate(TupleRecord):
     """Fact 1.1: a port-preserving involution carrying ``start1`` to
     ``start2`` proves that two identical agents started together there
     never meet.
@@ -165,10 +180,10 @@ class SymmetryCertificate(NamedTuple):
     the lockstep, and two different agents need not act alike.
     """
 
-    tree: Tree
-    start1: int
-    start2: int
-    mapping: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, tree: Tree, start1: int, start2: int, mapping: tuple[int, ...]):
+        return tuple_new(cls, (tree, start1, start2, mapping))
 
     def verify(self) -> bool:
         """Re-check ``f`` edge by edge, without the builder's search.

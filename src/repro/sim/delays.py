@@ -26,9 +26,10 @@ across θ without a delay-shaped body of its own.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..errors import SimulationError
+from ..records import TupleRecord, tuple_new
 
 __all__ = [
     "DelayVerdict",
@@ -41,21 +42,29 @@ __all__ = [
 ]
 
 
-class DelayVerdict(NamedTuple):
+class DelayVerdict(TupleRecord):
     """Exact fate of one ``(delay, delayed)`` adversary choice: the
     :class:`~repro.sim.gathering_solver.GatheringVerdict` of its k=2
     delay vector, field for field.  The exact solvers always decide;
     a budgeted per-run sweep may set neither flag (undecided)."""
 
-    delay: int
-    delayed: int
-    met: bool
-    meeting_round: Optional[int]
-    certified_never: bool
-    # Did a crash fault fire by this choice's final decided round?
-    # Always False for fault-free sweeps; lets executors certify
-    # "never meets because a fault killed an agent" distinctly.
-    crashed: bool = False
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        delay: int,
+        delayed: int,
+        met: bool,
+        meeting_round: Optional[int],
+        certified_never: bool,
+        # Did a crash fault fire by this choice's final decided round?
+        # Always False for fault-free sweeps; lets executors certify
+        # "never meets because a fault killed an agent" distinctly.
+        crashed: bool = False,
+    ):
+        return tuple_new(cls, (
+            delay, delayed, met, meeting_round, certified_never, crashed,
+        ))
 
 
 def check_sides(sides: Sequence[int], error=SimulationError) -> tuple[int, ...]:

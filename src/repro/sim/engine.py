@@ -46,11 +46,11 @@ the frozen agents change.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..errors import SimulationError
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 from ..trees.tree import Tree
 from .delays import delay_vector
 from .faults import _NO_FAULTS, FaultPlan, _segments
@@ -76,7 +76,7 @@ class _AgentState(Record):
         return (self.pos, state, self.in_port)
 
 
-class RendezvousOutcome(NamedTuple):
+class RendezvousOutcome(TupleRecord):
     """Result of a simulated execution.
 
     Exactly one of three verdicts holds:
@@ -87,24 +87,33 @@ class RendezvousOutcome(NamedTuple):
     - neither — the round budget ran out without a verdict.
     """
 
-    met: bool
-    meeting_round: Optional[int]
-    meeting_node: Optional[int]
-    rounds_executed: int
-    certified_never: bool
-    crossings: int
-    trace: Optional[Trace]
-    agents: tuple[AgentBase, AgentBase]
-    # Agents (0-based: rendezvous agent 1 -> 0) whose crash fault had
-    # fired by the final executed round; always () for fault-free runs.
-    crashed: tuple[int, ...] = ()
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        met: bool,
+        meeting_round: Optional[int],
+        meeting_node: Optional[int],
+        rounds_executed: int,
+        certified_never: bool,
+        crossings: int,
+        trace: Optional[Trace],
+        agents: tuple[AgentBase, AgentBase],
+        # Agents (0-based: rendezvous agent 1 -> 0) whose crash fault had
+        # fired by the final executed round; always () for fault-free runs.
+        crashed: tuple[int, ...] = (),
+    ):
+        return tuple_new(cls, (
+            met, meeting_round, meeting_node, rounds_executed, certified_never,
+            crossings, trace, agents, crashed,
+        ))
 
     @property
     def undecided(self) -> bool:
         return not self.met and not self.certified_never
 
 
-class JointRun(NamedTuple):
+class JointRun(TupleRecord):
     """What a tier's k-agent loop reports (rounds 1.. of a run whose
     agents do not all share a node at round 0).
 
@@ -114,14 +123,23 @@ class JointRun(NamedTuple):
     clones on the compiled tier, fresh clones on the traced tier.
     """
 
-    gathered: bool
-    round: Optional[int]
-    rounds_executed: int
-    positions: tuple[int, ...]
-    largest: int  # max #agents co-located at the end of a round
-    certified_never: bool
-    crossings: int
-    agents: tuple
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gathered: bool,
+        round: Optional[int],
+        rounds_executed: int,
+        positions: tuple[int, ...],
+        largest: int,  # max #agents co-located at the end of a round
+        certified_never: bool,
+        crossings: int,
+        agents: tuple,
+    ):
+        return tuple_new(cls, (
+            gathered, round, rounds_executed, positions, largest, certified_never,
+            crossings, agents,
+        ))
 
 
 def _rendezvous(

@@ -64,11 +64,11 @@ from healthy never-meeting all the way up to the scenario rows
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..errors import SimulationError
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 from ..trees.automorphism import is_symmetric_labeling
 from ..trees.labelings import random_relabel
 from ..trees.tree import Tree
@@ -89,30 +89,35 @@ __all__ = [
 _RELABEL_ATTEMPTS = 32
 
 
-class CrashFault(NamedTuple):
+class CrashFault(TupleRecord):
     """Agent ``agent`` (0-based) crash-stops at round ``round`` (1-based):
     that round and every later one it executes nothing, but keeps
     occupying its node."""
 
-    agent: int
-    round: int
+    __slots__ = ()
+
+    def __new__(cls, agent: int, round: int):
+        return tuple_new(cls, (agent, round))
 
 
-class PauseFault(NamedTuple):
+class PauseFault(TupleRecord):
     """Agent ``agent`` freezes for rounds ``round .. round+duration-1``:
     no automaton step, no move, pending entry port preserved."""
 
-    agent: int
-    round: int
-    duration: int = 1
+    __slots__ = ()
+
+    def __new__(cls, agent: int, round: int, duration: int = 1):
+        return tuple_new(cls, (agent, round, duration))
 
 
-class RelabelFault(NamedTuple):
+class RelabelFault(TupleRecord):
     """Before round ``round``'s actions the ports are re-drawn with
     ``random.Random(seed)`` (automorphism-respecting; node ids fixed)."""
 
-    round: int
-    seed: int = 0
+    __slots__ = ()
+
+    def __new__(cls, round: int, seed: int = 0):
+        return tuple_new(cls, (round, seed))
 
 
 class FaultPlan(Record, frozen=True):

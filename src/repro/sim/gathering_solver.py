@@ -49,11 +49,12 @@ as ``(n·K·(Δ+1))^k``), not a round budget.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY
 from ..errors import BudgetExceededError, SimulationError
+from ..records import TupleRecord, tuple_new
 from ..trees.tree import Tree
 from .compiled import _make_stepper, _table_rounds, compile_agent
 from .faults import _NO_FAULTS, FaultPlan
@@ -64,7 +65,7 @@ __all__ = ["GatheringVerdict", "solve_gathering"]
 _NEVER = (False, -1)
 
 
-class GatheringVerdict(NamedTuple):
+class GatheringVerdict(TupleRecord):
     """Fate of one per-agent delay vector.
 
     :func:`solve_gathering` always decides (the product configuration
@@ -75,13 +76,21 @@ class GatheringVerdict(NamedTuple):
     exhaustion, which callers must never treat as a non-gathering proof.
     """
 
-    delays: tuple[int, ...]
-    gathered: bool
-    gathering_round: Optional[int]
-    certified_never: bool
-    # Did a crash fault fire by this vector's final decided round?
-    # Always False for fault-free sweeps (see DelayVerdict.crashed).
-    crashed: bool = False
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        delays: tuple[int, ...],
+        gathered: bool,
+        gathering_round: Optional[int],
+        certified_never: bool,
+        # Did a crash fault fire by this vector's final decided round?
+        # Always False for fault-free sweeps (see DelayVerdict.crashed).
+        crashed: bool = False,
+    ):
+        return tuple_new(cls, (
+            delays, gathered, gathering_round, certified_never, crashed,
+        ))
 
 
 def _check_grid(tree, prototype, start_sets, delay_vectors, prototypes):

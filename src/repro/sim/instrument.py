@@ -18,23 +18,24 @@ round r" checkable in tests, and powers the memory experiments.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..agents.program import AgentProgram
 from ..errors import SimulationError
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 from ..trees.tree import Tree
 
 __all__ = ["RegisterEvent", "SoloRun", "run_solo"]
 
 
-class RegisterEvent(NamedTuple):
+class RegisterEvent(TupleRecord):
     """A register changed value at the end of ``round_index``."""
 
-    round_index: int
-    name: str
-    value: int
+    __slots__ = ()
+
+    def __new__(cls, round_index: int, name: str, value: int):
+        return tuple_new(cls, (round_index, name, value))
 
 
 class SoloRun(Record):

@@ -61,12 +61,13 @@ import hashlib
 import os
 import weakref
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..agents.automaton import Automaton
 from ..agents.observations import STAY
 from ..durable import atomic_writer, quarantine
 from ..errors import BudgetExceededError, SimulationError
+from ..records import TupleRecord, tuple_new
 from ..telemetry import current as _telemetry
 from ..trees.tree import Tree
 from .compiled import _INVALID, compile_agent, solve_all_delays
@@ -124,7 +125,7 @@ class KernelUnsupported(Exception):
     """
 
 
-class PairVerdict(NamedTuple):
+class PairVerdict(TupleRecord):
     """Delay-0 fate of one start pair from a batched pairs decision.
 
     ``met``/``meeting_round`` follow the engines' parity contract; a
@@ -132,9 +133,15 @@ class PairVerdict(NamedTuple):
     ``certified_never`` set (undecided — never proof).
     """
 
-    met: bool
-    meeting_round: Optional[int]
-    certified_never: bool = False
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        met: bool,
+        meeting_round: Optional[int],
+        certified_never: bool = False,
+    ):
+        return tuple_new(cls, (met, meeting_round, certified_never))
 
 
 def kernel_available() -> bool:

@@ -31,10 +31,11 @@ assert identical outcomes.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..agents.observations import AgentBase
 from ..errors import SimulationError
+from ..records import TupleRecord, tuple_new
 from ..trees.tree import Tree
 from .compiled import _compiled_run, supports_compilation
 from .engine import _reference_run
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 
-class GatheringOutcome(NamedTuple):
+class GatheringOutcome(TupleRecord):
     """Result of a k-agent gathering run.
 
     Exactly one of three verdicts holds (mirroring
@@ -60,16 +61,25 @@ class GatheringOutcome(NamedTuple):
     - neither — the round budget ran out without a verdict.
     """
 
-    gathered: bool
-    gathering_round: Optional[int]
-    gathering_node: Optional[int]
-    rounds_executed: int
-    positions: tuple[int, ...]  # final positions
-    largest_cluster: int  # max #agents ever co-located in a single round
-    certified_never: bool = False
-    # Agents whose crash fault had fired by the final executed round;
-    # always () for fault-free runs.
-    crashed: tuple[int, ...] = ()
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gathered: bool,
+        gathering_round: Optional[int],
+        gathering_node: Optional[int],
+        rounds_executed: int,
+        positions: tuple[int, ...],  # final positions
+        largest_cluster: int,  # max #agents ever co-located in a single round
+        certified_never: bool = False,
+        # Agents whose crash fault had fired by the final executed round;
+        # always () for fault-free runs.
+        crashed: tuple[int, ...] = (),
+    ):
+        return tuple_new(cls, (
+            gathered, gathering_round, gathering_node, rounds_executed, positions,
+            largest_cluster, certified_never, crashed,
+        ))
 
     @property
     def undecided(self) -> bool:

@@ -54,8 +54,9 @@ import pickle
 import random
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from ..records import TupleRecord, tuple_new
 from ..telemetry import (
     Telemetry,
     current as _telemetry,
@@ -81,7 +82,7 @@ __all__ = [
 _POLL_INTERVAL = 0.05
 
 
-class JobFailure(NamedTuple):
+class JobFailure(TupleRecord):
     """A job slot that produced no outcome.
 
     ``kind`` is one of ``"timeout"`` (the job exceeded its wall-clock
@@ -98,12 +99,20 @@ class JobFailure(NamedTuple):
     construction from older call sites stays valid.
     """
 
-    index: int
-    kind: str
-    message: str
-    attempts: int
-    duration_seconds: float = 0.0
-    attempt_seconds: tuple[float, ...] = ()
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        index: int,
+        kind: str,
+        message: str,
+        attempts: int,
+        duration_seconds: float = 0.0,
+        attempt_seconds: tuple[float, ...] = (),
+    ):
+        return tuple_new(cls, (
+            index, kind, message, attempts, duration_seconds, attempt_seconds,
+        ))
 
     @staticmethod
     def summarize(failures: Sequence["JobFailure"]) -> str:

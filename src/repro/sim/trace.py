@@ -9,15 +9,15 @@ the other does not).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..agents.observations import STAY
-from ..records import Record
+from ..records import Record, TupleRecord, tuple_new
 
 __all__ = ["RoundRecord", "Trace"]
 
 
-class RoundRecord(NamedTuple):
+class RoundRecord(TupleRecord):
     """State of the world after one synchronous round.
 
     ``action1``/``action2`` are the *resolved* actions (an actual port or
@@ -25,11 +25,17 @@ class RoundRecord(NamedTuple):
     program, records ``STAY``.
     """
 
-    round_index: int
-    pos1: int
-    pos2: int
-    action1: int
-    action2: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        round_index: int,
+        pos1: int,
+        pos2: int,
+        action1: int,
+        action2: int,
+    ):
+        return tuple_new(cls, (round_index, pos1, pos2, action1, action2))
 
     @property
     def moved1(self) -> bool:

@@ -23,9 +23,10 @@ Two structural facts this module exploits (and the tests verify):
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..errors import SimulationError
+from ..records import TupleRecord, tuple_new
 from .tree import Tree
 
 __all__ = [
@@ -39,13 +40,13 @@ __all__ = [
 ]
 
 
-class WalkStep(NamedTuple):
+class WalkStep(TupleRecord):
     """One step of a walk: the edge taken and the arrival observation."""
 
-    from_node: int
-    out_port: int
-    to_node: int
-    in_port: int
+    __slots__ = ()
+
+    def __new__(cls, from_node: int, out_port: int, to_node: int, in_port: int):
+        return tuple_new(cls, (from_node, out_port, to_node, in_port))
 
 
 def basic_walk(

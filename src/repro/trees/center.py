@@ -7,14 +7,15 @@ edge*).  This is the classical 1- or 2-center of a tree.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from ..records import TupleRecord, tuple_new
 from .tree import Tree
 
 __all__ = ["Center", "find_center"]
 
 
-class Center(NamedTuple):
+class Center(TupleRecord):
     """The result of leaf stripping.
 
     Exactly one of ``node`` / ``edge`` is set.  ``layers[u]`` is the round at
@@ -22,9 +23,15 @@ class Center(NamedTuple):
     carrying the maximum layer.
     """
 
-    node: Optional[int]
-    edge: Optional[tuple[int, int]]
-    layers: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        node: Optional[int],
+        edge: Optional[tuple[int, int]],
+        layers: tuple[int, ...],
+    ):
+        return tuple_new(cls, (node, edge, layers))
 
     @property
     def is_node(self) -> bool:

@@ -14,15 +14,14 @@ T'-node -> T-node, and each T'-edge -> the full T-path it contracts.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..errors import InvalidTreeError
+from ..records import TupleRecord, tuple_new
 from .tree import Tree
 
 __all__ = ["Contraction", "contract"]
 
 
-class Contraction(NamedTuple):
+class Contraction(TupleRecord):
     """The contraction T' of a tree T together with the node/edge maps.
 
     Attributes
@@ -41,11 +40,17 @@ class Contraction(NamedTuple):
         T'-node ``a`` through port ``p``.
     """
 
-    original: Tree
-    contracted: Tree
-    to_original: tuple[int, ...]
-    from_original: dict[int, int]
-    paths: dict[tuple[int, int], tuple[int, ...]]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        original: Tree,
+        contracted: Tree,
+        to_original: tuple[int, ...],
+        from_original: dict[int, int],
+        paths: dict[tuple[int, int], tuple[int, ...]],
+    ):
+        return tuple_new(cls, (original, contracted, to_original, from_original, paths))
 
     @property
     def nu(self) -> int:

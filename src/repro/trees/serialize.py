@@ -9,9 +9,10 @@ deliberately dumb: the full ``port_to_nbr`` table.
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from ..errors import InvalidTreeError
+from ..records import TupleRecord, tuple_new
 from .tree import Tree
 
 __all__ = ["tree_to_json", "tree_from_json", "Instance", "instance_to_json", "instance_from_json"]
@@ -41,15 +42,21 @@ def tree_from_json(text: str) -> Tree:
     return Tree(rows)
 
 
-class Instance(NamedTuple):
+class Instance(TupleRecord):
     """A rendezvous instance: tree + starts + delay regime."""
 
-    tree: Tree
-    start1: int
-    start2: int
-    delay: int = 0
-    delayed: int = 2
-    note: str = ""
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        start1: int,
+        start2: int,
+        delay: int = 0,
+        delayed: int = 2,
+        note: str = "",
+    ):
+        return tuple_new(cls, (tree, start1, start2, delay, delayed, note))
 
     def validate(self) -> None:
         if not (0 <= self.start1 < self.tree.n and 0 <= self.start2 < self.tree.n):

@@ -22,9 +22,8 @@ the ``m`` joining nodes follow, ordered from side 1 to side 2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..errors import ConstructionError
+from ..records import TupleRecord, tuple_new
 from .tree import Tree
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 
-class SideTree(NamedTuple):
+class SideTree(TupleRecord):
     """A rooted, port-labeled side tree.
 
     ``tree`` is the standalone side tree (root = node 0); ``root_port_up``
@@ -46,9 +45,15 @@ class SideTree(NamedTuple):
     (the side tree itself only uses the root's other port).
     """
 
-    tree: Tree
-    choices: tuple[int, ...]  # 0 = short hair, 1 = long hair, per internal node
-    root_port_up: int
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tree: Tree,
+        choices: tuple[int, ...],  # 0 = short hair, 1 = long hair, per internal node
+        root_port_up: int,
+    ):
+        return tuple_new(cls, (tree, choices, root_port_up))
 
     @property
     def size(self) -> int:
@@ -121,7 +126,7 @@ def all_side_trees(i: int, root_port_up: int = 1) -> list[SideTree]:
     return out
 
 
-class TwoSided(NamedTuple):
+class TwoSided(TupleRecord):
     """A two-sided tree with the paper's start positions.
 
     ``u`` and ``v`` are the joining-path nodes adjacent to the two roots
@@ -129,12 +134,10 @@ class TwoSided(NamedTuple):
     added nodes and ``u``/``v`` fall back to the roots themselves.
     """
 
-    tree: Tree
-    root1: int
-    root2: int
-    u: int
-    v: int
-    m: int
+    __slots__ = ()
+
+    def __new__(cls, tree: Tree, root1: int, root2: int, u: int, v: int, m: int):
+        return tuple_new(cls, (tree, root1, root2, u, v, m))
 
 
 def two_sided_tree(side1: SideTree, side2: SideTree, m: int) -> TwoSided:

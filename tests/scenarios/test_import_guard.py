@@ -3,14 +3,17 @@
 numpy is loaded only where the kernel runs (sweeps above the auto lane
 gate; the traced tier's pair grids stay pure Python), networkx is never
 loaded by a scenario (it is optional interop only), the result
-provenance never spawns a process, and neither setup nor an atlas
-round trip imports ``dataclasses``.  ``sys.modules`` is process-wide,
+provenance never spawns a process, neither setup nor an atlas round
+trip imports ``dataclasses``, ``platform`` or the process pool, no
+record type is a ``collections.namedtuple`` product, and setup, not a
+run, pays for every ``repro`` import.  ``sys.modules`` is process-wide,
 so each case runs in its own interpreter.
 """
 
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -52,12 +55,23 @@ hit.to_payload()
 atlas.close()
 after_thm43 = "numpy" in sys.modules
 codegen = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+unused = [m for m in ("platform", "pickle", "repro.sim.supervise")
+          if m in sys.modules]
+namedtuples = sorted(
+    f"{module.__name__}.{name}"
+    for module in list(sys.modules.values())
+    if module is not None and module.__name__.split(".")[0] == "repro"
+    for name, cls in vars(module).items()
+    if isinstance(cls, type) and "_field_defaults" in vars(cls)
+)
 Runner(backend="auto").run("delays-line").to_payload()  # below the lane gate
 print(json.dumps({
     "miss": miss.cached_payload is None,
     "hit": hit.cached_payload is not None,
     "numpy_after_thm43": after_thm43,
     "codegen_after_thm43": codegen,
+    "unused_after_thm43": unused,
+    "namedtuple_classes": namedtuples,
     "numpy": "numpy" in sys.modules,
     "subprocess": "subprocess" in sys.modules,
     "environment": payload["environment"],
@@ -80,13 +94,81 @@ def test_scalar_scenario_loads_neither_numpy_nor_subprocess(atlas_round_trip):
     assert not out["subprocess"]
     env = out["environment"]
     assert env["numpy"] is None  # this process never loaded it
-    assert env["platform"].count("-") >= 2  # system-release-machine
+    # built from os.uname() and sys.version, the strings platform returns
+    assert env["platform"] == "-".join(
+        (platform.system(), platform.release(), platform.machine())
+    )
+    assert env["python"] == platform.python_version()
 
 
 def test_setup_and_atlas_round_trip_import_no_dataclasses(atlas_round_trip):
-    # record types are NamedTuples and __slots__ classes: nothing on this
+    # record types are tuple records and __slots__ classes: nothing on this
     # path imports dataclasses, nor inspect, which dataclasses pulls in
     assert atlas_round_trip["codegen_after_thm43"] == []
+
+
+def test_setup_and_atlas_round_trip_load_neither_platform_nor_the_pool(
+    atlas_round_trip,
+):
+    # the provenance reads os.uname(); the pool loads where a pool starts
+    assert atlas_round_trip["unused_after_thm43"] == []
+
+
+def test_no_record_type_is_a_namedtuple_product(atlas_round_trip):
+    # tuple records are repro.records.TupleRecord: their __new__ is source
+    # text, not a namedtuple's generated-and-eval'd one
+    assert atlas_round_trip["namedtuple_classes"] == []
+
+
+# The worker's setup, then every registry scenario against a fresh atlas,
+# noting what each Runner.run call imports for the first time.
+EVERY_SCENARIO = """
+import json, sys
+import repro
+from repro.scenarios import Runner
+from repro.scenarios.registry import get_scenario, scenario_names
+from repro.scenarios.atlas import AtlasStore
+
+names = scenario_names()
+for name in names:
+    get_scenario(name)
+atlas = AtlasStore(sys.argv[1])
+runner = Runner(atlas=atlas)
+first_imports = {}
+for name in names:
+    before = set(sys.modules)
+    runner.run(name)
+    first_imports[name] = sorted(set(sys.modules) - before)
+atlas.close()
+print(json.dumps(first_imports))
+"""
+
+RUN_MUST_NOT_IMPORT = ("platform", "pickle", "sqlite3")
+
+NUMPY_IMPORTS = """
+import json, sys
+before = set(sys.modules)
+import numpy
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_run_imports_a_repro_module(tmp_path):
+    # setup pays for imports and a run does not; the one exception is
+    # numpy, which a run loads behind the kernel's lane gate, together
+    # with what numpy itself imports (pickle and platform among them)
+    first_imports = run_fresh(EVERY_SCENARIO, str(tmp_path / "atlas.sqlite"))
+    assert len(first_imports) >= 29
+    numpy_brings = set()
+    if any("numpy" in modules for modules in first_imports.values()):
+        numpy_brings = set(run_fresh(NUMPY_IMPORTS))
+    late = {
+        name: [m for m in modules
+               if (m.split(".")[0] == "repro" or m in RUN_MUST_NOT_IMPORT)
+               and not ("numpy" in modules and m in numpy_brings)]
+        for name, modules in first_imports.items()
+    }
+    assert {name: m for name, m in late.items() if m} == {}
 
 
 ABOVE_GATE_SWEEP = """

@@ -20,7 +20,7 @@ import pytest
 
 from repro.agents import STAY, Automaton, LineAutomaton, alternator
 from repro.errors import SimulationError
-from repro.scenarios import Runner, backends
+from repro.scenarios import Runner
 from repro.scenarios.backends import BatchedBackend
 from repro.scenarios.spec import ScenarioError
 from repro.sim import (
@@ -36,6 +36,7 @@ from repro.sim import (
     run_gathering_reference,
     run_rendezvous_fast,
 )
+from repro.sim import supervise
 from repro.sim.supervise import decode_outcome, encode_outcome
 from repro.telemetry import Telemetry
 from repro.trees import edge_colored_line, line, spider
@@ -614,14 +615,15 @@ class TestBatchedScenarioPins:
     @pytest.mark.parametrize("name", POOLED_SCENARIOS)
     def test_batched_rows_match_golden(self, name, monkeypatch):
         submitted = []
-        pooled = backends.run_batch_supervised
+        pooled = supervise.run_batch_supervised
 
         def counting(jobs, **kwargs):
             jobs = list(jobs)
             submitted.append(len(jobs))
             return pooled(jobs, **kwargs)
 
-        monkeypatch.setattr(backends, "run_batch_supervised", counting)
+        # the batched backend imports the pool module where it dispatches
+        monkeypatch.setattr(supervise, "run_batch_supervised", counting)
         telem = Telemetry()
         result = Runner(processes=2).run(name, backend="batched", telemetry=telem)
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())

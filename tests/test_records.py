@@ -1,6 +1,6 @@
-"""The record types: NamedTuples for pure frozen records, ``__slots__``
-:class:`~repro.records.Record` subclasses for the mutable and validating
-ones.  These pin what callers rely on: equality, hashing, repr, the
+"""The record types: :class:`~repro.records.TupleRecord` tuples for pure
+frozen records, ``__slots__`` :class:`~repro.records.Record` subclasses
+for the mutable and validating ones.  These pin what callers rely on: equality, hashing, repr, the
 types' own ``_replace``, pickling across the process pool, spec hashes,
 payload round trips and the lowering key's type tag."""
 
@@ -16,12 +16,12 @@ from repro.agents.lowering import _freeze
 from repro.agents.program import Drive
 from repro.errors import AgentProtocolError
 from repro.analysis.stats import Series
-from repro.records import FrozenRecordError, Record
+from repro.records import FrozenRecordError, Record, TupleRecord, tuple_new
 from repro.scenarios import ScenarioResult
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import DelayPolicy, ScenarioError, ScenarioSpec
 from repro.sim import BatchJob, GatheringJob
-from repro.sim.faults import CrashFault, FaultPlan, PauseFault
+from repro.sim.faults import CrashFault, FaultPlan, PauseFault, RelabelFault
 from repro.sim.supervise import JobFailure
 from repro.sim.trace import Trace
 from repro.trees import edge_colored_line
@@ -104,6 +104,67 @@ class TestRecordBase:
         with pytest.raises(TypeError, match="__slots__"):
             class Loose(Record):  # noqa: F841
                 pass
+
+
+class TestTupleRecord:
+    def test_fields_follow_the_new_signature_and_defaults_apply(self):
+        class Hop(TupleRecord):
+            __slots__ = ()
+
+            def __new__(cls, node: int, edge: tuple = None, weight: int = 1):
+                return tuple_new(cls, (node, edge, weight))
+
+        assert Hop._fields == ("node", "edge", "weight")
+        hop = Hop(3)
+        assert (hop.node, hop.edge, hop.weight) == (3, None, 1)
+        assert Hop(3, weight=2) == (3, None, 2)
+        assert PauseFault._fields == ("agent", "round", "duration")
+        assert PauseFault(0, 2).duration == 1
+
+    def test_an_instance_is_a_read_only_tuple(self):
+        fault = PauseFault(0, 2, 3)
+        assert isinstance(fault, tuple) and type(fault) is PauseFault
+        agent, round_, duration = fault
+        assert (agent, round_, duration) == (0, 2, 3)
+        assert fault[1] == fault.round == 2
+        with pytest.raises(AttributeError):
+            fault.round = 5
+        with pytest.raises(AttributeError):
+            fault.extra = 1  # __slots__ = (): no instance dict
+
+    def test_repr_and_replace(self):
+        fault = PauseFault(0, 2)
+        assert repr(fault) == "PauseFault(agent=0, round=2, duration=1)"
+        assert fault._replace(duration=4) == PauseFault(0, 2, 4)
+        assert type(fault._replace()) is PauseFault
+        with pytest.raises(TypeError, match="no field"):
+            fault._replace(nope=1)
+
+    def test_defaulted_record_pickles_and_copies_through_new(self):
+        for record in (PauseFault(1, 5), RelabelFault(3), Drive(None, 3, 1, True)):
+            for back in (pickle.loads(pickle.dumps(record)),
+                         copy.copy(record), copy.deepcopy(record)):
+                assert type(back) is type(record) and back == record
+
+    def test_equal_values_compare_equal_across_types(self):
+        # documented tuple equality: the types never share a set or keys
+        assert CrashFault(0, 3) == RelabelFault(0, 3) == (0, 3)
+        assert hash(CrashFault(0, 3)) == hash(RelabelFault(0, 3))
+
+    def test_malformed_record_types_are_refused(self):
+        with pytest.raises(TypeError, match="__slots__"):
+            class Loose(TupleRecord):  # noqa: F841
+                def __new__(cls, a):
+                    return tuple_new(cls, (a,))
+        with pytest.raises(TypeError, match="__new__"):
+            class Fieldless(TupleRecord):  # noqa: F841
+                __slots__ = ()
+        with pytest.raises(TypeError, match="positionally"):
+            class Starred(TupleRecord):  # noqa: F841
+                __slots__ = ()
+
+                def __new__(cls, *values):
+                    return tuple_new(cls, values)
 
 
 class TestPickling:
