@@ -18,19 +18,21 @@ this module provides the *register machine* view of an agent:
   imperative syntax (``yield from move(ctx, port)``) while staying
   round-accurate.
 
-A routine may also yield a :class:`Block` — a fixed run of walks whose
-end node, edge count and register effects depend only on the start node
-and the block's key.  It receives either the block's final observation
-``(in_port, degree, rounds)``, when the driver jumped it, or ``None``,
-and then runs the block's walks itself.
+A routine may also yield a :class:`Block` — a fixed run of instructions
+(walks and int moves) whose end node, edge count and register effects
+depend only on the start node and the block's key.  It receives either
+the block's final observation ``(in_port, degree, rounds)``, when the
+driver jumped it, or ``None``, and then runs the block's instructions
+itself.
 
 Two drivers run routines.  ``AgentProgram.start``/``step`` answer every
 :class:`Block` with ``None`` and expand every :class:`Walk` round by
 round, so the simulation engines, the lowering passes and the traced
 tier see exactly the per-round actions and register writes of the
 equivalent ``stay``/``move`` loop.  :func:`drive` runs one routine
-*alone* on a tree and jumps each walk, and each block, whole through
-per-call tables — the solo replay the memory experiments measure.
+*alone* on a tree, steps int actions through the tree's flat move
+tables and jumps each walk, and each block, whole through per-call
+tables — the solo replay the memory experiments measure.
 
 When the generator returns, the agent is considered to *wait forever* (the
 rendezvous algorithms end by waiting at a node).
@@ -103,15 +105,18 @@ class Walk(Record, frozen=True):
 
 
 class Block:
-    """A fixed run of walks, jumped whole by :func:`drive`.
+    """A fixed run of instructions, jumped whole by :func:`drive`.
 
     ``routine(ctx, registers, speed)`` restarts the routine that yields
     the block: it yields this block first and, answered ``None``, runs
-    the block's walks and returns.  The walks all run at speed
-    ``1/speed``, and their end node, edge count and register writes
-    depend only on the start node and ``key`` — so ``drive`` can run
-    them once at speed 1 and replay them at every speed.  The routine
-    declares every register it writes.
+    the block's instructions — walks, int moves or both — and returns.
+    They all run at speed ``1/speed`` (a block of int moves has speed
+    1), and their end node, edge count and register writes depend only
+    on the start node and ``key`` — so ``drive`` can run them once at
+    speed 1 and replay them at every speed.  The routine declares every
+    register it writes.  Two kinds exist: a traversal of the rendezvous
+    path P (walks, keyed ``("P", ...)``) and an Explo-bis that Synchro
+    inserts (int moves, keyed ``("explo-bis",)``).
     """
 
     __slots__ = ("key", "routine", "speed")
@@ -124,7 +129,7 @@ class Block:
 
 # A routine yields int actions and receives observations (in_port, degree),
 # yields a Walk and receives (in_port, degree, rounds) once it is done, or
-# yields a Block and receives the same triple or None (run its walks yourself).
+# yields a Block and receives the same triple or None (run it yourself).
 Routine = Generator[Union[int, Walk, Block], Optional[tuple], Any]
 
 
@@ -465,10 +470,12 @@ _DRIVE_COUNTERS = (
 def _walk_edges(tree, u: int, port: int, delta: int, arrivals: int):
     """Yield ``(node, in_port, arrivals so far)`` after each edge of the
     walk leaving ``u`` by ``port``."""
+    stride, deg, move_to, move_in = tree.flat_move_tables()
     seen = 0
     while True:
-        u, in_port = tree.move(u, port)
-        d = tree.degree(u)
+        i = u * stride + port
+        u, in_port = move_to[i], move_in[i]
+        d = deg[u]
         if d != 2:
             seen += 1
         yield u, in_port, seen
@@ -489,13 +496,14 @@ def _hop(tree, u: int, port: int) -> tuple[int, int, int]:
 def _walk_end(tree, hops: dict, u: int, port: int, delta: int, arrivals: int):
     """``(v, in_port, edges)`` at the end of a walk: one hop per arrival,
     each looked up in (or added to) ``hops``."""
+    deg = tree.degree_table
     edges = 0
     for _ in range(arrivals):
         if (u, port) not in hops:
             hops[(u, port)] = _hop(tree, u, port)
         u, in_port, hop_edges = hops[(u, port)]
         edges += hop_edges
-        port = (in_port + delta) % tree.degree(u)
+        port = (in_port + delta) % deg[u]
     return u, in_port, edges
 
 
@@ -515,28 +523,33 @@ def drive(
     returned by then is cut (``finished`` False).  Every round's node is
     appended to ``trail`` when one is given.
 
-    Int actions are interpreted one round each.  A :class:`Walk` is
-    resolved whole through two tables built on the fly for this call: a
-    hop table ``(u, port) -> (v, in_port, edges)`` across degree-2
-    chains, and a walk memo ``(u, port, delta, arrivals) -> (v, in_port,
-    edges)`` — O(arrivals) the first time, O(1) on every repeat.  The
-    walk is charged ``edges * speed`` rounds and sets its counter once,
-    to ``arrivals``: within a walk the counter only increases, so its
-    peak and the range check match per-arrival writes.  A walk the
-    budget ends inside (or a walk whose nodes ``trail`` records) is
-    followed edge by edge instead, which is exact because no register
-    changes between arrivals.
+    Int actions are interpreted one round each, through the tree's flat
+    move tables (:meth:`~repro.trees.tree.Tree.flat_move_tables`) and
+    its degree table; each still passes ``resolve_action`` once.  A
+    :class:`Walk` is resolved whole through two tables built on the fly
+    for this call: a hop table ``(u, port) -> (v, in_port, edges)``
+    across degree-2 chains, and a walk memo ``(u, port, delta,
+    arrivals) -> (v, in_port, edges)`` — O(arrivals) the first time,
+    O(1) on every repeat.  The walk is charged ``edges * speed`` rounds
+    and sets its counter once, to ``arrivals``: within a walk the
+    counter only increases, so its peak and the range check match
+    per-arrival writes.  A walk the budget ends inside (or a walk whose
+    nodes ``trail`` records) is followed edge by edge instead, which is
+    exact because no register changes between arrivals.
 
     A :class:`Block` is resolved through a block memo ``(u, key) -> (v,
     in_port, edges, effects)``.  As in the walk memo the speed is left
-    out of the key: on a miss a nested ``drive`` runs the block's walks
-    once, at speed 1, on a scratch register bank, and every hit charges
-    ``edges * speed`` rounds, folds the scratch bank's effects into
-    ``registers`` (:meth:`Registers.apply`: bounds widen, peaks rise,
-    final values are set) and sends ``(in_port, degree, rounds)``.  A block the budget
-    would end inside or finds spent, and every block while ``trail`` is
-    recorded, is answered ``None``, and the routine runs its walks —
-    exactly what ``AgentProgram.step`` does with every block.
+    out of the key: on a miss a nested ``drive`` runs the block's
+    instructions once, at speed 1, on a scratch register bank, and every
+    hit charges ``edges * speed`` rounds, folds the scratch bank's
+    effects into ``registers`` (:meth:`Registers.apply`: bounds widen,
+    peaks rise, final values are set) and sends ``(in_port, degree,
+    rounds)``.  So a block the routine repeats from one node (Synchro's
+    Explo-bis at a branching node it revisits) runs once per call and
+    node.  A block the budget would end inside or finds spent, and every
+    block while ``trail`` is recorded, is answered ``None``, and the
+    routine runs the block itself — exactly what ``AgentProgram.step``
+    does with every block.
 
     With telemetry on, the call reports its ``drive.*`` counters once:
     walks jumped (``walk.jump``) and followed edge by edge
@@ -548,8 +561,7 @@ def drive(
     # rounds by rebinding ``observations.resolve_action``.
     from .observations import resolve_action
 
-    degree = tree.degree
-    move = tree.move
+    stride, deg, move_to, move_in = tree.flat_move_tables()
     budget = sys.maxsize if max_rounds is None else max_rounds
     hops: dict = {}  # (u, port) -> (v, in_port, edges)
     walks: dict = {}  # (u, port, delta, arrivals) -> (v, in_port, edges)
@@ -565,7 +577,7 @@ def drive(
                     key = (pos, action.key)
                     if key not in blocks:
                         scratch = Registers()
-                        ctx = Ctx(NULL_PORT, degree(pos))
+                        ctx = Ctx(NULL_PORT, deg[pos])
                         # Restart the routine past its own block: the nested
                         # drive's first step answers that block None.
                         expansion = action.routine(ctx, scratch, 1)
@@ -582,25 +594,27 @@ def drive(
                         pos = v
                         rounds += cost
                         block_jump += 1
-                        action = routine.send((ip, degree(v), cost))
+                        action = routine.send((ip, deg[v], cost))
                         continue
                 block_expand += 1
                 action = routine.send(None)
                 continue
             if action.__class__ is not Walk:
-                a = resolve_action(action, degree(pos))
+                d = deg[pos]
+                a = resolve_action(action, d)
                 if a == STAY:
-                    obs: tuple = (NULL_PORT, degree(pos))
+                    obs: tuple = (NULL_PORT, d)
                 else:
-                    pos, in_port = move(pos, a)
-                    obs = (in_port, degree(pos))
+                    i = pos * stride + a
+                    pos = move_to[i]
+                    obs = (move_in[i], deg[pos])
                 rounds += 1
                 if trail is not None:
                     trail.append(pos)
                 action = routine.send(obs)
                 continue
             w = action
-            port = w.port % degree(pos)
+            port = w.port % deg[pos]
             speed = w.speed
             if trail is None:
                 key = (pos, port, w.delta, w.arrivals)
@@ -614,7 +628,7 @@ def drive(
                     pos = v
                     rounds += cost
                     walk_jump += 1
-                    action = routine.send((ip, degree(v), cost))
+                    action = routine.send((ip, deg[v], cost))
                     continue
             # Edge by edge: record the trail, or stop where the budget ends.
             walk_edges += 1
@@ -636,7 +650,7 @@ def drive(
                     trail.extend([pos] * (budget - rounds))
                 rounds = budget
                 break
-            action = routine.send((ip, degree(pos), rounds - begun))
+            action = routine.send((ip, deg[pos], rounds - begun))
         # Out of rounds: answer a pending block None, as ``step`` does, so
         # the register writes the block makes before its first walk
         # happen here too.

@@ -108,7 +108,8 @@ def explo_routine(ctx: Ctx, regs: Registers) -> Routine:
     port = 0
     while not rec.closed:
         out = port
-        yield from move(ctx, out)
+        ctx.in_port, ctx.degree = yield out  # one move, as ``move`` makes it
+        ctx.rounds += 1
         rec.feed(out, ctx.in_port, ctx.degree)
         port = (ctx.in_port + 1) % ctx.degree
     tree = rec.tree()

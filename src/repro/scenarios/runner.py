@@ -286,11 +286,13 @@ class Runner:
                 with telem.phase("atlas"):
                     cached = atlas_store.lookup(spec_hash)
                 if cached is not None:
-                    telem.event("atlas.hit", spec_hash=spec_hash,
-                                scenario=spec.name, db=str(atlas_store.path))
+                    if telem.enabled:
+                        telem.event("atlas.hit", spec_hash=spec_hash,
+                                    scenario=spec.name, db=str(atlas_store.path))
                     return ScenarioResult.from_payload(cached)
-                telem.event("atlas.miss", spec_hash=spec_hash,
-                            scenario=spec.name, db=str(atlas_store.path))
+                if telem.enabled:
+                    telem.event("atlas.miss", spec_hash=spec_hash,
+                                scenario=spec.name, db=str(atlas_store.path))
             rng = random.Random(spec.seed)
             created = time.time()  # repro-lint: disable=RPR003 -- provenance timestamp only: created_unix is the atlas store's created-at column, recorded in the result envelope and excluded from scenario diffs; no verdict reads it
             start = time.perf_counter()  # repro-lint: disable=RPR003 -- provenance timing only: elapsed_seconds is recorded in the result envelope and excluded from scenario diffs; no verdict reads it
@@ -312,6 +314,7 @@ class Runner:
         )
         if atlas_store is not None:
             atlas_store.save(result)
-            telem.event("atlas.store", spec_hash=result.spec_hash(),
-                        scenario=result.name, db=str(atlas_store.path))
+            if telem.enabled:
+                telem.event("atlas.store", spec_hash=result.spec_hash(),
+                            scenario=result.name, db=str(atlas_store.path))
         return result

@@ -29,9 +29,10 @@ Structural facts used (proved in the paper / classical):
    such isomorphism can be upgraded to a port-preserving automorphism by
    choosing the labeling accordingly.
 
-All codes are computed with an iterative AHU scheme interning subtree codes
-to integers (no recursion; linear-ish time), so the functions are safe on
-paths of thousands of nodes.
+All codes are computed with an iterative AHU scheme (no recursion), so the
+functions are safe on paths of thousands of nodes.  Codes compared within
+one call are interned to integers (linear-ish time); ``canonical_form``
+builds nested tuples instead, comparable across calls.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ def canonical_form(tree: Tree) -> tuple:
     """A canonical invariant of the *unlabeled* tree (isomorphism class).
 
     Rooted at the central node, or the sorted pair of half-codes at the
-    central edge.  Two trees are isomorphic iff their canonical forms are
-    equal *when computed with a shared interner*; to make the result
-    self-contained across calls, the code is rebuilt as a nested tuple.
+    central edge.  Each code is a nested tuple, self-contained and
+    comparable across calls: two trees are isomorphic iff their
+    canonical forms are equal.
     """
     center = find_center(tree)
     if center.is_node:
@@ -157,19 +158,19 @@ def canonical_form(tree: Tree) -> tuple:
 
 
 def _nested_code(tree: Tree, root: int, block: Optional[int]) -> tuple:
-    """Fully materialized nested-tuple AHU code (self-contained, comparable)."""
-    interner = CodeInterner()
-    codes: dict[int, int] = {}
+    """Fully materialized nested-tuple AHU code (self-contained, comparable).
+
+    Children are ordered by their own nested codes, so the code depends
+    only on the rooted tree's shape, never on node numbering or on the
+    order in which a traversal first meets each shape.
+    """
     nested: dict[int, tuple] = {}
     for node, parent in _postorder(tree, root, block):
-        child_nodes = [
-            nbr
+        nested[node] = tuple(sorted(
+            nested[nbr]
             for nbr in tree.neighbors(node)
             if nbr != parent and not (node == root and nbr == block)
-        ]
-        pairs = sorted((codes[c], nested[c]) for c in child_nodes)
-        codes[node] = interner.intern((0, tuple(p[0] for p in pairs)))
-        nested[node] = tuple(p[1] for p in pairs)
+        ))
     return nested[root]
 
 

@@ -82,8 +82,10 @@ class TestMeasureMemory:
 
     def test_replay_drive_counters_are_pinned(self):
         """The exact ``drive.*`` counts of the ℓ=4 memory-vs-leaves point:
-        P is built once per extremity of C and jumped 66 times.  A replay
-        that fell back to walk-by-walk traversals would change them."""
+        P is built once per extremity of C, Synchro's Explo-bis once per
+        branching node it inserts at (5 of ν = 6), and the 75 blocks
+        are jumped.  A replay that fell back to walk-by-walk traversals,
+        or re-ran a repeated Explo-bis, would change them."""
         tree = double_broom(77, 2, 2)
         tel = telemetry.Telemetry()
         with telemetry.use(tel):
@@ -92,8 +94,8 @@ class TestMeasureMemory:
         counts = {k: v for k, v in tel.counters.items() if k.startswith("drive.")}
         assert counts == {
             "drive.walk.jump": 261,
-            "drive.block.jump": 66,
-            "drive.block.build": 2,
+            "drive.block.jump": 75,
+            "drive.block.build": 7,
         }
         assert (report.declared, report.used) == (40, 37)
 

@@ -8,8 +8,9 @@ per-tree tables.  Both are held to the inline ``stay``/``move`` loop the
 navigators used before walks existed — kept here as the oracle.
 
 A :class:`~repro.agents.program.Block` (one traversal of the rendezvous
-path P) is expanded walk by walk by ``step`` and jumped whole by
-``drive``; the round-by-round drive is the oracle for the jump.
+path P, or one Explo-bis that Synchro inserts) is expanded by ``step``
+and jumped whole by ``drive``; the round-by-round drive is the oracle
+for the jump.
 """
 
 import random
@@ -256,12 +257,22 @@ def drive_spans(tree, start, prototype, trail=None):
 SYMMETRIC = [double_broom(3, 2, 2), double_broom(5, 3, 3), line(6)]
 
 
+def is_path_block(instruction):
+    """A traversal of the rendezvous path P (keyed ``("P", ...)``)."""
+    return instruction.__class__ is Block and instruction.key[0] == "P"
+
+
+def is_explo_block(instruction):
+    """An Explo-bis that Synchro inserts (keyed ``("explo-bis",)``)."""
+    return instruction.__class__ is Block and instruction.key == ("explo-bis",)
+
+
 @pytest.mark.parametrize("tree", SYMMETRIC, ids=["broom-3-2", "broom-5-3", "line-6"])
 def test_drive_matches_steps_around_blocks(tree):
     """Budgets that end just before a block, between two of its walks,
     inside one of its walks and exactly at its end cut like ``step``."""
     prototype = rendezvous_agent(max_outer=1)
-    blocks = [(b, e) for i, b, e in drive_spans(tree, 0, prototype) if i.__class__ is Block]
+    blocks = [(b, e) for i, b, e in drive_spans(tree, 0, prototype) if is_path_block(i)]
     walks = [(b, e) for i, b, e in drive_spans(tree, 0, prototype, trail=[])]
     assert len(blocks) >= 2
     for begin, end in blocks[:2]:  # one from each extremity of C
@@ -276,6 +287,18 @@ def test_drive_matches_steps_around_blocks(tree):
             assert_drive_matches_steps(tree, 0, prototype, budget)
 
 
+def block_runs(tree, start, prototype, kind):
+    """``(begin, end, first node, last node)`` of every block ``kind``
+    selects in an unbounded drive; the nodes are read off the trail of
+    the same run expanded round by round."""
+    trail = [start]  # trail[r]: the node after r rounds
+    drive_spans(tree, start, prototype, trail=trail)
+    return [
+        (b, e, trail[b], trail[e])
+        for i, b, e in drive_spans(tree, start, prototype) if kind(i)
+    ]
+
+
 def test_block_memo_hits_from_both_extremities_at_every_prime():
     """One drive builds P once per extremity and jumps it at speeds 2
     and 3 from both; the whole run still equals the round-by-round one."""
@@ -283,9 +306,13 @@ def test_block_memo_hits_from_both_extremities_at_every_prime():
     prototype = rendezvous_agent(max_outer=2)
     tel = telemetry.Telemetry()
     with telemetry.use(tel):
-        speeds = [i.speed for i, _, _ in drive_spans(tree, 0, prototype) if i.__class__ is Block]
-    assert tel.counters["drive.block.build"] == 2
-    assert tel.counters["drive.block.jump"] == len(speeds)
+        spans = drive_spans(tree, 0, prototype)
+    speeds = [i.speed for i, _, _ in spans if is_path_block(i)]
+    explos = [u for _, _, u, _ in block_runs(tree, 0, prototype, is_explo_block)]
+    paths = [u for _, _, u, _ in block_runs(tree, 0, prototype, is_path_block)]
+    assert len(set(paths)) == 2
+    assert tel.counters["drive.block.build"] == 2 + len(set(explos))
+    assert tel.counters["drive.block.jump"] == len(speeds) + len(explos)
     assert set(speeds) == {2, 3}
     agent = prototype.clone()
     run = drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)
@@ -300,9 +327,49 @@ def test_jumped_block_edges_match_path_formula(tree, chain):
     edges = rendezvous_path_num_edges(tree.n, contract(tree).nu, tree.num_leaves, chain)
     blocks = [
         (i.speed, e - b) for i, b, e in drive_spans(tree, 0, rendezvous_agent(max_outer=2))
-        if i.__class__ is Block
+        if is_path_block(i)
     ]
     assert blocks and all(length == speed * edges for speed, length in blocks)
+
+
+EXPLO_TREES = SYMMETRIC + [subdivide(complete_binary_tree(2), 3)]
+
+
+@pytest.mark.parametrize(
+    "tree", EXPLO_TREES, ids=["broom-3-2", "broom-5-3", "line-6", "binary-2-sub-3"]
+)
+def test_drive_matches_steps_around_explo_blocks(tree):
+    """Budgets that end just before, inside, at the end of and one past
+    an Explo-bis block that Synchro inserts cut like ``step`` — for the
+    first insertion (a build) and for the first repeat at a node seen
+    before (a jump; on a line Synchro inserts only once)."""
+    prototype = rendezvous_agent(max_outer=1)
+    runs = block_runs(tree, 0, prototype, is_explo_block)
+    starts = [u for _, _, u, _ in runs]
+    repeats = [k for k, node in enumerate(starts) if node in starts[:k]]
+    assert runs and (repeats or tree.num_leaves == 2)
+    for begin, end, _, _ in [runs[0]] + [runs[k] for k in repeats[:1]]:
+        assert end - begin == 2 * (tree.n - 1)
+        middle = (begin + end) // 2
+        for budget in (begin - 1, begin, begin + 1, middle, end - 1, end, end + 1):
+            assert_drive_matches_steps(tree, 0, prototype, budget)
+
+
+def test_explo_block_built_once_per_branching_node():
+    """Synchro inserts Explo-bis 2(ν-1)-1 = 9 times at 5 distinct nodes
+    of the ℓ = 4 subdivided tree; drive builds 5 blocks and jumps all 9,
+    each a closed run of 2(n-1) edges."""
+    tree = subdivide(complete_binary_tree(2), 3)
+    prototype = rendezvous_agent(max_outer=1)
+    tel = telemetry.Telemetry()
+    with telemetry.use(tel):
+        drive_spans(tree, 3, prototype)
+    explos = block_runs(tree, 3, prototype, is_explo_block)
+    paths = [u for _, _, u, _ in block_runs(tree, 3, prototype, is_path_block)]
+    assert (len(explos), len({u for _, _, u, _ in explos})) == (9, 5)
+    assert all(e - b == 2 * (tree.n - 1) and u == v for b, e, u, v in explos)
+    assert tel.counters["drive.block.build"] == 5 + len(set(paths))
+    assert tel.counters["drive.block.jump"] == 9 + len(paths)
 
 
 def test_block_must_declare_what_it_writes():

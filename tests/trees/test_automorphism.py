@@ -29,6 +29,16 @@ class TestCanonicalForm:
             rng.shuffle(mapping)
             assert canonical_form(t) == canonical_form(t.renumber_nodes(mapping))
 
+    def test_invariant_under_relabeling(self):
+        """Children are ordered by their codes, not by the order a
+        traversal first meets each shape, so every labeling of one tree
+        has one form."""
+        for n in range(4, 30):
+            for seed in range(30):
+                t = random_tree(n, random.Random(seed))
+                relabeled = random_relabel(t, random.Random(0))
+                assert canonical_form(t) == canonical_form(relabeled), (n, seed)
+
     def test_distinguishes_nonisomorphic(self):
         forms = [canonical_form(t) for t in all_trees(7)]
         assert len(set(forms)) == len(forms)
