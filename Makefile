@@ -53,7 +53,8 @@ bench-engine:
 	$(PY) benchmarks/bench_engine.py
 
 # Bench regression gate, exactly as CI runs it: snapshot the committed
-# BENCH_engine.json, refresh it via bench-smoke, compare with tolerance.
+# BENCH_engine.json, refresh it via bench-smoke, compare timings with
+# tolerance and the solo replay's drive.* counters for equality.
 check-regression:
 	cp BENCH_engine.json $(BENCH_BASELINE)
 	$(MAKE) bench-smoke

@@ -18,6 +18,13 @@ present on one side only are reported but never fail the gate: quick-mode
 refreshes legitimately carry different instance sizes than a full run,
 but their section structure is identical.
 
+Exact work counters are gated apart from the timings.  The sections in
+``EXACT_SECTIONS`` (today the solo replay's ``drive.*`` counters) count
+work, not time: they repeat exactly from run to run, so any difference
+from the baseline fails and names the counter (a counter missing on one
+side counts 0).  A change that moves them on purpose re-records the
+baseline and says why.  A section missing from the baseline is skipped.
+
 ``--require <section>`` (repeatable) registers a top-level section that
 must exist non-empty in the current file — a benchmark silently dropping
 out of ``bench-smoke`` would otherwise read as "no regression" (its
@@ -31,8 +38,8 @@ Usage (what ``make check-regression`` and the CI job run)::
         --baseline /tmp/BENCH_engine.baseline.json --current BENCH_engine.json \
         --require kernel --require lowering
 
-Exit status: 0 = within tolerance, 1 = regression or missing required
-section, 2 = unusable inputs.
+Exit status: 0 = within tolerance, 1 = regression, changed exact counter
+or missing required section, 2 = unusable inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ import sys
 
 DEFAULT_TOLERANCE = 2.5
 DEFAULT_FLOOR = 0.02  # seconds: baselines below this are jitter-dominated
+#: Dotted paths of ``{counter: count}`` sections gated for equality.
+EXACT_SECTIONS = ("solo_replay.drive",)
 
 
 def collect_timings(payload, prefix: str = "") -> dict[str, float]:
@@ -97,6 +106,34 @@ def compare(
     return regressions, notes
 
 
+def _section(payload, dotted: str):
+    """The dict at ``dotted`` in ``payload``, or ``None``."""
+    for key in dotted.split("."):
+        if not isinstance(payload, dict):
+            return None
+        payload = payload.get(key)
+    return payload if isinstance(payload, dict) else None
+
+
+def compare_counters(baseline_payload, current_payload) -> tuple[list[str], list[str]]:
+    """(changed, notes) over ``EXACT_SECTIONS`` — human-readable lines."""
+    changed: list[str] = []
+    notes: list[str] = []
+    for dotted in EXACT_SECTIONS:
+        base = _section(baseline_payload, dotted)
+        if base is None:
+            notes.append(f"  - {dotted}: not in baseline (skipped)")
+            continue
+        cur = _section(current_payload, dotted) or {}
+        for name in sorted(set(base) | set(cur)):
+            line = f"{dotted}.{name}: {base.get(name, 0)} -> {cur.get(name, 0)}"
+            if base.get(name, 0) != cur.get(name, 0):
+                changed.append(f"  ! {line}")
+            else:
+                notes.append(f"  = {line}")
+    return changed, notes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True, type=pathlib.Path,
@@ -116,7 +153,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        baseline = collect_timings(json.loads(args.baseline.read_text()))
+        baseline_payload = json.loads(args.baseline.read_text())
+        baseline = collect_timings(baseline_payload)
         current_payload = json.loads(args.current.read_text())
         current = collect_timings(current_payload)
     except (OSError, ValueError) as exc:
@@ -139,16 +177,22 @@ def main(argv=None) -> int:
     regressions, notes = compare(
         baseline, current, tolerance=args.tolerance, floor=args.floor
     )
+    changed, counter_notes = compare_counters(baseline_payload, current_payload)
     print(f"bench regression gate: {len(baseline)} baseline timings, "
           f"tolerance {args.tolerance}x, floor {args.floor}s")
-    for line in notes:
+    for line in notes + counter_notes:
         print(line)
     if regressions:
         print(f"\n{len(regressions)} timing(s) regressed:")
         for line in regressions:
             print(line)
+    if changed:
+        print(f"\n{len(changed)} exact counter(s) changed:")
+        for line in changed:
+            print(line)
+    if regressions or changed:
         return 1
-    print("\nall recorded timings within tolerance")
+    print("\nall recorded timings within tolerance, exact counters unchanged")
     return 0
 
 

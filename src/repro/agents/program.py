@@ -114,9 +114,10 @@ class Block:
     1), and their end node, edge count and register writes depend only
     on the start node and ``key`` — so ``drive`` can run them once at
     speed 1 and replay them at every speed.  The routine declares every
-    register it writes.  Two kinds exist: a traversal of the rendezvous
-    path P (walks, keyed ``("P", ...)``) and an Explo-bis that Synchro
-    inserts (int moves, keyed ``("explo-bis",)``).
+    register it writes.  One kind exists: a traversal of the rendezvous
+    path P (walks, keyed ``("P", ...)``).  A single closed walk needs no
+    block: ``drive``'s walk memo already jumps it (Synchro's inserted
+    Explo-bis is one).
     """
 
     __slots__ = ("key", "routine", "speed")
@@ -530,12 +531,14 @@ def drive(
     for this call: a hop table ``(u, port) -> (v, in_port, edges)``
     across degree-2 chains, and a walk memo ``(u, port, delta,
     arrivals) -> (v, in_port, edges)`` — O(arrivals) the first time,
-    O(1) on every repeat.  The walk is charged ``edges * speed`` rounds
-    and sets its counter once, to ``arrivals``: within a walk the
-    counter only increases, so its peak and the range check match
-    per-arrival writes.  A walk the budget ends inside (or a walk whose
-    nodes ``trail`` records) is followed edge by edge instead, which is
-    exact because no register changes between arrivals.
+    O(1) on every repeat (Synchro's inserted Explo-bis, one closed walk
+    per branching arrival, is resolved once per node).  The walk is
+    charged ``edges * speed`` rounds and sets its counter once, to
+    ``arrivals``: within a walk the counter only increases, so its peak
+    and the range check match per-arrival writes.  A walk the budget
+    ends inside (or a walk whose nodes ``trail`` records) is followed
+    edge by edge instead, which is exact because no register changes
+    between arrivals.
 
     A :class:`Block` is resolved through a block memo ``(u, key) -> (v,
     in_port, edges, effects)``.  As in the walk memo the speed is left
@@ -544,12 +547,12 @@ def drive(
     hit charges ``edges * speed`` rounds, folds the scratch bank's
     effects into ``registers`` (:meth:`Registers.apply`: bounds widen,
     peaks rise, final values are set) and sends ``(in_port, degree,
-    rounds)``.  So a block the routine repeats from one node (Synchro's
-    Explo-bis at a branching node it revisits) runs once per call and
-    node.  A block the budget would end inside or finds spent, and every
-    block while ``trail`` is recorded, is answered ``None``, and the
-    routine runs the block itself — exactly what ``AgentProgram.step``
-    does with every block.
+    rounds)``.  So a block the routine repeats from one node (a traversal
+    of P from the same extremity of C, at every prime speed) runs once
+    per call and node.  A block the budget would end inside or finds
+    spent, and every block while ``trail`` is recorded, is answered
+    ``None``, and the routine runs the block itself — exactly what
+    ``AgentProgram.step`` does with every block.
 
     With telemetry on, the call reports its ``drive.*`` counters once:
     walks jumped (``walk.jump``) and followed edge by edge

@@ -24,6 +24,14 @@ declared registers (O(log ℓ) worth for Explo-bis, since all counters range
 over T', which has ν <= 2ℓ-1 nodes).  What the rendezvous algorithm needs
 from Explo — Fact 2.1's outputs plus a duration that is a deterministic
 function of (tree, start) identical for both agents — holds exactly.
+
+Only Stage 1 reconstructs the tree.  Fact 2.1's rules live in one place,
+``_facts_at(contraction, start)``: ``_analyze`` applies them to Explo's
+own reconstruction, and Synchro (:mod:`.synchro`) applies them to Stage
+1's contraction at each node where it inserts an Explo-bis, which it runs
+as the bare closed walk followed by the same register writes
+(``_charge_facts``).  The outputs are invariant under port-preserving
+relabeling, so both readings agree.
 """
 
 from __future__ import annotations
@@ -112,21 +120,28 @@ def explo_routine(ctx: Ctx, regs: Registers) -> Routine:
         ctx.rounds += 1
         rec.feed(out, ctx.in_port, ctx.degree)
         port = (ctx.in_port + 1) % ctx.degree
-    tree = rec.tree()
-    result = _analyze(tree)
+    result = _analyze(rec.tree())
+    _charge_facts(regs, result.nu, result.steps_to_target, result.central_port)
+    return result
 
-    # Charge the agent for Fact 2.1's memory: counters over T'.  (For plain
-    # Explo on a tree with no degree-2 nodes, T' = T and this is O(log n);
-    # inside the rendezvous algorithm T has few leaves and this is O(log ℓ).)
-    nu = result.contraction.nu
+
+def _charge_facts(
+    regs: Registers, nu: int, steps_to_target: int, central_port: Optional[int]
+) -> None:
+    """Write Fact 2.1's outputs into the registers Explo declares.
+
+    This charges the agent for Fact 2.1's memory: counters over T'.  (For
+    plain Explo on a tree with no degree-2 nodes, T' = T and this is
+    O(log n); inside the rendezvous algorithm T has few leaves and this is
+    O(log ℓ).)
+    """
     regs.declare("explo_nu", max(2 * nu, 2))
     regs["explo_nu"] = nu
     regs.declare("explo_steps_to_target", max(2 * (nu - 1), 1))
-    regs["explo_steps_to_target"] = result.steps_to_target
-    if result.central_port is not None:
-        regs.declare("explo_central_port", max(result.central_port, 1))
-        regs["explo_central_port"] = result.central_port
-    return result
+    regs["explo_steps_to_target"] = steps_to_target
+    if central_port is not None:
+        regs.declare("explo_central_port", max(central_port, 1))
+        regs["explo_central_port"] = central_port
 
 
 def explo_bis_routine(ctx: Ctx, regs: Registers) -> Routine:
@@ -159,18 +174,27 @@ def walk_to_branching_count(ctx: Ctx, regs: Registers, count: int, bound: int) -
 def _analyze(tree: Tree) -> ExploResult:
     """Fact 2.1 post-processing on the reconstructed tree (start = node 0)."""
     contraction = contract(tree)
-    tprime = contraction.contracted
     start = contraction.from_original[0]  # node 0 has degree != 2
+    return ExploResult(tree, contraction, *_facts_at(contraction, start))
 
+
+def _facts_at(
+    contraction: Contraction, start: int
+) -> tuple[str, int, int, Optional[int]]:
+    """Fact 2.1's outputs ``(kind, steps_to_target, target, central_port)``
+    for an Explo(-bis) closing at T'-node ``start``.
+
+    Every output is invariant under port-preserving relabeling, so any
+    port-faithful map of the tree gives the agent's own answer.
+    """
+    tprime = contraction.contracted
     if tprime.n == 1:
-        return ExploResult(tree, contraction, CENTRAL_NODE, 0, start, None)
+        return CENTRAL_NODE, 0, start, None
 
     center = find_center(tprime)
     if center.is_node:
         steps = basic_walk_first_hit(tprime, start, center.node)
-        return ExploResult(
-            tree, contraction, CENTRAL_NODE, int(steps), center.node, None
-        )
+        return CENTRAL_NODE, int(steps), center.node, None
 
     x, y = center.edge  # type: ignore[misc]
     if port_preserving_automorphism(tprime) is not None:
@@ -195,6 +219,4 @@ def _analyze(tree: Tree) -> ExploResult:
 
     steps = basic_walk_first_hit(tprime, start, target)
     other = y if target == x else x
-    return ExploResult(
-        tree, contraction, kind, int(steps), target, tprime.port(target, other)
-    )
+    return kind, int(steps), target, tprime.port(target, other)

@@ -4,8 +4,8 @@ The paper measures agent memory in bits (⌈log₂ K⌉ for a K-state automaton)
 Register programs (:class:`repro.agents.program.Registers`) declare every
 bounded counter; this module turns those declarations into the reports the
 experiments print (from solo replays that jump whole basic walks,
-whole traversals of the rendezvous path and Synchro's repeated
-Explo-bis, see :func:`measure_memory`), and provides the closed-form
+Synchro's inserted Explo-bis among them, and whole traversals of the
+rendezvous path, see :func:`measure_memory`), and provides the closed-form
 reference curves (the O(log ℓ + log log n) upper bound and the Θ(log n)
 arbitrary-delay bound) the measured values are compared against in
 EXPERIMENTS.md.
@@ -66,13 +66,14 @@ def measure_memory(tree, start: int, agent: AgentProgram, rounds: int) -> Memory
     must be *equipped with* on the instance, so the experiments measure a
     solo execution over a representative horizon (Stage 1 + Synchro + a few
     outer iterations) instead.  The replay is :func:`repro.agents.program.drive`,
-    which jumps each basic walk whole and runs each block once per start
-    node: a traversal of the rendezvous path P (built once per extremity
-    of C, then replayed at every prime speed) and each Explo-bis that
-    Synchro inserts (built once per branching node, then replayed at
-    every revisit).  The report equals that of a round-by-round drive
-    through ``AgentProgram.step``, which expands every block round by
-    round.
+    which jumps each basic walk whole — each Explo-bis that Synchro
+    inserts is one closed walk, resolved once per branching node and
+    jumped from the walk memo at every revisit — and runs each
+    traversal of the rendezvous path P once per extremity of C, then
+    replays it at every prime speed.  Only Stage 1's Explo-bis is
+    interpreted move by move.  The report equals that of a round-by-round
+    drive through ``AgentProgram.step``, which expands every walk and
+    block round by round.
     """
     clone = agent.clone()
     drive(tree, start, clone.routine(tree.degree(start)), clone.registers,

@@ -12,60 +12,79 @@ are the basic-walk lengths from the true starts to the respective ``v̂``
 takes ``2(n-1)`` rounds, which makes Claim 4.2 hold with room to spare; the
 insertion structure is kept anyway for fidelity to the paper's protocol.
 
-Each inserted Explo-bis is one :class:`~repro.agents.program.Block`: it
-ends where it starts, after ``2(n-1)`` edges, and its register writes
-(``explo_nu``, ``explo_steps_to_target``, ``explo_central_port``)
-depend only on that node.  Engines expand it round by round; the solo
-replay (:func:`repro.agents.program.drive`) runs it once per branching
-node and jumps every repeat.
+Each inserted Explo-bis is run as the physical behaviour it stands for.
+From a branching node w, Explo-bis is one closed basic walk: it leaves by
+port 0, makes ``2(ν-1)`` arrivals at nodes of degree != 2 (``2(n-1)``
+rounds) and ends back at w.  So Synchro yields that walk and then makes
+the register writes Explo makes (``explo_nu``, ``explo_steps_to_target``,
+``explo_central_port``: same bounds, same order), with Fact 2.1's
+outputs at w taken from Stage 1's map of the tree.  This is exact:
+
+- every driver sees the same rounds as an interpreted Explo-bis:
+  ``AgentProgram.step`` expands the walk into the same per-round moves,
+  and :func:`~repro.agents.program.drive` jumps it through its walk memo;
+- Explo's outputs come from reconstructing its walk transcript, which is
+  simulator bookkeeping (the implementation note in :mod:`.explo`); Stage
+  1 reconstructed the same port-labeled tree, and Fact 2.1's outputs are
+  invariant under port-preserving relabeling, so reading them off Stage
+  1's contraction T' at w is an equivalent stand-in;
+- Synchro follows its own position in T' (one ``T'.move`` per arrival, as
+  contraction keeps the ports at branching nodes), and that position is
+  a function of the declared ``synchro_arrivals`` register, so no charged
+  memory is added.
 """
 
 from __future__ import annotations
 
-from ..agents.program import Block, Ctx, Registers, Routine, walk
-from .explo import ExploResult, explo_bis_routine
+from ..agents.program import Ctx, Registers, Routine, walk
+from ..errors import SimulationError
+from .explo import ExploResult, _charge_facts, _facts_at
 
 __all__ = ["synchro_routine"]
-
-_EXPLO_BIS_KEY = ("explo-bis",)
 
 
 def synchro_routine(ctx: Ctx, regs: Registers, explo: ExploResult) -> Routine:
     """Run Synchro from ``v̂`` (current position, degree != 2); ends at ``v̂``.
 
-    ``explo`` is the agent's own Stage-1 result (provides ν).  Each
-    inserted Explo-bis is a :class:`~repro.agents.program.Block` keyed
-    ``("explo-bis",)``; its :class:`ExploResult` is thrown away, only
-    its rounds and register writes count.
+    ``explo`` is the agent's own Stage-1 result: it provides ν and the
+    map T' in which Synchro follows its position.  Each inserted
+    Explo-bis is one closed :class:`~repro.agents.program.Walk` of
+    ``2(ν-1)`` arrivals followed by Explo's register writes, whose values
+    are Fact 2.1's outputs at the current T' node (computed once per
+    node, before the first move).
     """
     nu = explo.nu
     total = 2 * (nu - 1)
     if total == 0:  # T' is a single node: nothing to synchronize over
         return
+    tprime = explo.contraction.contracted
+    # (steps_to_target, central_port) of an Explo-bis closing at each T' node.
+    facts = tuple(
+        (steps, central_port)
+        for _kind, steps, _target, central_port in (
+            _facts_at(explo.contraction, a) for a in range(nu)
+        )
+    )
+    here = explo.contraction.from_original[0]  # v̂ is node 0 of Stage 1's map
     regs.declare("synchro_arrivals", total)
     regs["synchro_arrivals"] = 0
     port = 0  # the basic walk leaves v̂ by port 0
     arrivals = 0
     while arrivals < total:
         yield from walk(ctx, port)  # pass through the contracted paths
+        here, in_port = tprime.move(here, port)
+        if (in_port, tprime.degree(here)) != (ctx.in_port, ctx.degree):
+            raise SimulationError(
+                f"Synchro left Stage 1's map: arrived by port {ctx.in_port} at "
+                f"degree {ctx.degree}, T' says port {in_port} at degree "
+                f"{tprime.degree(here)}"
+            )
         arrivals += 1
         regs["synchro_arrivals"] = arrivals
         resume = (ctx.in_port + 1) % ctx.degree
         if arrivals < total:
-            # Insert Explo-bis(w); the current node w has degree != 2, so
-            # this is a closed Explo taking 2(n-1) rounds and ending at w.
-            yield from _inserted_explo(ctx, regs, 1)
+            # Insert Explo-bis(w): w has degree != 2, so this is a closed
+            # basic walk of 2(ν-1) arrivals, 2(n-1) rounds, ending at w.
+            yield from walk(ctx, 0, +1, total)
+            _charge_facts(regs, nu, *facts[here])
         port = resume
-
-
-def _inserted_explo(ctx: Ctx, regs: Registers, speed: int) -> Routine:
-    """One inserted Explo-bis as a block; runs it unless jumped whole.
-
-    Explo-bis moves every round, so Synchro passes ``speed`` 1.
-    """
-    done = yield Block(_EXPLO_BIS_KEY, _inserted_explo, speed)
-    if done is not None:  # jumped whole
-        ctx.in_port, ctx.degree, rounds = done
-        ctx.rounds += rounds
-        return
-    yield from explo_bis_routine(ctx, regs)

@@ -81,13 +81,21 @@ def find_state_repetition(
     run: InfiniteLineRun,
 ) -> Optional[tuple[int, int, int, int, int]]:
     """First leave-event pair (t1, x1, t2, x2, s): same state, distinct
-    positions at *even* distance (coloring-phase aligned)."""
-    seen: dict[int, list[tuple[int, int]]] = {}
+    positions at *even* distance (coloring-phase aligned).
+
+    ``t2`` is the first event with an earlier partner, and ``t1`` its
+    earliest partner.  One pass, O(1) per event: it keeps the first event
+    of each (state, position parity) class.  Until the answer, every event
+    of a class sits at its first event's position (a second position would
+    have been the answer), so the answer is the first event whose class
+    began elsewhere, and that first event is its earliest partner.
+    """
+    first: dict[tuple[int, int], tuple[int, int]] = {}
     for ev in run.leave_events:
-        for t1, x1 in seen.get(ev.state, ()):
-            if x1 != ev.position and (ev.position - x1) % 2 == 0:
-                return (t1, x1, ev.round_index, ev.position, ev.state)
-        seen.setdefault(ev.state, []).append((ev.round_index, ev.position))
+        key = (ev.state, ev.position % 2)
+        t1, x1 = first.setdefault(key, (ev.round_index, ev.position))
+        if x1 != ev.position:
+            return (t1, x1, ev.round_index, ev.position, ev.state)
     return None
 
 

@@ -147,9 +147,12 @@ def basic_walk_first_hit(tree: Tree, start: int, target: int) -> Optional[int]:
     """
     if start == target:
         return 0
-    for k, step in enumerate(basic_walk(tree, start), start=1):
-        if step.to_node == target:
+    node, port = start, 0
+    for k in range(1, 2 * (tree.n - 1) + 1):
+        node, in_port = tree.move(node, port)
+        if node == target:
             return k
+        port = (in_port + 1) % tree.degree(node)
     return None  # pragma: no cover - a closed basic walk visits all nodes
 
 

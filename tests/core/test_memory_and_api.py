@@ -82,10 +82,11 @@ class TestMeasureMemory:
 
     def test_replay_drive_counters_are_pinned(self):
         """The exact ``drive.*`` counts of the ℓ=4 memory-vs-leaves point:
-        P is built once per extremity of C, Synchro's Explo-bis once per
-        branching node it inserts at (5 of ν = 6), and the 75 blocks
-        are jumped.  A replay that fell back to walk-by-walk traversals,
-        or re-ran a repeated Explo-bis, would change them."""
+        P is built once per extremity of C and its 66 traversals are
+        jumped, and each of the 2(ν-1)-1 = 9 Explo-bis that Synchro
+        inserts is one jumped closed walk (261 + 9 walk jumps).  A replay
+        that fell back to walk-by-walk traversals, or ran an inserted
+        Explo-bis move by move, would change them."""
         tree = double_broom(77, 2, 2)
         tel = telemetry.Telemetry()
         with telemetry.use(tel):
@@ -93,9 +94,9 @@ class TestMeasureMemory:
                                     estimate_round_budget(tree, 2))
         counts = {k: v for k, v in tel.counters.items() if k.startswith("drive.")}
         assert counts == {
-            "drive.walk.jump": 261,
-            "drive.block.jump": 75,
-            "drive.block.build": 7,
+            "drive.walk.jump": 270,
+            "drive.block.jump": 66,
+            "drive.block.build": 2,
         }
         assert (report.declared, report.used) == (40, 37)
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.agents import NULL_PORT, Ctx, Registers
 from repro.agents import drive as drive_solo
 from repro.core import explo_bis_routine, synchro_routine
@@ -69,6 +71,20 @@ class TestSynchro:
         t = star(3)
         _, rounds, pos, _ = drive(t, 1, explo_then(synchro_routine))
         assert pos == 1
+
+
+    def test_leaving_stage1_map_fails_loudly(self):
+        """Synchro follows its position in Stage 1's T'; run on a tree
+        that map does not describe, it stops at the first arrival."""
+        from repro.core.explo import _analyze
+        from repro.errors import SimulationError
+        from repro.trees import star
+
+        def synchro_on_line_map(ctx, regs):
+            yield from synchro_routine(ctx, regs, _analyze(line(5)))
+
+        with pytest.raises(SimulationError, match="left Stage 1's map"):
+            drive(star(3), 1, synchro_on_line_map)
 
 
 class TestRendezvousPathNavigator:

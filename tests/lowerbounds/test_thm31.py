@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents import (
     alternator,
@@ -28,6 +30,32 @@ class TestStateRepetition:
 
         run = simulate_infinite_line(LineAutomaton([(0, 0)], [STAY]), 60)
         assert find_state_repetition(run) is None
+
+
+def quadratic_state_repetition(run):
+    """The oracle: compare each leave event with every earlier one in
+    the same state."""
+    seen = {}
+    for ev in run.leave_events:
+        for t1, x1 in seen.get(ev.state, ()):
+            if x1 != ev.position and (ev.position - x1) % 2 == 0:
+                return (t1, x1, ev.round_index, ev.position, ev.state)
+        seen.setdefault(ev.state, []).append((ev.round_index, ev.position))
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.15, 0.5, 0.9]),
+)
+def test_linear_scan_matches_quadratic_scan(k, seed, stay_prob):
+    """The one-pass scan returns the quadratic scan's pair (or None) on
+    random line automata, over the horizon the construction simulates."""
+    automaton = random_line_automaton(k, random.Random(seed), stay_prob)
+    run = simulate_infinite_line(automaton, 80 * (k + 2))
+    assert find_state_repetition(run) == quadratic_state_repetition(run)
 
 
 class TestThm31Construction:

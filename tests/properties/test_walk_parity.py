@@ -8,9 +8,9 @@ per-tree tables.  Both are held to the inline ``stay``/``move`` loop the
 navigators used before walks existed — kept here as the oracle.
 
 A :class:`~repro.agents.program.Block` (one traversal of the rendezvous
-path P, or one Explo-bis that Synchro inserts) is expanded by ``step``
-and jumped whole by ``drive``; the round-by-round drive is the oracle
-for the jump.
+path P) is expanded by ``step`` and jumped whole by ``drive``; the
+round-by-round drive is the oracle for the jump.  So it is for the closed
+walk that stands for each Explo-bis Synchro inserts.
 """
 
 import random
@@ -25,6 +25,7 @@ from repro.agents import (
     AgentProgram,
     Block,
     Ctx,
+    Walk,
     drive,
     machine_state_key,
     move,
@@ -262,11 +263,6 @@ def is_path_block(instruction):
     return instruction.__class__ is Block and instruction.key[0] == "P"
 
 
-def is_explo_block(instruction):
-    """An Explo-bis that Synchro inserts (keyed ``("explo-bis",)``)."""
-    return instruction.__class__ is Block and instruction.key == ("explo-bis",)
-
-
 @pytest.mark.parametrize("tree", SYMMETRIC, ids=["broom-3-2", "broom-5-3", "line-6"])
 def test_drive_matches_steps_around_blocks(tree):
     """Budgets that end just before a block, between two of its walks,
@@ -288,9 +284,9 @@ def test_drive_matches_steps_around_blocks(tree):
 
 
 def block_runs(tree, start, prototype, kind):
-    """``(begin, end, first node, last node)`` of every block ``kind``
-    selects in an unbounded drive; the nodes are read off the trail of
-    the same run expanded round by round."""
+    """``(begin, end, first node, last node)`` of every block or walk
+    ``kind`` selects in an unbounded drive; the nodes are read off the
+    trail of the same run expanded round by round."""
     trail = [start]  # trail[r]: the node after r rounds
     drive_spans(tree, start, prototype, trail=trail)
     return [
@@ -308,11 +304,10 @@ def test_block_memo_hits_from_both_extremities_at_every_prime():
     with telemetry.use(tel):
         spans = drive_spans(tree, 0, prototype)
     speeds = [i.speed for i, _, _ in spans if is_path_block(i)]
-    explos = [u for _, _, u, _ in block_runs(tree, 0, prototype, is_explo_block)]
     paths = [u for _, _, u, _ in block_runs(tree, 0, prototype, is_path_block)]
     assert len(set(paths)) == 2
-    assert tel.counters["drive.block.build"] == 2 + len(set(explos))
-    assert tel.counters["drive.block.jump"] == len(speeds) + len(explos)
+    assert tel.counters["drive.block.build"] == 2
+    assert tel.counters["drive.block.jump"] == len(speeds)
     assert set(speeds) == {2, 3}
     agent = prototype.clone()
     run = drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)
@@ -335,16 +330,24 @@ def test_jumped_block_edges_match_path_formula(tree, chain):
 EXPLO_TREES = SYMMETRIC + [subdivide(complete_binary_tree(2), 3)]
 
 
+def is_inserted_explo(tree):
+    """Selects the closed walk that stands for an Explo-bis Synchro
+    inserts: out by port 0 for 2(ν-1) arrivals, with no counter."""
+    insertion = Walk(0, +1, 2 * (contract(tree).nu - 1))
+    return lambda instruction: instruction == insertion
+
+
 @pytest.mark.parametrize(
     "tree", EXPLO_TREES, ids=["broom-3-2", "broom-5-3", "line-6", "binary-2-sub-3"]
 )
-def test_drive_matches_steps_around_explo_blocks(tree):
+def test_drive_matches_steps_around_inserted_explo(tree):
     """Budgets that end just before, inside, at the end of and one past
-    an Explo-bis block that Synchro inserts cut like ``step`` — for the
-    first insertion (a build) and for the first repeat at a node seen
-    before (a jump; on a line Synchro inserts only once)."""
+    the closed walk of an Explo-bis that Synchro inserts cut like
+    ``step`` — for the first insertion (a walk-memo miss) and for the
+    first repeat at a node seen before (a hit; on a line Synchro
+    inserts only once)."""
     prototype = rendezvous_agent(max_outer=1)
-    runs = block_runs(tree, 0, prototype, is_explo_block)
+    runs = block_runs(tree, 0, prototype, is_inserted_explo(tree))
     starts = [u for _, _, u, _ in runs]
     repeats = [k for k, node in enumerate(starts) if node in starts[:k]]
     assert runs and (repeats or tree.num_leaves == 2)
@@ -355,21 +358,41 @@ def test_drive_matches_steps_around_explo_blocks(tree):
             assert_drive_matches_steps(tree, 0, prototype, budget)
 
 
-def test_explo_block_built_once_per_branching_node():
+def test_inserted_explo_is_one_closed_walk_per_branching_arrival(monkeypatch):
     """Synchro inserts Explo-bis 2(ν-1)-1 = 9 times at 5 distinct nodes
-    of the ℓ = 4 subdivided tree; drive builds 5 blocks and jumps all 9,
-    each a closed run of 2(n-1) edges."""
+    of the ℓ = 4 subdivided tree, each a closed run of 2(n-1) edges;
+    drive resolves the walk once per node and serves the 4 repeats from
+    its walk memo, which it keys without the counter."""
+    from repro.agents import program
+
     tree = subdivide(complete_binary_tree(2), 3)
     prototype = rendezvous_agent(max_outer=1)
+    total = 2 * (contract(tree).nu - 1)
+    resolved = []
+    walk_end = program._walk_end
+
+    def spy_walk_end(tree, hops, u, port, delta, arrivals):
+        if (port, delta, arrivals) == (0, 1, total):
+            resolved.append((hops, u))
+        return walk_end(tree, hops, u, port, delta, arrivals)
+
+    monkeypatch.setattr(program, "_walk_end", spy_walk_end)
     tel = telemetry.Telemetry()
     with telemetry.use(tel):
         drive_spans(tree, 3, prototype)
-    explos = block_runs(tree, 3, prototype, is_explo_block)
-    paths = [u for _, _, u, _ in block_runs(tree, 3, prototype, is_path_block)]
-    assert (len(explos), len({u for _, _, u, _ in explos})) == (9, 5)
+    monkeypatch.undo()
+    explos = block_runs(tree, 3, prototype, is_inserted_explo(tree))
+    nodes = {u for _, _, u, _ in explos}
+    assert (len(explos), len(nodes)) == (9, 5)
     assert all(e - b == 2 * (tree.n - 1) and u == v for b, e, u, v in explos)
-    assert tel.counters["drive.block.build"] == 5 + len(set(paths))
-    assert tel.counters["drive.block.jump"] == 9 + len(paths)
+    # One walk-memo miss per node in the outer drive (the P block builds
+    # run nested drives with tables of their own); bw(2(ν-1)) from the
+    # same node shares the entry.
+    outer = [u for hops, u in resolved if hops is resolved[0][0]]
+    assert len(outer) == len(set(outer)) and nodes <= set(outer)
+    paths = [u for _, _, u, _ in block_runs(tree, 3, prototype, is_path_block)]
+    assert tel.counters["drive.block.build"] == len(set(paths))
+    assert tel.counters["drive.block.jump"] == len(paths)
 
 
 def test_block_must_declare_what_it_writes():

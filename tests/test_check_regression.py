@@ -146,3 +146,49 @@ class TestRegressionGate:
         cur.write_text(json.dumps(payload))
         proc = run_gate(BENCH, cur, "--require", "kernel")
         assert proc.returncode == 1, proc.stdout + proc.stderr
+
+
+class TestExactCounterGate:
+    def counters_copy(self, tmp_path, change):
+        payload = json.loads(BENCH.read_text())
+        change(payload["solo_replay"]["drive"])
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(payload))
+        return cur
+
+    def test_committed_counters_are_gated(self):
+        proc = run_gate(BENCH, BENCH)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "= solo_replay.drive.drive.walk.jump:" in proc.stdout
+        assert "exact counters unchanged" in proc.stdout
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_any_change_fails_and_names_the_counter(self, tmp_path, delta):
+        def bump(drive):
+            drive["drive.block.jump"] += delta
+
+        proc = run_gate(BENCH, self.counters_copy(tmp_path, bump))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "1 exact counter(s) changed" in proc.stdout
+        assert "! solo_replay.drive.drive.block.jump:" in proc.stdout
+
+    def test_a_counter_gone_from_current_counts_zero(self, tmp_path):
+        proc = run_gate(BENCH, self.counters_copy(
+            tmp_path, lambda drive: drive.pop("drive.block.build")
+        ))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "! solo_replay.drive.drive.block.build:" in proc.stdout
+
+    def test_a_new_counter_in_current_fails(self, tmp_path):
+        proc = run_gate(BENCH, self.counters_copy(
+            tmp_path, lambda drive: drive.update({"drive.block.expand": 3})
+        ))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "! solo_replay.drive.drive.block.expand: 0 -> 3" in proc.stdout
+
+    def test_baseline_without_counters_is_skipped(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"a": {"x_seconds": 1.0}}))
+        proc = run_gate(base, BENCH)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "solo_replay.drive: not in baseline (skipped)" in proc.stdout
