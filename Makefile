@@ -54,7 +54,8 @@ bench-engine:
 
 # Bench regression gate, exactly as CI runs it: snapshot the committed
 # BENCH_engine.json, refresh it via bench-smoke, compare timings with
-# tolerance and the solo replay's drive.* counters for equality.
+# tolerance, and the solo replay's drive.* counters and the traced
+# tier's stored rounds and merge keys for equality.
 check-regression:
 	cp BENCH_engine.json $(BENCH_BASELINE)
 	$(MAKE) bench-smoke
@@ -62,7 +63,8 @@ check-regression:
 	    --baseline $(BENCH_BASELINE) --current BENCH_engine.json \
 	    --require throughput --require delay_sweep \
 	    --require lowering --require kernel \
-	    --require telemetry_overhead --require solo_replay
+	    --require telemetry_overhead --require solo_replay \
+	    --require traced_memory
 
 # Golden row-level drift gate, exactly as CI runs it: re-run the golden
 # scenarios and `scenarios diff` them against the checked-in goldens.

@@ -19,6 +19,12 @@ Measures, on fixed deterministic instances:
    registry size, in process, best of 2 — the interpreted solo replay
    (:func:`repro.agents.program.drive`) the memory experiments run — with
    its rows checked against the golden and its ``drive.*`` counters.
+4. *Traced memory*: ``verify-small`` in process (the exhaustive
+   Theorem 4.1 pair grid on the traced tier): the solo-trace rounds its
+   traces store and the suffix-merge keys its registries hold, both
+   exact counts gated for equality by ``check_regression``, and the
+   tracemalloc peak in bytes of one run from a cleared trace cache
+   (recorded, not gated: it moves between Python versions).
 
 Results go to ``BENCH_engine.json`` at the repo root (via
 ``_util.record_json``) so successive PRs accumulate a perf trajectory.
@@ -185,6 +191,60 @@ def _solo_replay(quick: bool) -> dict:
     }
 
 
+def _traced_memory() -> dict:
+    """``verify-small``'s traced pair grid: one warm-up run, one run
+    under tracemalloc, and one counting run that keeps every tree's
+    trace-cache entry alive to count what it stored (so its own
+    allocations stay out of the peak).  The same in both modes."""
+    import tracemalloc
+
+    from repro.scenarios import Runner, backends
+    from repro.sim.traced import GLOBAL_TRACE_CACHE
+
+    name = "verify-small"
+    runner = Runner()
+    runner.run(name)  # imports and tree enumeration out of the peak
+    GLOBAL_TRACE_CACHE.clear()
+    tracemalloc.start()
+    try:
+        runner.run(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    GLOBAL_TRACE_CACHE.clear()
+    entries = {}
+    run_pairs = backends.run_pairs_traced
+
+    def keep(tree, prototype, pairs, **kwargs):
+        rows = run_pairs(tree, prototype, pairs, **kwargs)
+        entry = GLOBAL_TRACE_CACHE._by_proto.get(prototype, {}).get(tree)
+        if entry is not None:  # None: an empty grid traced nothing
+            entries[id(entry)] = entry
+        return rows
+
+    backends.run_pairs_traced = keep
+    try:
+        runner.run(name)
+    finally:
+        backends.run_pairs_traced = run_pairs
+    GLOBAL_TRACE_CACHE.clear()
+    return {
+        "workload": f"{name} (registry size, in process)",
+        "tracemalloc_peak_bytes": peak,
+        "counts": {
+            "trees": len(entries),
+            "traces": sum(len(traces) for traces, _, _ in entries.values()),
+            "rounds_stored": sum(
+                len(trace.actions)
+                for traces, _, _ in entries.values()
+                for trace in traces.values()
+            ),
+            "merge_keys": sum(len(registry) for _, registry, _ in entries.values()),
+        },
+    }
+
+
 def main(quick: bool = False, out_dir: Path | None = None) -> dict:
     # merge into the existing trajectory file: bench_lowering.py records
     # its own "lowering" section into the same JSON
@@ -197,6 +257,7 @@ def main(quick: bool = False, out_dir: Path | None = None) -> dict:
             "throughput": _throughput(quick),
             "delay_sweep": _delay_sweep(quick),
             "solo_replay": _solo_replay(quick),
+            "traced_memory": _traced_memory(),
         }
     )
     record_json("BENCH_engine", payload, out_dir)

@@ -19,8 +19,9 @@ refreshes legitimately carry different instance sizes than a full run,
 but their section structure is identical.
 
 Exact work counters are gated apart from the timings.  The sections in
-``EXACT_SECTIONS`` (today the solo replay's ``drive.*`` counters) count
-work, not time: they repeat exactly from run to run, so any difference
+``EXACT_SECTIONS`` (the solo replay's ``drive.*`` counters and the
+traced tier's stored rounds and suffix-merge keys on ``verify-small``)
+count work, not time: they repeat exactly from run to run, so any difference
 from the baseline fails and names the counter (a counter missing on one
 side counts 0).  A change that moves them on purpose re-records the
 baseline and says why.  A section missing from the baseline is skipped.
@@ -30,7 +31,7 @@ must exist non-empty in the current file — a benchmark silently dropping
 out of ``bench-smoke`` would otherwise read as "no regression" (its
 timings land on the never-fatal "only in baseline" path).  The Makefile
 requires every recorded section (throughput, delay_sweep, lowering,
-kernel, telemetry_overhead, solo_replay).
+kernel, telemetry_overhead, solo_replay, traced_memory).
 
 Usage (what ``make check-regression`` and the CI job run)::
 
@@ -52,7 +53,7 @@ import sys
 DEFAULT_TOLERANCE = 2.5
 DEFAULT_FLOOR = 0.02  # seconds: baselines below this are jitter-dominated
 #: Dotted paths of ``{counter: count}`` sections gated for equality.
-EXACT_SECTIONS = ("solo_replay.drive",)
+EXACT_SECTIONS = ("solo_replay.drive", "traced_memory.counts")
 
 
 def collect_timings(payload, prefix: str = "") -> dict[str, float]:

@@ -61,10 +61,27 @@ __all__ = [
 
 _FINISHED_KEY = ("finished",)
 _MAX_FREEZE_DEPTH = 24
+#: Types ``_freeze`` returns unchanged; a dict's keys and values of these
+#: exact types skip the call (frame locals are mostly names and ints).
+_SCALARS = frozenset({type(None), bool, int, float, str, bytes})
 
 
-def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
+def _freeze(
+    value,
+    memo: Optional[dict] = None,
+    intern: Optional[dict] = None,
+    stack: tuple[int, ...] = (),
+    depth: int = 0,
+):
     """Canonical hashable form of one frame local.
+
+    ``memo`` (``id -> frozen form``, one per key) freezes each register
+    bank, ``Ctx``, record and plain object once however many frames or
+    attributes reach it; every later visit gets the same frozen object.
+    A memo entry exists only once its object froze completely, so a
+    memo hit can never hide a cycle.  ``intern`` (see
+    :func:`machine_state_key`) shares frozen register banks and their
+    ``(name, bound, value)`` triples across keys.
 
     Raises :class:`LoweringError` for anything whose future behavior the
     frozen form might not determine (live iterators, paused generators,
@@ -74,13 +91,30 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
         raise LoweringError("machine state freeze exceeded the depth limit")
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
+    if memo is None:
+        memo = {}
+    # Memo entries are (object, frozen form): an entry holds its object,
+    # so no other object can take over its id while the key is built.
+    hit = memo.get(id(value))
+    if hit is not None:
+        return hit[1]
     if isinstance(value, Registers):
         # bounds + values; peaks are accounting the program cannot read
-        return ("Registers", value.state_key())
+        triples = value.state_key()
+        if intern is None:
+            frozen = ("Registers", triples)
+        else:
+            get = intern.setdefault
+            frozen = ("Registers", tuple([get(t, t) for t in triples]))
+            frozen = get(frozen, frozen)
+        memo[id(value)] = (value, frozen)
+        return frozen
     if isinstance(value, Ctx):
         # rounds is write-only accounting (program.py increments, nothing
         # reads it); excluding it is what lets perpetual walkers cycle
-        return ("Ctx", value.in_port, value.degree)
+        frozen = ("Ctx", value.in_port, value.degree)
+        memo[id(value)] = (value, frozen)
+        return frozen
     if isinstance(value, Tree):
         # trees never mutate after construction (lazy nav caches aside),
         # so object identity is a sound and cheap key
@@ -95,23 +129,35 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
             raise LoweringError("cyclic object state cannot be frozen")
         inner = stack + (id(value),)
         fields = tuple(
-            (name, _freeze(getattr(value, name), inner, depth + 1))
+            (name, _freeze(getattr(value, name), memo, intern, inner, depth + 1))
             for name in names
         )
-        return (type(value).__qualname__, fields)
+        frozen = (type(value).__qualname__, fields)
+        memo[id(value)] = (value, frozen)
+        return frozen
     if isinstance(value, tuple):
-        return tuple(_freeze(v, stack, depth + 1) for v in value)
+        return tuple(_freeze(v, memo, intern, stack, depth + 1) for v in value)
     if isinstance(value, list):
-        return ("list", tuple(_freeze(v, stack, depth + 1) for v in value))
+        return (
+            "list",
+            tuple(_freeze(v, memo, intern, stack, depth + 1) for v in value),
+        )
     if isinstance(value, (set, frozenset)):
-        frozen = sorted((_freeze(v, stack, depth + 1) for v in value), key=repr)
+        frozen = sorted(
+            (_freeze(v, memo, intern, stack, depth + 1) for v in value), key=repr
+        )
         return ("set", tuple(frozen))
     if isinstance(value, dict):
         # Sort by the keys' repr only: keys are small (local names, node
         # ids); sorting by the frozen values' repr would rebuild huge
         # strings from nested tuples on every freeze.
+        depth += 1
         items = [
-            (repr(k), _freeze(k, stack, depth + 1), _freeze(v, stack, depth + 1))
+            (
+                repr(k),
+                k if type(k) in _SCALARS else _freeze(k, memo, intern, stack, depth),
+                v if type(v) in _SCALARS else _freeze(v, memo, intern, stack, depth),
+            )
             for k, v in value.items()
         ]
         items.sort(key=lambda kv: kv[0])
@@ -122,7 +168,7 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
             return (
                 "method",
                 value.__qualname__,
-                _freeze(frozen_self, stack, depth + 1),
+                _freeze(frozen_self, memo, intern, stack, depth + 1),
             )
         return ("fn", getattr(value, "__module__", ""), value.__qualname__)
     if hasattr(value, "gi_frame") or hasattr(value, "__next__"):
@@ -135,16 +181,18 @@ def _freeze(value, stack: tuple[int, ...] = (), depth: int = 0):
             raise LoweringError("cyclic object state cannot be frozen")
         inner = stack + (id(value),)
         frozen = tuple(
-            (name, _freeze(val, inner, depth + 1))
+            (name, _freeze(val, memo, intern, inner, depth + 1))
             for name, val in sorted(attrs.items())
         )
-        return (type(value).__qualname__, frozen)
+        frozen = (type(value).__qualname__, frozen)
+        memo[id(value)] = (value, frozen)
+        return frozen
     raise LoweringError(
         f"cannot freeze frame local of type {type(value).__name__}"
     )
 
 
-def machine_state_key(agent: AgentProgram) -> tuple:
+def machine_state_key(agent: AgentProgram, intern: Optional[dict] = None) -> tuple:
     """Hashable identity of a suspended program's machine state.
 
     The key walks the generator's ``yield from`` delegation chain,
@@ -154,12 +202,20 @@ def machine_state_key(agent: AgentProgram) -> tuple:
     (:attr:`~repro.agents.program.AgentProgram.walk_state`).  A finished
     agent maps to the single absorbing "wait forever" state.  Raises :class:`LoweringError` when some frame
     state cannot be frozen faithfully.
+
+    Every object the frames share (the register bank, ``Ctx``, a
+    navigator) is frozen once per key, not once per frame.  ``intern``
+    is a table the caller owns for the keys it keeps: equal frames,
+    frozen register banks and register triples of different keys become
+    one shared object (the traced tier passes one table per (prototype,
+    tree), lowering one per run).  Neither changes key equality.
     """
     if not isinstance(agent, AgentProgram):
         raise LoweringError("machine states are defined for AgentProgram only")
     if agent.finished or agent.generator is None:
         return _FINISHED_KEY
     frames = []
+    memo: dict = {}
     gen = agent.generator
     outermost = True
     while gen is not None:
@@ -188,15 +244,16 @@ def machine_state_key(agent: AgentProgram) -> tuple:
                     k: v for k, v in locs.items() if k != code.co_varnames[0]
                 }
             outermost = False
-        frames.append(
-            (
-                code.co_filename,
-                code.co_firstlineno,
-                code.co_name,
-                frame.f_lasti,
-                _freeze(locs),
-            )
+        entry = (
+            code.co_filename,
+            code.co_firstlineno,
+            code.co_name,
+            frame.f_lasti,
+            _freeze(locs, memo, intern),
         )
+        if intern is not None:
+            entry = intern.setdefault(entry, entry)
+        frames.append(entry)
         gen = getattr(gen, "gi_yieldfrom", None)
     # Inside a Walk the routine stays suspended at the walk's yield while
     # AgentProgram expands it round by round; the expansion state is the
@@ -306,6 +363,7 @@ def lower_to_automaton(
     alphabet = _observation_alphabet(degrees)
     degs = sorted({d for _ip, d in alphabet})
     steps = 0
+    intern: dict = {}  # shared by every key this run keeps in ``ids``
 
     def spend(cost: int) -> None:
         nonlocal steps
@@ -330,7 +388,7 @@ def lower_to_automaton(
         clone = prototype.clone()
         spend(1)
         start_actions.append(clone.start(d0))
-        start_keys.append(machine_state_key(clone))
+        start_keys.append(machine_state_key(clone, intern))
     if len(set(start_actions)) != 1:
         raise LoweringError(
             "start action depends on the start degree; no automaton can "
@@ -359,7 +417,7 @@ def lower_to_automaton(
             continue  # wait-forever: default keep-state + STAY output
         path = paths[state]
         for ip, d in alphabet:
-            successors = set()
+            ident = None
             for seed in root_seeds:
                 clone = prototype.clone()
                 spend(len(path) + 2)
@@ -367,14 +425,15 @@ def lower_to_automaton(
                 for pip, pd in path:
                     clone.step(pip, pd)
                 action = clone.step(ip, d)
-                successors.add((machine_state_key(clone), action))
-            if len(successors) != 1:
-                raise LoweringError(
-                    "start-degree branches failed to merge after one "
-                    "observation; the program is not automaton-expressible"
-                )
-            (key, action), = successors
-            ident = (key, action)
+                successor = (machine_state_key(clone, intern), action)
+                if ident is None:
+                    ident = successor
+                elif successor != ident:
+                    raise LoweringError(
+                        "start-degree branches failed to merge after one "
+                        "observation; the program is not automaton-expressible"
+                    )
+            key, action = ident
             nxt = ids.get(ident)
             if nxt is None:
                 nxt = len(outputs)

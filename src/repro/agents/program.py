@@ -543,7 +543,9 @@ def drive(
     A :class:`Block` is resolved through a block memo ``(u, key) -> (v,
     in_port, edges, effects)``.  As in the walk memo the speed is left
     out of the key: on a miss a nested ``drive`` runs the block's
-    instructions once, at speed 1, on a scratch register bank, and every
+    instructions once, at speed 1, on a scratch register bank (sharing
+    this call's hop table and walk memo, which hold for any speed on the
+    same tree; the block memo stays its own), and every
     hit charges ``edges * speed`` rounds, folds the scratch bank's
     effects into ``registers`` (:meth:`Registers.apply`: bounds widen,
     peaks rise, final values are set) and sends ``(in_port, degree,
@@ -560,14 +562,27 @@ def drive(
     miss (``block.build``) and answered ``None`` (``block.expand``).  A
     nested build reports its own walks.
     """
+    return _drive(tree, start, routine, registers, max_rounds, trail, {}, {})
+
+
+def _drive(
+    tree,
+    start: int,
+    routine: Routine,
+    registers: Registers,
+    max_rounds: Optional[int],
+    trail: Optional[list],
+    hops: dict,  # (u, port) -> (v, in_port, edges)
+    walks: dict,  # (u, port, delta, arrivals) -> (v, in_port, edges)
+) -> Drive:
+    """:func:`drive` over a hop table and walk memo the caller owns
+    (a block build passes the enclosing call's)."""
     # Bound per call, not at import: profilers count the interpreted
     # rounds by rebinding ``observations.resolve_action``.
     from .observations import resolve_action
 
     stride, deg, move_to, move_in = tree.flat_move_tables()
     budget = sys.maxsize if max_rounds is None else max_rounds
-    hops: dict = {}  # (u, port) -> (v, in_port, edges)
-    walks: dict = {}  # (u, port, delta, arrivals) -> (v, in_port, edges)
     blocks: dict = {}  # (u, block key) -> (v, in_port, edges, effects)
     walk_jump = walk_edges = block_jump = block_build = block_expand = 0
     pos = start
@@ -585,7 +600,9 @@ def drive(
                         # drive's first step answers that block None.
                         expansion = action.routine(ctx, scratch, 1)
                         next(expansion)
-                        run = drive(tree, pos, expansion, scratch)
+                        run = _drive(
+                            tree, pos, expansion, scratch, None, None, hops, walks
+                        )
                         if not run.rounds:
                             raise AgentProtocolError(f"block {action.key!r} moved no edge")
                         blocks[key] = (run.node, ctx.in_port, run.rounds, scratch.effects())

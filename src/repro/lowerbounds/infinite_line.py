@@ -63,11 +63,6 @@ class InfiniteLineRun(TupleRecord):
         return max(abs(p) for p in self.positions)
 
 
-def _edge_color(p: int, q: int) -> int:
-    """Port number (at both ends) of the edge between p and q = p±1."""
-    return min(p, q) % 2
-
-
 def simulate_infinite_line(automaton: LineAutomaton, rounds: int) -> InfiniteLineRun:
     """Run ``automaton`` from position 0 of the infinite colored line.
 
@@ -75,31 +70,38 @@ def simulate_infinite_line(automaton: LineAutomaton, rounds: int) -> InfiniteLin
     the initial state (paper §2.1); each subsequent round transitions on
     ``(in_port, 2)`` where ``in_port`` is the traversed edge's color, or
     ``(-1, 2)`` after a null move.
+
+    Both ends of an edge carry its color, so the entry port is the port
+    just taken: the whole run reads one degree-2 table ``(state,
+    in_port) -> state``, filled from ``transition(s, p, 2)`` the first
+    time the run needs an entry.
     """
-    agent = automaton.clone()
+    output = automaton.output
+    transition = automaton.transition
+    table = [-1] * (3 * automaton.num_states)  # at 3 * state + in_port + 1
+    state = automaton.initial_state
+    action = output[state]
     pos = 0
     positions = [0]
-    states: list[int] = [agent.initial_state]  # states[0] unused placeholder
+    states: list[int] = [state]  # states[0] unused placeholder
     leave_events: list[LeaveEvent] = []
-    action = agent.start(2)
-    in_port = NULL_PORT
     for rnd in range(1, rounds + 1):
-        state_now = agent.state
         if action == STAY:
             in_port = NULL_PORT
         else:
-            port = action % 2
             # Taking "port c" from pos means crossing its incident edge of
             # color c: the left edge has color (pos-1) mod 2, the right one
-            # pos mod 2 — exactly one matches c.
-            if pos % 2 == port:
-                nxt = pos + 1
-            else:
-                nxt = pos - 1
-            leave_events.append(LeaveEvent(rnd, pos, state_now, nxt - pos))
-            in_port = _edge_color(pos, nxt)
+            # pos mod 2 — exactly one matches c, and c is the entry port.
+            in_port = action % 2
+            nxt = pos + 1 if pos % 2 == in_port else pos - 1
+            leave_events.append(LeaveEvent(rnd, pos, state, nxt - pos))
             pos = nxt
         positions.append(pos)
-        states.append(state_now)
-        action = agent.step(in_port, 2)
+        states.append(state)
+        idx = 3 * state + in_port + 1
+        nxt_state = table[idx]
+        if nxt_state < 0:
+            nxt_state = table[idx] = transition(state, in_port, 2)
+        state = nxt_state
+        action = output[state]
     return InfiniteLineRun(positions, states, leave_events)

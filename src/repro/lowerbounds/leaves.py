@@ -33,7 +33,13 @@ from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
 from ..sim.engine import RendezvousOutcome
 from ..trees.automorphism import perfectly_symmetrizable
-from ..trees.sidetrees import SideTree, TwoSided, all_side_trees, root_edge_color, two_sided_tree
+from ..trees.sidetrees import (
+    SideTree,
+    TwoSided,
+    iter_side_trees,
+    root_edge_color,
+    two_sided_tree,
+)
 from ..trees.tree import Tree
 
 __all__ = [
@@ -104,9 +110,13 @@ def _tour(
 def find_colliding_side_trees(
     automaton: Automaton, i: int, m: int
 ) -> Optional[tuple[SideTree, SideTree, BehaviorFunction]]:
-    """First pair of side trees (for ℓ = 2i) with equal behavior functions."""
+    """First pair of side trees (for ℓ = 2i) with equal behavior functions.
+
+    Side trees are built as the scan reaches them: it usually stops at
+    its first collision, long before the ``2^(i-1)``-th tree.
+    """
     seen: dict[BehaviorFunction, SideTree] = {}
-    for side in all_side_trees(i, root_port_up=root_edge_color(m)):
+    for side in iter_side_trees(i, root_port_up=root_edge_color(m)):
         q = behavior_function(automaton, side, m)
         if q in seen:
             return (seen[q], side, q)

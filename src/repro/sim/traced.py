@@ -91,11 +91,30 @@ CYCLED = "cycled"
 DEFAULT_TRACE_BUDGET = 1_000_000
 
 
+def _buffer(top: int, items: Sequence[int] = ()):
+    """A typed :class:`array.array` of the narrowest signed typecode that
+    holds ``-1 .. top``, seeded with ``items``.  Appending a value outside
+    it raises ``OverflowError``; it never wraps.  ``array`` is imported
+    here, not at module load, so a process that never records a trace
+    does not map the extension module."""
+    from array import array
+
+    for code in "bhiq":
+        buf = array(code)
+        if top < 1 << (8 * buf.itemsize - 1):
+            buf.extend(items)
+            return buf
+    raise SimulationError(f"no array typecode holds {top}")
+
+
 class SoloTrace:
     """One agent's lazily-extended solo run from one start node.
 
     ``actions[t-1]`` / ``positions[t]`` are the resolved action taken
-    and node occupied after round ``t`` (``positions[0]`` is the start).
+    and node occupied after round ``t`` (``positions[0]`` is the start),
+    held in typed :class:`array.array` buffers sized to the tree (one
+    byte a round on trees under 128 nodes, against a list's 8-byte
+    pointer).
     ``status`` is ``"active"`` (more rounds available on demand),
     ``"finished"`` (the program returned: null moves forever), or
     ``"cycled"`` (machine + environment state after round
@@ -113,7 +132,7 @@ class SoloTrace:
         "_deg", "_stride", "_move_to", "_move_in",
         "_anchor_pos", "_anchor_ip", "_anchor_regs", "_anchor_key",
         "_anchor_round", "_brent_steps", "_brent_power",
-        "_registry", "_last_dist", "_link", "_link_round",
+        "_registry", "_intern", "_last_dist", "_link", "_link_round",
         "source", "_mapping", "_automaton",
     )
 
@@ -124,13 +143,18 @@ class SoloTrace:
         start: int,
         *,
         merge_registry: Optional[dict] = None,
+        intern: Optional[dict] = None,
     ) -> None:
         if not (0 <= start < tree.n):
             raise SimulationError("start node outside the tree")
         self.start = start
         self.agent = prototype.clone()
-        self.actions: list[int] = []
-        self.positions: list[int] = [start]
+        self._stride, self._deg, self._move_to, self._move_in = (
+            tree.flat_move_tables()
+        )
+        # actions are STAY (-1) or a port below the maximum degree
+        self.actions = _buffer(self._stride)
+        self.positions = _buffer(tree.n - 1, (start,))
         self.status = ACTIVE
         self.cycle_start: Optional[int] = None
         self.cycle_len: Optional[int] = None
@@ -138,9 +162,6 @@ class SoloTrace:
         self._in_port = NULL_PORT
         self._started = False
         self._use_keys = isinstance(self.agent, AgentProgram)
-        self._stride, self._deg, self._move_to, self._move_in = (
-            tree.flat_move_tables()
-        )
         self._anchor_pos = -1
         self._anchor_ip = -2
         self._anchor_regs: Optional[tuple] = None
@@ -153,6 +174,9 @@ class SoloTrace:
         # Suffix merging (see extend): registry of distinguished machine
         # states shared with the sibling traces of this (prototype, tree).
         self._registry = merge_registry if self._use_keys else None
+        # Frames and register triples every key of this trace shares with
+        # its siblings' keys (machine_state_key's ``intern``).
+        self._intern = {} if intern is None else intern
         self._last_dist = 0
         self._link: Optional[tuple] = None  # (source trace, round offset)
         self._link_round = 0
@@ -203,7 +227,8 @@ class SoloTrace:
         agent = self.agent
         deg, stride = self._deg, self._stride
         move_to, move_in = self._move_to, self._move_in
-        actions, positions = self.actions, self.positions
+        add_action = self.actions.append
+        add_position = self.positions.append
         is_program = isinstance(agent, AgentProgram)
         pos = self._pos
         in_port = self._in_port
@@ -216,8 +241,9 @@ class SoloTrace:
         brent_steps = self._brent_steps
         brent_power = self._brent_power
         registry = self._registry
+        intern = self._intern
         last_dist = self._last_dist
-        rnd = len(actions)
+        rnd = len(self.actions)
         try:
             while rnd < upto:
                 d = deg[pos]
@@ -237,8 +263,8 @@ class SoloTrace:
                     base = pos * stride + a
                     pos = move_to[base]
                     in_port = move_in[base]
-                actions.append(a)
-                positions.append(pos)
+                add_action(a)
+                add_position(pos)
                 rnd += 1
                 if is_program and agent._done:
                     # The program returned: this round's action was the
@@ -265,7 +291,9 @@ class SoloTrace:
                     if (hash(rv) ^ in_port) & 7 == 0:
                         last_dist = rnd
                         try:
-                            key = (pos, in_port, machine_state_key(agent))
+                            key = (
+                                pos, in_port, machine_state_key(agent, intern)
+                            )
                         # repro-lint: disable=RPR002 -- in-trace downgrade, not a verdict: an unfreezable machine state only disables cross-trace suffix sharing; the trace keeps interpreting and certification is unaffected
                         except LoweringError:
                             registry = self._registry = None
@@ -296,7 +324,7 @@ class SoloTrace:
                         and tuple(regs_values.values()) == self._anchor_regs
                     ):
                         try:
-                            key = machine_state_key(agent)
+                            key = machine_state_key(agent, intern)
                         # repro-lint: disable=RPR002 -- in-trace downgrade, not a verdict: unfreezable state only disables Brent machine-state lassoing for this trace; no certificate is ever claimed without it
                         except LoweringError:
                             use_keys = self._use_keys = False
@@ -309,7 +337,7 @@ class SoloTrace:
                     brent_steps += 1
                     if brent_steps == brent_power:
                         try:
-                            self._anchor_key = machine_state_key(agent)
+                            self._anchor_key = machine_state_key(agent, intern)
                         # repro-lint: disable=RPR002 -- in-trace downgrade, not a verdict: unfreezable state only disables Brent machine-state lassoing for this trace; no certificate is ever claimed without it
                         except LoweringError:
                             use_keys = self._use_keys = False
@@ -428,9 +456,10 @@ class MirrorTrace(SoloTrace):
     instances (near-mirror pairs on symmetric lines, the Fact 1.1
     checks) need: their two traces are built once, not twice.
 
-    The mirror keeps its own action/position lists, synced from the
-    source on :meth:`extend`, so every consumer invariant
-    (``len(positions) == len(actions) + 1``) holds at read time.
+    The mirror keeps its own action/position buffers (the source's
+    typecodes), synced from the source on :meth:`extend`, so every
+    consumer invariant (``len(positions) == len(actions) + 1``) holds at
+    read time.
     """
 
     __slots__ = ()  # source/_mapping live in SoloTrace.__slots__
@@ -440,8 +469,9 @@ class MirrorTrace(SoloTrace):
         self._mapping = mapping
         self.start = mapping[source.start]
         self.agent = None  # never interpreted: the source is
-        self.actions = []
-        self.positions = [self.start]
+        self.actions = source.actions[:0]  # empty, the source's typecode
+        self.positions = source.positions[:0]
+        self.positions.append(self.start)
         self.status = ACTIVE
         self.cycle_start = None
         self.cycle_len = None
@@ -450,14 +480,11 @@ class MirrorTrace(SoloTrace):
 
     def _sync(self) -> None:
         src = self.source
-        sa, sp = src.actions, src.positions
-        f = self._mapping
         m = len(self.actions)
-        actions, positions = self.actions, self.positions
-        while m < len(sa):
-            actions.append(sa[m])
-            m += 1
-            positions.append(f[sp[m]])
+        if m < len(src.actions):
+            self.actions.extend(src.actions[m:])
+            f = self._mapping.__getitem__
+            self.positions.extend(map(f, src.positions[m + 1:]))
         self.status = src.status
         self.cycle_start = src.cycle_start
         self.cycle_len = src.cycle_len
@@ -515,9 +542,11 @@ class TraceCache:
             return SoloTrace(tree, prototype, start)
         entry = per_tree.get(tree)
         if entry is None:
-            entry = ({}, {})  # (traces by start, distinguished-state registry)
+            # (traces by start, distinguished-state registry, the intern
+            # table of every machine-state key the traces make)
+            entry = ({}, {}, {})
             per_tree[tree] = entry
-        traces, registry = entry
+        traces, registry, intern = entry
         trace = traces.get(start)
         if trace is None:
             f = self._automorphism(tree)
@@ -529,7 +558,8 @@ class TraceCache:
                         t.count("trace.cache.mirror")
             if trace is None:
                 trace = SoloTrace(
-                    tree, prototype, start, merge_registry=registry
+                    tree, prototype, start,
+                    merge_registry=registry, intern=intern,
                 )
                 if t.enabled:
                     t.count("trace.cache.miss")
@@ -763,7 +793,7 @@ def _traced_run(
     steps = 0
     power = 1
 
-    # live lists: extend() appends in place, so these stay current
+    # live buffers: extend() appends in place, so these stay current
     actions = [tr.actions for tr in traces]
     positions = [tr.positions for tr in traces]
     folded = [0] * k

@@ -22,6 +22,8 @@ the ``m`` joining nodes follow, ordered from side 1 to side 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from ..errors import ConstructionError
 from ..records import TupleRecord, tuple_new
 from .tree import Tree
@@ -30,6 +32,7 @@ __all__ = [
     "SideTree",
     "side_tree",
     "all_side_trees",
+    "iter_side_trees",
     "num_side_trees",
     "root_edge_color",
     "TwoSided",
@@ -117,13 +120,17 @@ def num_side_trees(i: int) -> int:
     return 2 ** (i - 1)
 
 
-def all_side_trees(i: int, root_port_up: int = 1) -> list[SideTree]:
-    """All ``2^(i-1)`` side trees for ℓ = 2i, in binary-counter order."""
-    out = []
+def iter_side_trees(i: int, root_port_up: int = 1) -> Iterator[SideTree]:
+    """The ``2^(i-1)`` side trees for ℓ = 2i, in binary-counter order,
+    each built only when the scan reaches it."""
     for mask in range(2 ** (i - 1)):
         choices = tuple((mask >> b) & 1 for b in range(i - 1))
-        out.append(side_tree(i, choices, root_port_up))
-    return out
+        yield side_tree(i, choices, root_port_up)
+
+
+def all_side_trees(i: int, root_port_up: int = 1) -> list[SideTree]:
+    """All ``2^(i-1)`` side trees for ℓ = 2i, in binary-counter order."""
+    return list(iter_side_trees(i, root_port_up))
 
 
 class TwoSided(TupleRecord):

@@ -186,3 +186,31 @@ class TestLoweredAutomaton:
         aut.step(0, 2)
         fresh = aut.clone()
         assert fresh.state == fresh.initial_state
+
+
+class TestStateCountsPinned:
+    """Lowered and minimized state counts, route A (lowering, one intern
+    table per run) and route B (traced lassos, whose Brent and
+    suffix-merge keys are interned per (prototype, tree)).  The counts
+    are the ``atlas-programs`` golden's; a key that merged or split
+    states would move them."""
+
+    def test_lowered_and_minimized_counts(self):
+        from repro.analysis.program_atlas import program_atlas_rows
+
+        grid = {
+            "counting-program:2": ("line:9", "star:4"),
+            "pausing-program:2": ("line:9",),
+            "thm41": ("star:4", "spider:2,2,2"),
+        }
+        counts = [
+            (r.program, r.tree, r.route, r.raw_states, r.min_states)
+            for r in program_atlas_rows(grid)
+        ]
+        assert counts == [
+            ("counting-program:2", "line:9", "A", 41, 8),
+            ("counting-program:2", "star:4", "A", 57, 8),
+            ("pausing-program:2", "line:9", "A", 31, 6),
+            ("thm41", "star:4", "B", 49, 34),
+            ("thm41", "spider:2,2,2", "B", 112, 46),
+        ]

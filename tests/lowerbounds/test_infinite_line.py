@@ -1,7 +1,20 @@
 """Tests for the infinite-line simulation layer."""
 
-from repro.agents import STAY, LineAutomaton, alternator, pausing_walker
-from repro.lowerbounds import simulate_infinite_line
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.agents import (
+    NULL_PORT,
+    STAY,
+    Automaton,
+    LineAutomaton,
+    alternator,
+    pausing_walker,
+    random_line_automaton,
+)
+from repro.lowerbounds import LeaveEvent, simulate_infinite_line
 
 
 class TestSimulateInfiniteLine:
@@ -44,3 +57,55 @@ class TestSimulateInfiniteLine:
         run = simulate_infinite_line(alternator(), 12)
         lo, hi = run.span(5)
         assert (lo, hi) in {(-5, 0), (0, 5)}
+
+
+# -- the degree-2 table loop against the per-round loop ------------------------
+
+
+def per_round_line(automaton, rounds):
+    """The oracle: step a clone of the automaton round by round, with the
+    entry port recomputed from the crossed edge's color."""
+    agent = automaton.clone()
+    pos = 0
+    positions = [0]
+    states = [agent.initial_state]
+    leave_events = []
+    action = agent.start(2)
+    in_port = NULL_PORT
+    for rnd in range(1, rounds + 1):
+        state_now = agent.state
+        if action == STAY:
+            in_port = NULL_PORT
+        else:
+            nxt = pos + 1 if pos % 2 == action % 2 else pos - 1
+            leave_events.append(LeaveEvent(rnd, pos, state_now, nxt - pos))
+            in_port = min(pos, nxt) % 2
+            pos = nxt
+        positions.append(pos)
+        states.append(state_now)
+        action = agent.step(in_port, 2)
+    return positions, states, leave_events
+
+
+@st.composite
+def line_automata(draw):
+    """A random line automaton, or a general automaton whose degree-2
+    transitions read the entry port and whose outputs reach past 1."""
+    k = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    if draw(st.booleans()):
+        return random_line_automaton(k, rng, stay_prob=draw(st.sampled_from([0, 0.15, 0.5])))
+    table = {
+        (s, ip, 2): rng.randrange(k) for s in range(k) for ip in (NULL_PORT, 0, 1)
+    }
+    output = [rng.choice([STAY, 0, 1, 2, 5]) for _ in range(k)]
+    return Automaton(k, table, output, rng.randrange(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_automata(), st.integers(0, 400))
+def test_table_loop_matches_per_round_loop(automaton, rounds):
+    run = simulate_infinite_line(automaton, rounds)
+    assert (run.positions, run.states, run.leave_events) == per_round_line(
+        automaton, rounds
+    )

@@ -94,3 +94,35 @@ class TestThm43Construction:
         side = all_side_trees(4, root_port_up=root_edge_color(4))[5]
         ts = two_sided_tree(side, side, 4)
         assert perfectly_symmetrizable(ts.tree, ts.u, ts.v)
+
+
+class TestLazySideTreeScan:
+    def test_scan_builds_only_the_trees_it_reaches(self, monkeypatch):
+        """The collision scan builds each side tree as it reaches it: as
+        many builds as behavior functions, not all 2^(i-1)."""
+        from repro.lowerbounds import leaves
+        from repro.trees import sidetrees
+
+        built, scanned = [], []
+        side_tree, behavior = sidetrees.side_tree, leaves.behavior_function
+        monkeypatch.setattr(
+            sidetrees, "side_tree", lambda *a: built.append(a) or side_tree(*a)
+        )
+        monkeypatch.setattr(
+            leaves, "behavior_function",
+            lambda *a: scanned.append(a) or behavior(*a),
+        )
+        a = random_tree_automaton(2, rng=random.Random(0))
+        side1, side2, q = find_colliding_side_trees(a, 6, 4)
+        assert len(built) == len(scanned) < 2 ** 5
+        assert (side1, side2) == tuple(
+            s for s in all_side_trees(6, root_port_up=root_edge_color(4))
+            if s in (side1, side2)
+        )
+
+    def test_iter_side_trees_is_all_side_trees(self):
+        from repro.trees.sidetrees import iter_side_trees
+
+        for i in (2, 4):
+            for up in (0, 1):
+                assert list(iter_side_trees(i, up)) == all_side_trees(i, up)

@@ -385,14 +385,45 @@ def test_inserted_explo_is_one_closed_walk_per_branching_arrival(monkeypatch):
     nodes = {u for _, _, u, _ in explos}
     assert (len(explos), len(nodes)) == (9, 5)
     assert all(e - b == 2 * (tree.n - 1) and u == v for b, e, u, v in explos)
-    # One walk-memo miss per node in the outer drive (the P block builds
-    # run nested drives with tables of their own); bw(2(ν-1)) from the
-    # same node shares the entry.
+    # One walk-memo miss per node, the P block builds' nested drives
+    # included (they share the outer drive's tables); bw(2(ν-1)) from
+    # the same node shares the entry.
     outer = [u for hops, u in resolved if hops is resolved[0][0]]
-    assert len(outer) == len(set(outer)) and nodes <= set(outer)
+    assert len(outer) == len(resolved) == len(set(outer))
+    assert nodes <= set(outer)
     paths = [u for _, _, u, _ in block_runs(tree, 3, prototype, is_path_block)]
     assert tel.counters["drive.block.build"] == len(set(paths))
     assert tel.counters["drive.block.jump"] == len(paths)
+
+
+def test_nested_block_builds_share_the_outer_walk_tables(monkeypatch):
+    """A P build's nested drive resolves walks through the outer drive's
+    hop table and walk memo: in one drive of the ℓ = 4 subdivided tree
+    from start 3, every (u, port, delta, arrivals) is resolved once,
+    though the builds repeat walks the outer drive already resolved."""
+    from repro.agents import program
+
+    tree = subdivide(complete_binary_tree(2), 3)
+    prototype = rendezvous_agent(max_outer=1)
+    resolved = []
+    walk_end = program._walk_end
+
+    def spy_walk_end(tree, hops, u, port, delta, arrivals):
+        resolved.append((id(hops), u, port, delta, arrivals))
+        return walk_end(tree, hops, u, port, delta, arrivals)
+
+    monkeypatch.setattr(program, "_walk_end", spy_walk_end)
+    tel = telemetry.Telemetry()
+    with telemetry.use(tel):
+        drive_spans(tree, 3, prototype)
+    assert tel.counters["drive.block.build"] >= 1
+    assert len({r[0] for r in resolved}) == 1
+    walks = [r[1:] for r in resolved]
+    assert len(walks) == len(set(walks))
+    # a second call resolves them afresh: the tables are per call
+    resolved.clear()
+    drive_spans(tree, 3, prototype)
+    assert sorted(r[1:] for r in resolved) == sorted(walks)
 
 
 def test_block_must_declare_what_it_writes():
@@ -429,3 +460,177 @@ def test_block_must_move():
     tree = line(4)
     with pytest.raises(AgentProtocolError, match="moved no edge"):
         drive(tree, 0, agent.routine(tree.degree(0)), agent.registers)
+
+
+# -- machine-state keys: memoized and interned ≡ one freeze per frame ---------
+
+
+def oracle_freeze(value, stack=(), depth=0):
+    """The oracle: the frame-local freeze with no memo and no intern
+    table — every frame re-freezes every object it reaches."""
+    from repro.agents.program import Registers
+    from repro.errors import LoweringError
+    from repro.trees.tree import Tree
+
+    if depth > 24:
+        raise LoweringError("depth")
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    if isinstance(value, Registers):
+        return ("Registers", value.state_key())
+    if isinstance(value, Ctx):
+        return ("Ctx", value.in_port, value.degree)
+    if isinstance(value, Tree):
+        return ("Tree", id(value))
+    if isinstance(value, range):
+        return ("range", value.start, value.stop, value.step)
+    names = getattr(type(value), "_fields", None)
+    if names is not None:
+        if id(value) in stack:
+            raise LoweringError("cyclic")
+        inner = stack + (id(value),)
+        return (
+            type(value).__qualname__,
+            tuple((n, oracle_freeze(getattr(value, n), inner, depth + 1)) for n in names),
+        )
+    if isinstance(value, tuple):
+        return tuple(oracle_freeze(v, stack, depth + 1) for v in value)
+    if isinstance(value, list):
+        return ("list", tuple(oracle_freeze(v, stack, depth + 1) for v in value))
+    if isinstance(value, (set, frozenset)):
+        frozen = sorted((oracle_freeze(v, stack, depth + 1) for v in value), key=repr)
+        return ("set", tuple(frozen))
+    if isinstance(value, dict):
+        items = sorted(
+            ((repr(k), oracle_freeze(k, stack, depth + 1), oracle_freeze(v, stack, depth + 1))
+             for k, v in value.items()),
+            key=lambda kv: kv[0],
+        )
+        return ("dict", tuple((k, v) for _r, k, v in items))
+    if callable(value) and hasattr(value, "__qualname__"):
+        owner = getattr(value, "__self__", None)
+        if owner is not None:
+            return ("method", value.__qualname__, oracle_freeze(owner, stack, depth + 1))
+        return ("fn", getattr(value, "__module__", ""), value.__qualname__)
+    if hasattr(value, "gi_frame") or hasattr(value, "__next__"):
+        raise LoweringError("live iterator")
+    attrs = getattr(value, "__dict__", None)
+    if attrs is not None:
+        if id(value) in stack:
+            raise LoweringError("cyclic")
+        inner = stack + (id(value),)
+        return (
+            type(value).__qualname__,
+            tuple((n, oracle_freeze(v, inner, depth + 1)) for n, v in sorted(attrs.items())),
+        )
+    raise LoweringError(type(value).__name__)
+
+
+def oracle_key(agent):
+    """machine_state_key with every frame frozen on its own."""
+    if agent.finished or agent.generator is None:
+        return ("finished",)
+    frames = []
+    gen = agent.generator
+    outermost = True
+    while gen is not None:
+        frame = gen.gi_frame
+        if frame is None:
+            frames.append(("done", gen.gi_code.co_name))
+            break
+        code = frame.f_code
+        locs = frame.f_locals
+        if outermost:
+            if code.co_argcount >= 1:
+                locs = {k: v for k, v in locs.items() if k != code.co_varnames[0]}
+            outermost = False
+        frames.append((
+            code.co_filename, code.co_firstlineno, code.co_name, frame.f_lasti,
+            oracle_freeze(locs),
+        ))
+        gen = getattr(gen, "gi_yieldfrom", None)
+    return ("suspended", tuple(frames), agent.walk_state)
+
+
+def assert_keys_match_oracle(tree, start, agent, rounds):
+    """At every round, the key built with one intern table shared across
+    the rounds equals the oracle's, and equal keys share their frames."""
+    intern = {}
+    pos = start
+    raw = agent.start(tree.degree(pos))
+    keys = []
+    for _ in range(rounds + 1):
+        key = machine_state_key(agent, intern)
+        assert key == oracle_key(agent)
+        keys.append(key)
+        if agent.finished:
+            break
+        a = resolve_action(raw, tree.degree(pos))
+        if a == -1:
+            obs = (NULL_PORT, tree.degree(pos))
+        else:
+            pos, in_port = tree.move(pos, a)
+            obs = (in_port, tree.degree(pos))
+        raw = agent.step(*obs)
+    for key in keys:
+        if key[0] == "suspended":
+            for frame in key[1]:
+                assert intern[frame] is frame
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(), st.data(), walk_specs)
+def test_interned_key_matches_oracle_walk_program(tree, data, specs):
+    start = data.draw(st.integers(0, tree.n - 1))
+    expand = data.draw(st.booleans())
+    rounds = data.draw(st.integers(0, 400))
+    assert_keys_match_oracle(tree, start, walk_program(specs, expand, []), rounds)
+
+
+REGISTER_PROGRAMS = ["thm41:1", "baseline", "prime:3", "counting-program:2", "pausing-program:2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(max_n=7, max_sub=2), st.data(), st.sampled_from(REGISTER_PROGRAMS))
+def test_interned_key_matches_oracle_registry_programs(tree, data, program):
+    from repro.scenarios.spec import build_agent
+
+    start = data.draw(st.integers(0, tree.n - 1))
+    rounds = data.draw(st.integers(0, 400))
+    assert_keys_match_oracle(tree, start, build_agent(program), rounds)
+
+
+def test_key_frames_share_one_frozen_register_bank():
+    """The Theorem 4.1 agent's frames all reach its one register bank;
+    a key freezes it once, and every frame holds that same object, with
+    or without an intern table."""
+
+    def banks(frozen, out):
+        if isinstance(frozen, tuple):
+            if frozen and frozen[0] == "Registers":
+                out.append(frozen)
+            for item in frozen:
+                banks(item, out)
+        return out
+
+    tree = subdivide(complete_binary_tree(2), 2)
+    agent = rendezvous_agent(max_outer=1)
+    raw = agent.start(tree.degree(0))
+    pos = 0
+    seen_deep = False
+    for rnd in range(300):
+        key = machine_state_key(agent, {} if rnd % 2 else None)
+        found = banks(key, [])
+        frames_with_bank = [f for f in key[1] if banks(f, [])]
+        if len(frames_with_bank) >= 2:
+            seen_deep = True
+            assert all(b is found[0] for b in found)
+        a = resolve_action(raw, tree.degree(pos))
+        if a == -1:
+            obs = (NULL_PORT, tree.degree(pos))
+        else:
+            pos, in_port = tree.move(pos, a)
+            obs = (in_port, tree.degree(pos))
+        raw = agent.step(*obs)
+    assert seen_deep

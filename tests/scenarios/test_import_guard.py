@@ -55,7 +55,7 @@ hit.to_payload()
 atlas.close()
 after_thm43 = "numpy" in sys.modules
 codegen = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-unused = [m for m in ("platform", "pickle", "repro.sim.supervise")
+unused = [m for m in ("platform", "pickle", "repro.sim.supervise", "array")
           if m in sys.modules]
 namedtuples = sorted(
     f"{module.__name__}.{name}"
@@ -110,7 +110,8 @@ def test_setup_and_atlas_round_trip_import_no_dataclasses(atlas_round_trip):
 def test_setup_and_atlas_round_trip_load_neither_platform_nor_the_pool(
     atlas_round_trip,
 ):
-    # the provenance reads os.uname(); the pool loads where a pool starts
+    # the provenance reads os.uname(); the pool loads where a pool starts;
+    # the array module behind solo-trace buffers loads with the first trace
     assert atlas_round_trip["unused_after_thm43"] == []
 
 

@@ -45,6 +45,9 @@ def test_bench_engine_quick_emits_json(tmp_path):
     replay = payload["solo_replay"]
     assert replay["rows_match_golden"], "memory-vs-leaves rows drifted from the golden"
     assert replay["drive"]["drive.block.jump"] > 0
+    counts = payload["traced_memory"]["counts"]
+    assert counts["rounds_stored"] > 0 and counts["merge_keys"] > 0
+    assert payload["traced_memory"]["tracemalloc_peak_bytes"] > 0
 
 
 def load_bench_gathering():

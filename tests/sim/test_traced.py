@@ -406,3 +406,72 @@ class TestCacheSharing:
         a = solo_trace(t, proto, 1)
         GLOBAL_TRACE_CACHE.clear()
         assert solo_trace(t, proto, 1) is not a
+
+
+class TestTypedBuffers:
+    def test_buffers_are_arrays_sized_to_the_tree(self):
+        from array import array
+
+        small = SoloTrace(line(6), baseline_agent(), 1)
+        small.extend(50)
+        assert isinstance(small.actions, array) and isinstance(small.positions, array)
+        assert (small.actions.typecode, small.positions.typecode) == ("b", "b")
+        big = SoloTrace(line(300), baseline_agent(), 1)
+        assert (big.actions.typecode, big.positions.typecode) == ("b", "h")
+
+    def test_out_of_range_values_raise_instead_of_wrapping(self):
+        from repro.sim.traced import _buffer
+
+        trace = SoloTrace(line(6), baseline_agent(), 1)
+        with pytest.raises(OverflowError):
+            trace.positions.append(128)
+        with pytest.raises(OverflowError):
+            trace.actions.append(-129)
+        assert [_buffer(top).typecode for top in (0, 127, 128, 2**15, 2**31)] == [
+            "b", "b", "h", "i", "q"
+        ]
+        assert list(_buffer(300, (-1, 299))) == [-1, 299]
+
+    def test_mirror_and_linked_traces_keep_array_buffers(self):
+        from array import array
+
+        t = edge_colored_line(6)
+        f = port_preserving_automorphism(t)
+        cache = TraceCache()
+        proto = baseline_agent()
+        cache.get(t, proto, 0).extend(1)
+        mirror = cache.get(t, proto, f[0])
+        mirror.extend(40)
+        assert isinstance(mirror, MirrorTrace)
+        assert mirror.positions.typecode == mirror.source.positions.typecode
+        rng = random.Random(3)
+        from repro.trees.labelings import random_relabel
+
+        t2 = random_relabel(line(12), rng)
+        proto = rendezvous_agent(max_outer=10)
+        traces = [cache.get(t2, proto, s) for s in range(t2.n)]
+        for tr in traces:
+            tr.extend(4000)
+        linked = [tr for tr in traces if tr._link is not None]
+        assert linked
+        for tr in linked + [mirror]:
+            assert isinstance(tr.actions, array) and isinstance(tr.positions, array)
+            assert len(tr.positions) == len(tr.actions) + 1
+
+    def test_sibling_traces_intern_keys_in_one_table(self):
+        """The suffix-merge registry's keys are built over the per-tree
+        intern table: their frames are that table's objects."""
+        rng = random.Random(3)
+        from repro.trees.labelings import random_relabel
+
+        t = random_relabel(line(12), rng)
+        cache = TraceCache()
+        proto = rendezvous_agent(max_outer=10)
+        traces = [cache.get(t, proto, s) for s in range(t.n)]
+        for tr in traces:
+            tr.extend(4000)
+        _, registry, intern = cache._by_proto[proto][t]
+        assert registry and all(tr._intern is intern for tr in traces)
+        for _pos, _ip, key in registry:
+            for frame in key[1]:
+                assert intern[frame] is frame

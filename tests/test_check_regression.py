@@ -186,6 +186,17 @@ class TestExactCounterGate:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "! solo_replay.drive.drive.block.expand: 0 -> 3" in proc.stdout
 
+    def test_traced_memory_counts_are_gated(self, tmp_path):
+        payload = json.loads(BENCH.read_text())
+        payload["traced_memory"]["counts"]["rounds_stored"] += 1
+        payload["traced_memory"]["tracemalloc_peak_bytes"] *= 2  # not gated
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(payload))
+        proc = run_gate(BENCH, cur)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "1 exact counter(s) changed" in proc.stdout
+        assert "! traced_memory.counts.rounds_stored:" in proc.stdout
+
     def test_baseline_without_counters_is_skipped(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"a": {"x_seconds": 1.0}}))
