@@ -55,7 +55,7 @@ bench-engine:
 # Bench regression gate, exactly as CI runs it: snapshot the committed
 # BENCH_engine.json, refresh it via bench-smoke, compare timings with
 # tolerance, and the solo replay's drive.* counters and the traced
-# tier's stored rounds and merge keys for equality.
+# tier's stored rounds, merge keys and intern entries for equality.
 check-regression:
 	cp BENCH_engine.json $(BENCH_BASELINE)
 	$(MAKE) bench-smoke

@@ -241,6 +241,8 @@ def _traced_memory() -> dict:
                 for trace in traces.values()
             ),
             "merge_keys": sum(len(registry) for _, registry, _ in entries.values()),
+            # frames, register banks and triples the merge keys share
+            "intern_entries": sum(len(intern) for _, _, intern in entries.values()),
         },
     }
 

@@ -20,9 +20,9 @@ but their section structure is identical.
 
 Exact work counters are gated apart from the timings.  The sections in
 ``EXACT_SECTIONS`` (the solo replay's ``drive.*`` counters and the
-traced tier's stored rounds and suffix-merge keys on ``verify-small``)
-count work, not time: they repeat exactly from run to run, so any difference
-from the baseline fails and names the counter (a counter missing on one
+traced tier's stored rounds, suffix-merge keys and intern-table entries
+on ``verify-small``) count work, not time: they repeat exactly from run
+to run, so any difference from the baseline fails and names the counter (a counter missing on one
 side counts 0).  A change that moves them on purpose re-records the
 baseline and says why.  A section missing from the baseline is skipped.
 

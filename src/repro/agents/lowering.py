@@ -68,20 +68,24 @@ _SCALARS = frozenset({type(None), bool, int, float, str, bytes})
 
 def _freeze(
     value,
-    memo: Optional[dict] = None,
-    intern: Optional[dict] = None,
+    memo: dict,
+    intern: dict,
     stack: tuple[int, ...] = (),
     depth: int = 0,
 ):
     """Canonical hashable form of one frame local.
 
-    ``memo`` (``id -> frozen form``, one per key) freezes each register
-    bank, ``Ctx``, record and plain object once however many frames or
-    attributes reach it; every later visit gets the same frozen object.
-    A memo entry exists only once its object froze completely, so a
-    memo hit can never hide a cycle.  ``intern`` (see
-    :func:`machine_state_key`) shares frozen register banks and their
-    ``(name, bound, value)`` triples across keys.
+    ``memo`` (``id -> (object, frozen form, depth)``, one per key)
+    freezes each register bank, ``Ctx``, record and plain object once
+    however many frames or attributes reach it; every later visit gets
+    the same frozen object.  A memo entry exists only once its object
+    froze completely, so a memo hit can never hide a cycle.  An entry
+    is used at most as deep as the object first froze (a register bank
+    or ``Ctx`` has nothing below it, so at any depth): deeper, the
+    object is frozen again (the entry keeps its first frozen object),
+    so the depth limit falls exactly where it would without the memo.
+    ``intern`` (see :func:`machine_state_key`) shares frozen register
+    banks and their ``(name, bound, value)`` triples across keys.
 
     Raises :class:`LoweringError` for anything whose future behavior the
     frozen form might not determine (live iterators, paused generators,
@@ -91,29 +95,23 @@ def _freeze(
         raise LoweringError("machine state freeze exceeded the depth limit")
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
-    if memo is None:
-        memo = {}
-    # Memo entries are (object, frozen form): an entry holds its object,
-    # so no other object can take over its id while the key is built.
+    # Memo entries hold their object, so no other object can take over
+    # its id while the key is built.
     hit = memo.get(id(value))
-    if hit is not None:
+    if hit is not None and depth <= hit[2]:
         return hit[1]
     if isinstance(value, Registers):
         # bounds + values; peaks are accounting the program cannot read
-        triples = value.state_key()
-        if intern is None:
-            frozen = ("Registers", triples)
-        else:
-            get = intern.setdefault
-            frozen = ("Registers", tuple([get(t, t) for t in triples]))
-            frozen = get(frozen, frozen)
-        memo[id(value)] = (value, frozen)
+        get = intern.setdefault
+        frozen = ("Registers", tuple([get(t, t) for t in value.state_key()]))
+        frozen = get(frozen, frozen)
+        memo[id(value)] = (value, frozen, _MAX_FREEZE_DEPTH)
         return frozen
     if isinstance(value, Ctx):
         # rounds is write-only accounting (program.py increments, nothing
         # reads it); excluding it is what lets perpetual walkers cycle
         frozen = ("Ctx", value.in_port, value.degree)
-        memo[id(value)] = (value, frozen)
+        memo[id(value)] = (value, frozen, _MAX_FREEZE_DEPTH)
         return frozen
     if isinstance(value, Tree):
         # trees never mutate after construction (lazy nav caches aside),
@@ -132,8 +130,8 @@ def _freeze(
             (name, _freeze(getattr(value, name), memo, intern, inner, depth + 1))
             for name in names
         )
-        frozen = (type(value).__qualname__, fields)
-        memo[id(value)] = (value, frozen)
+        frozen = (type(value).__qualname__, fields) if hit is None else hit[1]
+        memo[id(value)] = (value, frozen, depth)
         return frozen
     if isinstance(value, tuple):
         return tuple(_freeze(v, memo, intern, stack, depth + 1) for v in value)
@@ -152,6 +150,9 @@ def _freeze(
         # ids); sorting by the frozen values' repr would rebuild huge
         # strings from nested tuples on every freeze.
         depth += 1
+        if depth > _MAX_FREEZE_DEPTH and value:
+            # the entries skip the call below, but not the depth limit
+            raise LoweringError("machine state freeze exceeded the depth limit")
         items = [
             (
                 repr(k),
@@ -184,8 +185,8 @@ def _freeze(
             (name, _freeze(val, memo, intern, inner, depth + 1))
             for name, val in sorted(attrs.items())
         )
-        frozen = (type(value).__qualname__, frozen)
-        memo[id(value)] = (value, frozen)
+        frozen = (type(value).__qualname__, frozen) if hit is None else hit[1]
+        memo[id(value)] = (value, frozen, depth)
         return frozen
     raise LoweringError(
         f"cannot freeze frame local of type {type(value).__name__}"
@@ -208,12 +209,15 @@ def machine_state_key(agent: AgentProgram, intern: Optional[dict] = None) -> tup
     is a table the caller owns for the keys it keeps: equal frames,
     frozen register banks and register triples of different keys become
     one shared object (the traced tier passes one table per (prototype,
-    tree), lowering one per run).  Neither changes key equality.
+    tree), lowering one per run); without one, the key interns into a
+    table of its own.  Neither changes key equality.
     """
     if not isinstance(agent, AgentProgram):
         raise LoweringError("machine states are defined for AgentProgram only")
     if agent.finished or agent.generator is None:
         return _FINISHED_KEY
+    if intern is None:
+        intern = {}
     frames = []
     memo: dict = {}
     gen = agent.generator
@@ -251,9 +255,7 @@ def machine_state_key(agent: AgentProgram, intern: Optional[dict] = None) -> tup
             frame.f_lasti,
             _freeze(locs, memo, intern),
         )
-        if intern is not None:
-            entry = intern.setdefault(entry, entry)
-        frames.append(entry)
+        frames.append(intern.setdefault(entry, entry))
         gen = getattr(gen, "gi_yieldfrom", None)
     # Inside a Walk the routine stays suspended at the walk's yield while
     # AgentProgram expands it round by round; the expansion state is the

@@ -174,8 +174,14 @@ class SoloTrace:
         # Suffix merging (see extend): registry of distinguished machine
         # states shared with the sibling traces of this (prototype, tree).
         self._registry = merge_registry if self._use_keys else None
-        # Frames and register triples every key of this trace shares with
-        # its siblings' keys (machine_state_key's ``intern``).
+        # Frames and register triples the suffix-merge keys of this trace
+        # share with its siblings' (machine_state_key's ``intern``).  Only
+        # those keys use it: each one either enters the registry or equals
+        # a key already there, so the table holds nothing the registry
+        # does not (but the first frames of a freeze that fails, once a
+        # trace: the failure ends its merging).  Brent keys are compared
+        # and dropped (the anchor at the next power of two) and intern
+        # into tables of their own.
         self._intern = {} if intern is None else intern
         self._last_dist = 0
         self._link: Optional[tuple] = None  # (source trace, round offset)
@@ -324,7 +330,7 @@ class SoloTrace:
                         and tuple(regs_values.values()) == self._anchor_regs
                     ):
                         try:
-                            key = machine_state_key(agent, intern)
+                            key = machine_state_key(agent)
                         # repro-lint: disable=RPR002 -- in-trace downgrade, not a verdict: unfreezable state only disables Brent machine-state lassoing for this trace; no certificate is ever claimed without it
                         except LoweringError:
                             use_keys = self._use_keys = False
@@ -337,7 +343,7 @@ class SoloTrace:
                     brent_steps += 1
                     if brent_steps == brent_power:
                         try:
-                            self._anchor_key = machine_state_key(agent, intern)
+                            self._anchor_key = machine_state_key(agent)
                         # repro-lint: disable=RPR002 -- in-trace downgrade, not a verdict: unfreezable state only disables Brent machine-state lassoing for this trace; no certificate is ever claimed without it
                         except LoweringError:
                             use_keys = self._use_keys = False

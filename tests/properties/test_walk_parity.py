@@ -37,7 +37,7 @@ from repro.core import rendezvous_agent
 from repro.core.memory import memory_report
 from repro.core.prime_walk import prime_line_agent
 from repro.core.rendezvous_path import rendezvous_path_num_edges
-from repro.errors import AgentProtocolError
+from repro.errors import AgentProtocolError, LoweringError
 from repro.sim import run_solo
 from repro.trees import (
     complete_binary_tree,
@@ -599,6 +599,49 @@ def test_interned_key_matches_oracle_registry_programs(tree, data, program):
     start = data.draw(st.integers(0, tree.n - 1))
     rounds = data.draw(st.integers(0, 400))
     assert_keys_match_oracle(tree, start, build_agent(program), rounds)
+
+
+class Box:
+    """A plain object: the freeze memo covers it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+
+def nested(levels, leaf):
+    for _ in range(levels):
+        leaf = (leaf,)
+    return leaf
+
+
+def depth_program(start_degree, regs, levels, height, dict_leaf):
+    # ``shared`` freezes first, one level below the locals; ``deep``
+    # reaches it again ``levels`` tuples further down
+    shared = Box(nested(height, 0))
+    deep = nested(levels, {"x": 1} if dict_leaf else shared)
+    while shared is not deep:
+        yield -1
+
+
+@pytest.mark.parametrize("dict_leaf", [False, True])
+def test_freeze_depth_limit_matches_the_unmemoized_freeze(dict_leaf):
+    """A memo hit deeper than the object first froze, and a dict whose
+    entries skip the call, still meet the depth limit where the
+    un-memoized freeze does."""
+    raised = []
+    for levels in range(14, 26):
+        for height in range(0, 5):
+            agent = AgentProgram(depth_program, levels, height, dict_leaf)
+            agent.start(2)
+            try:
+                expected = oracle_key(agent)
+            except LoweringError:
+                with pytest.raises(LoweringError):
+                    machine_state_key(agent)
+                raised.append((levels, height))
+            else:
+                assert machine_state_key(agent) == expected
+    assert raised and len(raised) < 12 * 5  # the boundary lies inside the grid
 
 
 def test_key_frames_share_one_frozen_register_bank():

@@ -47,6 +47,7 @@ def test_bench_engine_quick_emits_json(tmp_path):
     assert replay["drive"]["drive.block.jump"] > 0
     counts = payload["traced_memory"]["counts"]
     assert counts["rounds_stored"] > 0 and counts["merge_keys"] > 0
+    assert counts["intern_entries"] > 0
     assert payload["traced_memory"]["tracemalloc_peak_bytes"] > 0
 
 

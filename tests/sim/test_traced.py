@@ -475,3 +475,31 @@ class TestTypedBuffers:
         for _pos, _ip, key in registry:
             for frame in key[1]:
                 assert intern[frame] is frame
+
+    def test_intern_table_holds_only_registry_keys_parts(self):
+        """Brent probe and anchor keys are dropped after their comparison,
+        so they must not intern into the per-tree table: every object it
+        holds is part of a key the suffix-merge registry keeps."""
+
+        def parts(obj, out):
+            if isinstance(obj, tuple) and id(obj) not in out:
+                out.add(id(obj))
+                for item in obj:
+                    parts(item, out)
+            return out
+
+        rng = random.Random(3)
+        from repro.trees.labelings import random_relabel
+
+        t = random_relabel(line(12), rng)
+        cache = TraceCache()
+        proto = rendezvous_agent(max_outer=10)
+        traces = [cache.get(t, proto, s) for s in range(t.n)]
+        for tr in traces:
+            tr.extend(6000)
+        assert any(tr._anchor_key is not None for tr in traces)
+        _, registry, intern = cache._by_proto[proto][t]
+        kept = set()
+        for key in registry:
+            parts(key, kept)
+        assert intern and all(id(obj) in kept for obj in intern.values())

@@ -235,15 +235,15 @@ class TestScenarioRecords:
 
 class TestLoweringKeyTag:
     def test_records_are_tagged_with_their_type(self):
-        frozen = _freeze(Drive(None, 3, 1, True))
+        frozen = _freeze(Drive(None, 3, 1, True), {}, {})
         assert frozen == (
             "Drive",
             (("value", None), ("rounds", 3), ("node", 1), ("finished", True)),
         )
-        assert _freeze(Walk(0, 1, 2)) == (
+        assert _freeze(Walk(0, 1, 2), {}, {}) == (
             "Walk",
             (("port", 0), ("delta", 1), ("arrivals", 2), ("speed", 1),
              ("counter", None)),
         )
         # a plain tuple of the same values is a different key
-        assert _freeze((None, 3, 1, True)) != frozen
+        assert _freeze((None, 3, 1, True), {}, {}) != frozen
