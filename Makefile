@@ -22,6 +22,7 @@ ATLAS_TMP := $(RESULTS_TMP)/repro-atlas-smoke
 ATLAS_FIXTURE := tests/scenarios/fixtures/atlas-v0.sqlite
 KERNEL_CHECK_TMP := $(RESULTS_TMP)/repro-kernel-cache-check
 IMPORT_TIME_CACHE := $(RESULTS_TMP)/repro-import-time-pycache
+REPORT_TMP := $(RESULTS_TMP)/repro-report.md
 
 .PHONY: test lint lint-invariants bench-smoke bench-engine scenarios-smoke \
         bench-scenarios check-regression golden-diff fault-smoke \
@@ -201,9 +202,11 @@ endif
 import-time:
 	python benchmarks/import_time.py --cache $(IMPORT_TIME_CACHE)
 
-# Quick pass over the scenario registry (the experiment tables, small grids).
+# Quick pass over the scenario registry (the experiment tables, small grids),
+# then the same plan rendered as the markdown report.
 scenarios-smoke:
 	$(PY) -m repro experiments --quick
+	$(PY) -m repro report -o $(REPORT_TMP)
 
 # Regenerate every benchmark's JSON result under benchmarks/results/.
 bench-scenarios:

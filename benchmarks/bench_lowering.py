@@ -112,17 +112,37 @@ def _success_grid_speedup(quick: bool) -> dict:
     }
 
 
+VERIFY_ROUNDS = 5
+
+
 def _lowered_verify(quick: bool, out_dir: Path | None):
+    """Best of :data:`VERIFY_ROUNDS` runs, each from empty trace and
+    lowering memos so every run does the same work; the last run's
+    result is persisted."""
+    from repro.agents.lowering import _LOWERING_CACHE
+    from repro.scenarios import Runner
+    from repro.sim.traced import GLOBAL_TRACE_CACHE
+
     params = {"max_n": 5} if quick else None
-    result = run_scenario(
-        "verify-small", out_dir=out_dir, backend="compiled", params=params
-    )
+    runner = Runner(backend="compiled")
+    best = float("inf")
+    for rnd in range(VERIFY_ROUNDS):
+        GLOBAL_TRACE_CACHE.clear()
+        _LOWERING_CACHE.clear()
+        if rnd < VERIFY_ROUNDS - 1:
+            result = runner.run("verify-small", params=params)
+        else:
+            result = run_scenario(
+                "verify-small", out_dir=out_dir, backend="compiled",
+                params=params,
+            )
+        best = min(best, result.elapsed_seconds)
     assert result.ok, "lowered verify-small failed its own acceptance check"
-    return result
+    return result, best
 
 
 def main(quick: bool = False, out_dir: Path | None = None) -> dict:
-    verify = _lowered_verify(quick, out_dir)
+    verify, verify_seconds = _lowered_verify(quick, out_dir)
     section = {
         "quick": quick,
         "success_families_grid": _success_grid_speedup(quick),
@@ -130,7 +150,8 @@ def main(quick: bool = False, out_dir: Path | None = None) -> dict:
             "backend": verify.backend,
             "params": dict(verify.spec.params),
             "rows": verify.rows,
-            "elapsed_seconds": round(verify.elapsed_seconds, 4),
+            "timing": f"best of {VERIFY_ROUNDS}",
+            "elapsed_seconds": round(verify_seconds, 4),
         },
     }
     # merge into the engine benchmark's trajectory file

@@ -20,7 +20,6 @@ from .program_atlas import (
 )
 from .tradeoff import TradeoffRow, reps_factor_tradeoff, stress_instances
 from .phases import Phase, format_timeline, stage_timeline
-from .report import ReportScale, generate_report
 from .stats import Series, fit_loglog_slope, geometric_mean, growth_ratios
 from .sweep import (
     SweepPoint,
@@ -28,7 +27,6 @@ from .sweep import (
     memory_vs_n_fixed_leaves,
     prime_rounds_vs_path_length,
     success_sweep,
-    thm31_size_vs_bits,
     thm42_size_vs_bits,
 )
 
@@ -55,7 +53,6 @@ __all__ = [
     "memory_vs_n_fixed_leaves",
     "memory_vs_leaves",
     "prime_rounds_vs_path_length",
-    "thm31_size_vs_bits",
     "thm42_size_vs_bits",
     "success_sweep",
     "TradeoffRow",
@@ -64,6 +61,4 @@ __all__ = [
     "Phase",
     "stage_timeline",
     "format_timeline",
-    "ReportScale",
-    "generate_report",
 ]

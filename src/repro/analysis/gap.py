@@ -1,4 +1,4 @@
-"""The headline experiment: the exponential memory gap (EXPERIMENTS.md E7).
+"""The headline experiment: the exponential memory gap (E7 of ``repro report --full``).
 
 For a family of trees with few leaves and growing n, compare:
 
@@ -110,7 +110,7 @@ def gap_table(
 
 
 def format_gap_table(rows: Sequence[GapRow]) -> str:
-    """Render the gap table the way EXPERIMENTS.md records it."""
+    """Render the gap table as fixed-width text."""
     header = (
         f"{'n':>6} {'leaves':>6} {'delay0 bits':>12} {'arb bits':>9} "
         f"{'gap x':>6} {'~log n':>7} {'met(0/arb)':>11}"

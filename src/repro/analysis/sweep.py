@@ -1,9 +1,8 @@
-"""Parameter sweeps behind the experiment harness (EXPERIMENTS.md E1-E8).
+"""Parameter sweeps behind the registry's experiment scenarios.
 
-Each function runs a deterministic sweep and returns
-:class:`~repro.analysis.stats.Series` objects ready to print; the benchmark
-files under ``benchmarks/`` wrap these with pytest-benchmark and emit the
-tables recorded in EXPERIMENTS.md.
+Each function runs a deterministic sweep; the scenario executors
+(:mod:`repro.scenarios.executors`) turn its points into rows, and
+``repro report --full`` prints the tables.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ import random
 from collections.abc import Sequence
 
 from ..agents.automaton import LineAutomaton
-from ..agents.library import counting_walker
 from ..core.prime_walk import prime_line_agent
 from ..core.rendezvous import solve
-from ..lowerbounds.arbitrary_delay import build_thm31_instance
 from ..lowerbounds.loglog_line import build_thm42_instance
 from ..records import TupleRecord, tuple_new
 from ..sim.compiled import run_rendezvous_fast
@@ -30,7 +27,6 @@ __all__ = [
     "memory_vs_n_fixed_leaves",
     "memory_vs_leaves",
     "prime_rounds_vs_path_length",
-    "thm31_size_vs_bits",
     "thm42_size_vs_bits",
     "success_sweep",
 ]
@@ -176,17 +172,6 @@ def prime_rounds_vs_path_length(
             raise AssertionError(f"prime protocol failed on m={m}")
         rounds.append(float(out.meeting_round))
     return Series("prime_rounds", tuple(float(m) for m in lengths), tuple(rounds))
-
-
-def thm31_size_vs_bits(ks: Sequence[int] = (1, 2, 3, 4, 5)) -> Series:
-    """E1: defeating-line size vs memory bits (counting-walker family)."""
-    xs, ys = [], []
-    for k in ks:
-        agent = counting_walker(k)
-        inst = build_thm31_instance(agent)
-        xs.append(float(agent.memory_bits))
-        ys.append(float(inst.line_edges))
-    return Series("thm31_line_edges", tuple(xs), tuple(ys))
 
 
 def thm42_size_vs_bits(

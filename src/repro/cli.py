@@ -18,14 +18,16 @@ gather       gather k identical agents (the extension of §1.3)
 gather-sweep decide a k-agent gathering grid (joint-configuration solver)
 lower        lower a register program to explicit automata / traced tables
 viz          render a tree as ASCII art or Graphviz DOT
-report       regenerate the experiment report as markdown
-experiments  run every experiment table (E1-E8) and print them
+report       the experiment report as markdown: the registry scenarios
+             behind E1, E3a, E3b, E4, E7 and the program atlas, each
+             table with one line read off its summary
+experiments  print the same tables without the markdown
 scenarios    list / run / diff declarative scenarios (the registry)
 telemetry    summarize a JSONL telemetry event stream offline
 
 The experiment-shaped commands (``delays``, ``atlas``,
 ``atlas-programs``, ``gap``, ``thm31``, ``thm42``, ``thm43``,
-``verify``, ``experiments``) are
+``verify``, ``report``, ``experiments``) are
 aliases over the scenario registry (:mod:`repro.scenarios`): they build
 or fetch a :class:`~repro.scenarios.spec.ScenarioSpec` and execute it
 through the shared :class:`~repro.scenarios.runner.Runner`, so the CLI,
@@ -419,44 +421,29 @@ def _cmd_lint_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis import ReportScale, generate_report
+    from .analysis.report import generate_report, run_sections
 
-    scale = ReportScale.full() if args.full else ReportScale.quick()
-    text = generate_report(scale)
+    sections = run_sections(_runner(args), quick=not args.full)
+    text = generate_report(sections)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.output}")
     else:
         print(text)
-    return 0
+    return 0 if all(result.ok for _, result, _ in sections) else 1
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    """Run the main experiment tables — registry scenarios end to end."""
-    quick = args.quick
-    plan = [
-        ("E1 Thm 3.1 (defeating size vs bits)", "thm31-sweep",
-         {"ks": [1, 2] if quick else [1, 2, 3, 4]}),
-        ("E3a memory vs n (ℓ = 4)", "memory-vs-n",
-         {"subdivisions": [0, 1] if quick else [0, 1, 3, 7]}),
-        ("E3b memory vs leaves", "memory-vs-leaves",
-         {"leaf_counts": [4, 8] if quick else [4, 8, 16],
-          "total_nodes": 40 if quick else 80}),
-        ("E4 prime rounds", "prime-rounds",
-         {"lengths": [5, 9, 17] if quick else [5, 9, 17, 33]}),
-        ("E7 gap table", "gap-table",
-         {"subdivisions": [0, 1] if quick else [0, 1, 3, 7]}),
-    ]
-    runner = _runner(args)
-    all_ok = True
-    for idx, (title, name, params) in enumerate(plan):
-        result = runner.run(name, params=params)
-        all_ok &= result.ok
+    """Print the report's tables (:mod:`repro.analysis.report`'s plan)."""
+    from .analysis.report import run_sections
+
+    sections = run_sections(_runner(args), quick=args.quick)
+    for idx, (heading, result, _) in enumerate(sections):
         prefix = "" if idx == 0 else "\n"
-        print(f"{prefix}# {title}")
+        print(f"{prefix}# {heading}")
         print(result.table())
-    return 0 if all_ok else 1
+    return 0 if all(result.ok for _, result, _ in sections) else 1
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
@@ -777,7 +764,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lint_invariants)
 
     p = sub.add_parser("report", help="regenerate the experiment report (markdown)")
-    p.add_argument("--full", action="store_true", help="EXPERIMENTS.md scale")
+    p.add_argument("--full", action="store_true", help="every scenario at its registered params")
     p.add_argument("-o", "--output", default="", help="write to a file")
     p.set_defaults(fn=_cmd_report)
 

@@ -2,9 +2,10 @@
 
 The paper cites [14] (Czyzowicz–Kosowski–Pelc) for an O(log n)-bit agent
 that rendezvous in arbitrary graphs under arbitrary delay.  The gap table
-(EXPERIMENTS.md, E7) needs a concrete arbitrary-delay agent for trees; this
-module provides a tree-specialized stand-in (DESIGN.md substitution: same
-guarantee on trees, simpler machinery than [14]'s universal sequences):
+(E7 of ``repro report --full``) needs a concrete arbitrary-delay agent for
+trees; this module provides a tree-specialized stand-in (DESIGN.md
+substitution: same guarantee on trees, simpler machinery than [14]'s
+universal sequences):
 
 1.  Explore (closed basic walk, reconstruct the labeled tree, return home).
 2.  Central node, or central edge whose labeled halves differ → walk to the

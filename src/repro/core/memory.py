@@ -8,7 +8,7 @@ Synchro's inserted Explo-bis among them, and whole traversals of the
 rendezvous path, see :func:`measure_memory`), and provides the closed-form
 reference curves (the O(log ℓ + log log n) upper bound and the Θ(log n)
 arbitrary-delay bound) the measured values are compared against in
-EXPERIMENTS.md.
+``repro report --full``.
 """
 
 from __future__ import annotations

@@ -42,13 +42,7 @@ from .adversary import (
     labelings_for,
 )
 from .batch import BatchJob, GatheringJob, derive_seed
-from .certificates import (
-    JointConfig,
-    NonMeetingCertificate,
-    SymmetryCertificate,
-    build_certificate,
-    symmetry_certificate,
-)
+from .certificates import SymmetryCertificate, symmetry_certificate
 from .compiled import (
     CompiledAgent,
     DelayVerdict,
@@ -126,9 +120,6 @@ __all__ = [
     "run_batch_supervised",
     "run_gathering_batch_supervised",
     "RendezvousOutcome",
-    "NonMeetingCertificate",
-    "JointConfig",
-    "build_certificate",
     "SymmetryCertificate",
     "symmetry_certificate",
     "GatheringOutcome",

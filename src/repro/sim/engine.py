@@ -52,6 +52,7 @@ from ..agents.observations import NULL_PORT, STAY, AgentBase, resolve_action
 from ..errors import SimulationError
 from ..records import Record, TupleRecord, tuple_new
 from ..trees.tree import Tree
+from .certificates import symmetry_certificate
 from .delays import delay_vector
 from .faults import _NO_FAULTS, FaultPlan, _segments
 from .trace import RoundRecord, Trace
@@ -172,14 +173,12 @@ def _rendezvous(
             True, 0, start1, 0, False, 0, trace,
             (prototype.clone(), prototype.clone()),
         )
-    if certify and delay == 0 and not plan:
-        from .certificates import symmetry_certificate
-
-        if symmetry_certificate(tree, start1, start2) is not None:
-            return RendezvousOutcome(
-                False, None, None, 0, True, 0, trace,
-                (prototype.clone(), prototype.clone()),
-            )
+    if (certify and delay == 0 and not plan
+            and symmetry_certificate(tree, start1, start2) is not None):
+        return RendezvousOutcome(
+            False, None, None, 0, True, 0, trace,
+            (prototype.clone(), prototype.clone()),
+        )
     out = run(
         tree, prototype, (start1, start2), delay_vector(delay, delayed), plan,
         max_rounds, certify, trace,

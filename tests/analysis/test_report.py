@@ -1,31 +1,86 @@
-"""Tests for the one-shot report generator and small-tree edge cases."""
+"""Tests for the experiment report and small-tree edge cases."""
 
-from repro.analysis import ReportScale, generate_report
+import json
+from pathlib import Path
+
+from repro.analysis.report import SECTIONS, generate_report, run_sections
 from repro.cli import main
+from repro.scenarios import Runner, ScenarioResult
+from repro.scenarios.registry import get_scenario
+
+GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "golden"
+
+HEADINGS = ("E1", "E3a", "E3b", "E4", "E7", "Program memory atlas")
+READINGS = (
+    "exponential in bits", "all met: True", "log ℓ shape", "(polynomial)",
+    "(~2 log n)", "behavioral padding",
+)
+
+
+def golden(name: str) -> ScenarioResult:
+    return ScenarioResult.from_payload(
+        json.loads((GOLDEN / f"{name}.json").read_text())
+    )
+
+
+class GoldenRunner:
+    """Serves each scenario's golden result and records every request."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, name, *, params=None):
+        self.calls.append((name, params))
+        return golden(name)
+
+
+def assert_report_structure(text: str) -> None:
+    assert text.startswith("# Reproduction report")
+    for heading in HEADINGS:
+        assert f"\n## {heading}" in text
+    for reading in READINGS:
+        assert reading in text
 
 
 class TestReport:
     def test_quick_report_structure(self):
-        text = generate_report(
-            ReportScale((0, 1), (4, 8), 40, (5, 9), (1, 2))
+        assert_report_structure(
+            generate_report(run_sections(Runner(), quick=True))
         )
-        for heading in ("E1", "E3a", "E3b", "E4", "E7"):
-            assert heading in text
-        assert "exponential in bits" in text
-        assert "log ℓ shape" in text
 
-    def test_scales(self):
-        q = ReportScale.quick()
-        f = ReportScale.full()
-        assert len(f.subdivisions) > len(q.subdivisions)
-        assert max(f.thm31_ks) > max(q.thm31_ks)
+    def test_full_scale_runs_every_scenario_with_no_overrides(self):
+        runner = GoldenRunner()
+        text = generate_report(run_sections(runner, quick=False))
+        assert runner.calls == [(name, None) for _, name, _, _ in SECTIONS]
+        assert_report_structure(text)
+        for _, name, _, _ in SECTIONS:
+            assert golden(name).table() in text
+
+    def test_quick_overrides_only_shrink_registered_params(self):
+        for _, name, overrides, _ in SECTIONS:
+            assert overrides
+            assert set(overrides) <= set(get_scenario(name).params)
+
+    def test_report_and_experiments_render_the_same_sections(self, capsys):
+        assert main(["experiments", "--quick"]) == 0
+        experiments = capsys.readouterr().out
+        assert main(["report"]) == 0
+        report = capsys.readouterr().out
+        headings = [heading for heading, *_ in SECTIONS]
+        assert [line[2:] for line in experiments.splitlines()
+                if line.startswith("# ")] == headings
+        assert [line[3:] for line in report.splitlines()
+                if line.startswith("## ")] == headings
+        tables = report.split("```")[1::2]
+        assert len(tables) == len(SECTIONS)
+        for table in tables:
+            assert table.strip("\n") in experiments
 
     def test_cli_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.md"
         rc = main(["report", "-o", str(out)])
         assert rc == 0
-        assert out.exists()
-        assert "# Reproduction report" in out.read_text()
+        assert_report_structure(out.read_text())
 
 
 class TestTinyTreeEdgeCases:

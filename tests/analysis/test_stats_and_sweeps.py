@@ -14,7 +14,6 @@ from repro.analysis import (
     memory_vs_n_fixed_leaves,
     prime_rounds_vs_path_length,
     success_sweep,
-    thm31_size_vs_bits,
 )
 from repro.trees import all_trees
 
@@ -67,8 +66,11 @@ class TestSweepShapes:
         assert max(diffs) - min(diffs) <= 4
 
     def test_thm31_exponential_in_bits(self):
-        series = thm31_size_vs_bits(ks=(1, 2, 3))
-        ratios = growth_ratios(series.ys)
+        from repro.scenarios import Runner
+
+        result = Runner().run("thm31-sweep", params={"ks": [1, 2, 3]})
+        ratios = result.summary["growth_ratios"]
+        assert len(ratios) == 2
         assert all(r > 1.3 for r in ratios)  # exponential-ish growth
 
     def test_prime_rounds_polynomial(self):

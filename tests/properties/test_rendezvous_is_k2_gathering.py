@@ -133,7 +133,7 @@ def fault_plans(draw, max_round=8):
 
 def _without_symmetry():
     return mock.patch(
-        "repro.sim.certificates.symmetry_certificate", return_value=None
+        "repro.sim.engine.symmetry_certificate", return_value=None
     )
 
 

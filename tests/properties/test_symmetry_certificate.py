@@ -149,7 +149,7 @@ def test_verify_rejects_tampered_maps(instance, data):
 
 def _without_symmetry():
     return mock.patch(
-        "repro.sim.certificates.symmetry_certificate", return_value=None
+        "repro.sim.engine.symmetry_certificate", return_value=None
     )
 
 

@@ -5,8 +5,9 @@ gate; the traced tier's pair grids stay pure Python), networkx is never
 loaded by a scenario (it is optional interop only), the result
 provenance never spawns a process, neither setup nor an atlas round
 trip imports ``dataclasses``, ``platform`` or the process pool, no
-record type is a ``collections.namedtuple`` product, and setup, not a
-run, pays for every ``repro`` import.  ``sys.modules`` is process-wide,
+record type is a ``collections.namedtuple`` product, setup loads no
+``repro`` module outside a fixed budget, and setup, not a run, pays for
+every ``repro`` import.  ``sys.modules`` is process-wide,
 so each case runs in its own interpreter.
 """
 
@@ -48,6 +49,7 @@ from repro.scenarios.atlas import AtlasStore
 get_scenario("thm43")
 atlas = AtlasStore(sys.argv[1])
 runner = Runner(atlas=atlas)
+setup_modules = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
 miss = runner.run("thm43")
 payload = miss.to_payload()
 hit = runner.run("thm43")
@@ -66,6 +68,7 @@ namedtuples = sorted(
 )
 Runner(backend="auto").run("delays-line").to_payload()  # below the lane gate
 print(json.dumps({
+    "setup_modules": setup_modules,
     "miss": miss.cached_payload is None,
     "hit": hit.cached_payload is not None,
     "numpy_after_thm43": after_thm43,
@@ -113,6 +116,40 @@ def test_setup_and_atlas_round_trip_load_neither_platform_nor_the_pool(
     # the provenance reads os.uname(); the pool loads where a pool starts;
     # the array module behind solo-trace buffers loads with the first trace
     assert atlas_round_trip["unused_after_thm43"] == []
+
+
+# Every repro module the worker's setup loads.  Setup may load fewer; a
+# module it starts to load must be added here on purpose.
+SETUP_MODULE_BUDGET = frozenset({"repro"}) | {
+    f"repro.{name}" for name in """
+    agents agents.automaton agents.digraph agents.dsl agents.library
+    agents.lowering agents.minimize agents.observations agents.program
+    analysis analysis.exhaustive analysis.feasibility analysis.gap
+    analysis.phases analysis.program_atlas analysis.stats analysis.sweep
+    analysis.tradeoff
+    core core.algorithm core.baseline core.explo core.gathering core.memory
+    core.prime_walk core.rendezvous core.rendezvous_path core.synchro
+    durable errors records
+    lowerbounds lowerbounds.arbitrary_delay lowerbounds.common
+    lowerbounds.infinite_line lowerbounds.leaves lowerbounds.loglog_line
+    scenarios scenarios.atlas scenarios.backends scenarios.executors
+    scenarios.registry scenarios.runner scenarios.spec scenarios.store
+    sim sim.adversary sim.batch sim.certificates sim.compiled sim.delays
+    sim.engine sim.faults sim.gathering_solver sim.instrument sim.kernel
+    sim.multi sim.numpy_probe sim.trace sim.traced
+    telemetry telemetry.core telemetry.sinks
+    trees trees.automorphism trees.basic_walk trees.builders trees.center
+    trees.contraction trees.isomorphism trees.labelings trees.serialize
+    trees.sidetrees trees.tree trees.viz
+    """.split()
+}
+
+
+def test_setup_loads_no_module_outside_its_budget(atlas_round_trip):
+    # the report renders registry results and loads with its command only
+    loaded = set(atlas_round_trip["setup_modules"])
+    assert "repro.analysis.report" not in loaded
+    assert sorted(loaded - SETUP_MODULE_BUDGET) == []
 
 
 def test_no_record_type_is_a_namedtuple_product(atlas_round_trip):

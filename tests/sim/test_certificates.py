@@ -1,77 +1,104 @@
-"""Tests for standalone non-meeting certificates."""
+"""Tests for non-meeting certification on the engine tiers.
+
+A non-meeting verdict comes from a tier's ``certify=True`` run: the
+Fact 1.1 :class:`SymmetryCertificate` before round 1 (delay 0, identical
+agents, no faults), else a repeated joint configuration.  The reference
+and compiled tiers must reach the same verdict on every instance.
+"""
 
 import pytest
 
 from repro.agents import STAY, Automaton, alternator, pausing_walker
-from repro.errors import SimulationError
-from repro.sim.certificates import JointConfig, build_certificate
+from repro.lowerbounds import build_thm31_instance
+from repro.sim import (
+    SymmetryCertificate,
+    run_rendezvous,
+    run_rendezvous_compiled,
+    symmetry_certificate,
+)
 from repro.trees import edge_colored_line, line
+
+TIERS = pytest.mark.parametrize(
+    "run", [run_rendezvous, run_rendezvous_compiled],
+    ids=["reference", "compiled"],
+)
 
 
 def waiting_agent():
     return Automaton(1, {}, [STAY])
 
 
-class TestBuildCertificate:
-    def test_two_waiters(self):
-        cert = build_certificate(line(5), waiting_agent(), 0, 4)
-        assert cert.verify()
-        assert len(cert.cycle) == 1  # the static configuration repeats at once
+@TIERS
+class TestCertifyRuns:
+    def test_two_waiters(self, run):
+        # odd node count: no symmetry certificate, so the static
+        # configuration's recurrence certifies
+        assert symmetry_certificate(line(5), 0, 4) is None
+        out = run(line(5), waiting_agent(), 0, 4, certify=True)
+        assert out.certified_never and not out.met
+        assert out.rounds_executed > 0
 
-    def test_mirror_alternators(self):
-        # symmetric labeling + mirror starts: eternal crossing
+    def test_mirror_alternators(self, run):
+        # symmetric labeling + mirror starts: Fact 1.1 before round 1
         t = edge_colored_line(6)
-        cert = build_certificate(t, alternator(), 1, 4)
-        assert cert.verify()
-        assert cert.lasso_length >= 2
+        assert symmetry_certificate(t, 1, 4).verify()
+        out = run(t, alternator(), 1, 4, certify=True)
+        assert out.certified_never and not out.met
+        assert out.rounds_executed == 0 and out.crossings == 0
 
-    def test_with_delay(self):
-        from repro.lowerbounds import build_thm31_instance
+    def test_mirror_alternators_with_delay(self, run):
+        # a delay breaks the lockstep; the recurrence still certifies
+        out = run(edge_colored_line(6), alternator(), 1, 4, delay=1, certify=True)
+        assert out.certified_never and not out.met
+        assert out.rounds_executed > 0
 
+    def test_thm31_instance(self, run):
         inst = build_thm31_instance(pausing_walker(1), verify=False)
-        cert = build_certificate(
-            inst.tree,
-            pausing_walker(1),
-            inst.start1,
-            inst.start2,
-            delay=inst.delay,
-            delayed=inst.delayed,
+        out = run(
+            inst.tree, pausing_walker(1), inst.start1, inst.start2,
+            delay=inst.delay, delayed=inst.delayed, certify=True,
         )
-        assert cert.verify()
+        assert out.certified_never and not out.met
 
-    def test_meeting_instance_rejected(self):
+    def test_meeting_instance_is_not_certified(self, run):
         walker = Automaton(1, {}, [0])
-        with pytest.raises(SimulationError):
-            build_certificate(line(6), walker, 2, 4)
+        out = run(line(6), walker, 2, 4, certify=True)
+        assert out.met and not out.certified_never
+        assert out.meeting_round == 3
 
-    def test_same_start_rejected(self):
-        with pytest.raises(SimulationError):
-            build_certificate(line(4), waiting_agent(), 1, 1)
+    def test_same_start_meets_at_round_zero(self, run):
+        out = run(line(4), waiting_agent(), 1, 1, certify=True)
+        assert out.met and not out.certified_never
+        assert (out.meeting_round, out.rounds_executed) == (0, 0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion_leaves_the_run_undecided(self, run):
         t = edge_colored_line(12)
-        with pytest.raises(SimulationError):
-            build_certificate(t, alternator(), 1, 10, max_rounds=2)
+        short = run(t, alternator(), 1, 10, delay=2, max_rounds=2, certify=True)
+        assert short.undecided and short.rounds_executed == 2
+        full = run(t, alternator(), 1, 10, delay=2, certify=True)
+        assert full.certified_never
 
 
-class TestVerifyRejectsTampering:
+class TestSymmetryCertificateRejectsTampering:
     def _cert(self):
-        return build_certificate(edge_colored_line(6), alternator(), 1, 4)
+        return symmetry_certificate(edge_colored_line(6), 1, 4)
 
-    def test_tampered_cycle_fails(self):
+    def test_fixed_point_fails(self):
         cert = self._cert()
-        bad_cfg = JointConfig(0, 0, -1, 0, 0, -1)  # a meeting configuration
-        bad = cert._replace(cycle=(bad_cfg,) + cert.cycle[1:])
+        assert cert.verify()
+        bad = SymmetryCertificate(
+            cert.tree, cert.start1, cert.start2, (0,) + cert.mapping[1:]
+        )
         assert not bad.verify()
 
-    def test_truncated_cycle_fails(self):
+    def test_truncated_mapping_fails(self):
         cert = self._cert()
-        if len(cert.cycle) < 2:
-            pytest.skip("cycle too short to truncate")
-        bad = cert._replace(cycle=cert.cycle[:-1])
+        bad = SymmetryCertificate(
+            cert.tree, cert.start1, cert.start2, cert.mapping[:-1]
+        )
         assert not bad.verify()
 
-    def test_empty_cycle_rejected(self):
+    def test_wrong_start_fails(self):
         cert = self._cert()
-        with pytest.raises(SimulationError):
-            cert._replace(cycle=()).verify()
+        bad = SymmetryCertificate(cert.tree, cert.start1, 3, cert.mapping)
+        assert not bad.verify()
